@@ -4,76 +4,26 @@ Compute intersection lattices, building sets, multiplier-ideal
 presentations, log canonical thresholds and jumping numbers, all in exact
 rational arithmetic, and certify the ideal identities degree by degree
 with an independent graded-linear-algebra engine.
+
+The package namespace holds the names the README's library example uses;
+everything else is imported from its submodule (``arrideals.lattice``,
+``arrideals.building``, ``arrideals.graded``, ``arrideals.multiplier``).
 """
 
-from .arrangement import (
-    Arrangement,
-    Hyperplane,
-    ParseError,
-    braid,
-    canonical_normal,
-    parse_arrangement,
-    parse_rational,
-    serialize_arrangement,
-)
-from .building import (
-    BuildingSet,
-    Decomposition,
-    building_set_obstruction,
-    custom_building_set,
-    decomposition_obstruction,
-    full_building_set,
-    irreducible_decomposition,
-    is_building_set,
-    is_decomposition,
-    is_irreducible,
-    minimal_building_set,
-)
-from .errors import InvariantError
-from .graded import (
-    GradedIdeal,
-    Polynomial,
-    PolynomialParseError,
-    contains_polynomial,
-    graded_contains,
-    graded_equal,
-    graded_intersect,
-    graded_power,
-    hilbert,
-    monomials,
-    parse_polynomial,
-    unit_ideal,
-)
-from .lattice import (
-    Flat,
-    IntersectionLattice,
-    closure,
-    compute_lattice,
-    flat_sort_key,
-    minimal_containing,
-)
-from .linalg import (
-    QMatrix,
-    Subspace,
-    rref,
-    span,
-    span_contains,
-    span_intersect,
-    span_sum,
-)
-from .multiplier import (
-    MultiplierIdealPresentation,
-    ResolutionRow,
-    ResolutionTable,
-    default_degree_bound,
-    jump_candidates,
-    lct,
-    membership,
-    presentation,
-    presentation_ideal,
-    resolution_table,
-    support,
-    verify_jump,
-)
+from .arrangement import braid
+from .building import minimal_building_set
+from .graded import hilbert
+from .lattice import compute_lattice
+from .multiplier import lct, presentation, presentation_ideal
+
+__all__ = [
+    "braid",
+    "compute_lattice",
+    "minimal_building_set",
+    "presentation",
+    "presentation_ideal",
+    "lct",
+    "hilbert",
+]
 
 __version__ = "0.1.0"

@@ -12,18 +12,26 @@ flat C the minimal elements of G containing C decompose C.  The
 irreducible flats (those with no non-trivial decomposition) always form
 one, and it is contained in every other.  Irreducibility is decided by
 connectivity of the linear matroid on the flat's closed set: the
-components' closures are exactly the finest decomposition.
+components' closures are exactly the finest decomposition.  That matroid
+code lives in the lattice module, and each lattice computes its
+irreducible flats once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .errors import InvariantError
-from .lattice import Flat, IntersectionLattice, flat_sort_key, minimal_containing
-from .linalg import int_canonical, int_contains, int_insert, int_intersect
+from .lattice import (
+    Flat,
+    IntersectionLattice,
+    _is_irreducible,
+    _matroid_components,
+    flat_sort_key,
+    minimal_containing,
+)
+from .linalg import _first_nonzero, int_canonical, int_contains, int_insert, int_intersect
 
 
 @dataclass(frozen=True)
@@ -41,23 +49,11 @@ class BuildingSet:
         return len(self.flats)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A flat together with parts presenting it as a transversal intersection."""
-
-    target: Flat
-    parts: tuple[Flat, ...]
-
-
 def _require_proper_flat(lat: IntersectionLattice, flat: Flat, what: str) -> None:
     if flat.rank == 0:
         raise ValueError(f"{what} must not be the ambient space")
     if lat.flat_with_closed(flat.closed_set) != flat:
         raise ValueError(f"{what} is not a flat of this lattice")
-
-
-def _first_nonzero(row: Sequence[int]) -> int:
-    return next(i for i, a in enumerate(row) if a)
 
 
 def _closed_of_rows(normals, rows) -> tuple[int, ...]:
@@ -137,72 +133,11 @@ def is_decomposition(lat: IntersectionLattice, target: Flat,
     return decomposition_obstruction(lat, target, parts) is None
 
 
-def _matroid_components(normals, closed: Sequence[int]) -> list[tuple[int, ...]]:
-    """Connected components of the linear matroid on the chosen normals.
-
-    Elements are merged along fundamental circuits: each dependent normal is
-    reduced against the running echelon basis while tracking an exact integer
-    combination over the original elements; the support of a vanished
-    combination is a circuit.
-    """
-    parent = {j: j for j in closed}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows: list = []
-    pivots: list = []
-    combos: list[dict[int, int]] = []
-    for j in closed:
-        v = list(normals[j])
-        combo = {j: 1}
-        for row, p, rc in zip(rows, pivots, combos):
-            c = v[p]
-            if not c:
-                continue
-            pv = row[p]
-            v = [pv * a - c * b for a, b in zip(v, row)]
-            combo = {
-                k: coef
-                for k in combo.keys() | rc.keys()
-                if (coef := pv * combo.get(k, 0) - c * rc.get(k, 0))
-            }
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is None:
-            root = find(j)
-            for k in combo:
-                parent[find(k)] = root
-        else:
-            g = 0
-            for a in v:
-                g = gcd(g, a)
-            for a in combo.values():
-                g = gcd(g, a)
-            if g > 1:
-                v = [a // g for a in v]
-                combo = {k: a // g for k, a in combo.items()}
-            rows.append(tuple(v))
-            pivots.append(p)
-            combos.append(combo)
-
-    groups: dict[int, list[int]] = {}
-    for j in closed:
-        groups.setdefault(find(j), []).append(j)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
 def is_irreducible(lat: IntersectionLattice, flat: Flat) -> bool:
     """Whether the flat admits only the trivial decomposition."""
     if flat.rank == 0:
         raise ValueError("the ambient space is not in the proper lattice")
-    if flat.rank == 1:
-        return True
-    if len(flat.closed_set) == flat.rank:
-        return False  # independent normals split into single hyperplanes
-    return len(_matroid_components(lat.int_normals, flat.closed_set)) == 1
+    return _is_irreducible(lat.int_normals, flat)
 
 
 def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat]:
@@ -227,10 +162,8 @@ def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat
 
 
 def minimal_building_set(lat: IntersectionLattice) -> BuildingSet:
-    """All irreducible proper flats, in canonical order."""
-    return BuildingSet(
-        tuple(f for f in lat.proper if is_irreducible(lat, f)), "minimal"
-    )
+    """All irreducible proper flats, in canonical order (computed once per lattice)."""
+    return BuildingSet(lat.irreducibles, "minimal")
 
 
 def full_building_set(lat: IntersectionLattice) -> BuildingSet:

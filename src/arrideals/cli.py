@@ -72,8 +72,7 @@ def _cmd_braid(args) -> int:
     return 0
 
 
-def _cmd_lattice(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_lattice(args, lat: IntersectionLattice) -> int:
     if args.json:
         print(json.dumps([_flat_json(f) for f in lat.flats], indent=2))
     else:
@@ -82,8 +81,7 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _cmd_building(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_building(args, lat: IntersectionLattice) -> int:
     bs = _building_set(lat, args.set)
     if args.verify:
         bad = bmod.building_set_obstruction(lat, bs.flats)
@@ -101,8 +99,7 @@ def _cmd_building(args) -> int:
     return 0
 
 
-def _cmd_mi(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_mi(args, lat: IntersectionLattice) -> int:
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
     if args.json:
         doc = {
@@ -123,20 +120,18 @@ def _cmd_mi(args) -> int:
     return 0
 
 
-def _cmd_lct(args) -> int:
-    print(mmod.lct(compute_lattice(_load(args.file))))
+def _cmd_lct(args, lat: IntersectionLattice) -> int:
+    print(mmod.lct(lat))
     return 0
 
 
-def _cmd_support(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_support(args, lat: IntersectionLattice) -> int:
     for f in mmod.support(lat, args.lam):
         print(_flat_line(f))
     return 0
 
 
-def _cmd_jumps(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_jumps(args, lat: IntersectionLattice) -> int:
     for c in mmod.jump_candidates(lat, args.max):
         if args.verify:
             if mmod.verify_jump(lat, c, args.degree):
@@ -148,17 +143,15 @@ def _cmd_jumps(args) -> int:
     return 0
 
 
-def _cmd_member(args) -> int:
-    arr = _load(args.file)
-    lat = compute_lattice(arr)
+def _cmd_member(args, lat: IntersectionLattice) -> int:
+    arr = lat.arrangement
     poly = gmod.parse_polynomial(args.poly, arr.dim)
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
     print("true" if mmod.membership(arr, pres, poly) else "false")
     return 0
 
 
-def _cmd_resolution(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_resolution(args, lat: IntersectionLattice) -> int:
     table = mmod.resolution_table(lat, _building_set(lat, args.set))
     for row in table.rows:
         closed = ",".join(map(str, row.flat.closed_set))
@@ -166,8 +159,7 @@ def _cmd_resolution(args) -> int:
     return 0
 
 
-def _cmd_hilbert(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_hilbert(args, lat: IntersectionLattice) -> int:
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
     bound = args.degree if args.degree is not None else mmod.default_degree_bound(pres)
     dims = gmod.hilbert(mmod.presentation_ideal(pres, bound))
@@ -175,8 +167,7 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _cmd_verify_theorem(args) -> int:
-    lat = compute_lattice(_load(args.file))
+def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     pres_min = mmod.presentation(lat, bmod.minimal_building_set(lat), args.lam)
     pres_full = mmod.presentation(lat, bmod.full_building_set(lat), args.lam)
     bound = (args.degree if args.degree is not None
@@ -200,85 +191,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, lam=False, building=False):
+        """A subcommand on an arrangement file: ``func(args, lattice)``."""
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: func(args, compute_lattice(_load(args.file))))
+        p.add_argument("file")
+        if lam:
+            p.add_argument("--lambda", dest="lam", type=_rational, required=True,
+                           metavar="P/Q")
+        if building:
+            p.add_argument("--set", choices=("min", "full"), default="min")
         return p
 
-    p = add("braid", _cmd_braid,
-            "Write the arrangement of all x_i = x_j in dimension n.")
+    help_text = "Write the arrangement of all x_i = x_j in dimension n."
+    p = sub.add_parser("braid", help=help_text, description=help_text)
+    p.set_defaults(func=_cmd_braid)
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output", metavar="FILE")
 
     p = add("lattice", _cmd_lattice,
             "List all flats: rank, total multiplicity s, closed hyperplane set.")
-    p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = add("building", _cmd_building,
-            "List the flats of a building set (minimal: the irreducible flats).")
-    p.add_argument("file")
-    p.add_argument("--set", choices=("min", "full"), default="min")
+            "List the flats of a building set (minimal: the irreducible flats).",
+            building=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verify", action="store_true",
                    help="check the defining property over every flat first")
 
     p = add("mi", _cmd_mi,
             "Multiplier ideal at lambda as terms (closed set, rank, s, exponent) "
-            "with exponent floor(lambda*s) - rank + 1; '(1)' means the unit ideal.")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
-                   metavar="P/Q")
-    p.add_argument("--set", choices=("min", "full"), default="min")
+            "with exponent floor(lambda*s) - rank + 1; '(1)' means the unit ideal.",
+            lam=True, building=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("lct", _cmd_lct,
-            "Log canonical threshold: min rank/s over the minimal building set.")
-    p.add_argument("file")
+    add("lct", _cmd_lct,
+        "Log canonical threshold: min rank/s over the minimal building set.")
 
-    p = add("support", _cmd_support,
-            "Minimal-building-set flats with lambda >= rank/s.")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
-                   metavar="P/Q")
+    add("support", _cmd_support,
+        "Minimal-building-set flats with lambda >= rank/s.", lam=True)
 
     p = add("jumps", _cmd_jumps,
             "Candidate jumping numbers m/s(W) up to a bound, optionally verified "
             "by comparing graded ideals across each candidate.")
-    p.add_argument("file")
     p.add_argument("--max", type=_rational, required=True, metavar="P/Q")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--degree", type=_positive_int, default=4,
                    help="truncation degree for verification (default 4)")
 
     p = add("member", _cmd_member,
-            "Test membership of a polynomial in the multiplier ideal at lambda.")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
-                   metavar="P/Q")
+            "Test membership of a polynomial in the multiplier ideal at lambda.",
+            lam=True, building=True)
     p.add_argument("--poly", required=True,
                    help="e.g. 'x0 - x1' or '2/3*x0^2*x1 + x2'")
-    p.add_argument("--set", choices=("min", "full"), default="min")
 
-    p = add("resolution", _cmd_resolution,
-            "Per building-set flat: discrepancy rank-1 and vanishing order s.")
-    p.add_argument("file")
-    p.add_argument("--set", choices=("min", "full"), default="min")
+    add("resolution", _cmd_resolution,
+        "Per building-set flat: discrepancy rank-1 and vanishing order s.",
+        building=True)
 
     p = add("hilbert", _cmd_hilbert,
-            "Hilbert function (piece dimensions) of the multiplier ideal at lambda.")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
-                   metavar="P/Q")
-    p.add_argument("--set", choices=("min", "full"), default="min")
+            "Hilbert function (piece dimensions) of the multiplier ideal at lambda.",
+            lam=True, building=True)
     p.add_argument("--degree", type=_positive_int, default=None)
 
     p = add("verify-theorem", _cmd_verify_theorem,
             "Compare the multiplier ideal over the minimal building set against "
-            "the full proper lattice, degree by degree.")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=_rational, required=True,
-                   metavar="P/Q")
+            "the full proper lattice, degree by degree.", lam=True)
     p.add_argument("--degree", type=_positive_int, default=None)
 
     return parser

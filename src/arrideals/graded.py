@@ -8,9 +8,7 @@ is called everywhere.  Monomials of one degree are ordered graded-
 lexicographically (largest exponent vector first), which fixes all bases.
 
 Pieces are computed and stored as canonical primitive-integer row bases
-(see linalg); the Fraction RREF view required by the public Subspace type
-is derived on demand.  Every constructed ideal is checked for
-multiplicative closure: each piece times each variable must land in the
+(see linalg).  Every constructed ideal is checked for multiplicative closure: each piece times each variable must land in the
 next piece.  Coefficients are rational, which is faithful for every
 identity handled here since all inputs are rational.
 """
@@ -20,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Mapping, Sequence
@@ -28,12 +26,11 @@ from typing import Mapping, Sequence
 from .errors import InvariantError
 from .lattice import Flat
 from .linalg import (
-    Subspace,
+    _first_nonzero,
     int_canonical,
     int_contains,
     int_insert,
     int_intersect,
-    subspace_from_int_rows,
     to_fraction,
 )
 
@@ -42,21 +39,23 @@ Monomial = tuple[int, ...]  # exponent vector; degree = sum of entries
 
 @lru_cache(maxsize=None)
 def monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
-    """Degree-d monomials in graded lex order (exponent tuples descending)."""
+    """Degree-d monomials in graded lex order (exponent tuples descending).
+
+    Sorted variable multisets in lexicographic order are exactly the
+    exponent vectors in descending order, so no recursion over the
+    variables is needed.
+    """
     if nvars < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
         return ()
-
-    def gen(d: int, k: int):
-        if k == 1:
-            yield (d,)
-            return
-        for first in range(d, -1, -1):
-            for rest in gen(d - first, k - 1):
-                yield (first,) + rest
-
-    return tuple(gen(degree, nvars))
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        expo = [0] * nvars
+        for var in combo:
+            expo[var] += 1
+        out.append(tuple(expo))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +280,8 @@ class GradedIdeal:
     """Degreewise truncation of a homogeneous ideal up to ``degree_bound``.
 
     ``piece_rows[d]`` is the canonical integer basis of the degree-d piece in
-    the coefficient space of degree-d monomials; ``pieces`` is the same data
-    as RREF subspaces.  Construction verifies multiplicative closure.
+    the coefficient space of degree-d monomials.  Construction verifies
+    multiplicative closure.
     """
 
     nvars: int
@@ -304,7 +303,7 @@ class GradedIdeal:
     def _check_multiplicative_closure(self) -> None:
         for d in range(self.degree_bound):
             nxt = self.piece_rows[d + 1]
-            pivots = [next(i for i, a in enumerate(r) if a) for r in nxt]
+            pivots = [_first_nonzero(r) for r in nxt]
             width = comb(self.nvars + d, d + 1)
             for var in range(self.nvars):
                 table = _shift_table(self.nvars, d, var)
@@ -314,13 +313,6 @@ class GradedIdeal:
                         raise InvariantError(
                             f"degree-{d} piece times x{var} leaves the degree-{d + 1} piece"
                         )
-
-    @cached_property
-    def pieces(self) -> tuple[Subspace, ...]:
-        return tuple(
-            subspace_from_int_rows(rows, comb(self.nvars + d - 1, d))
-            for d, rows in enumerate(self.piece_rows)
-        )
 
 
 def unit_ideal(nvars: int, bound: int) -> GradedIdeal:
@@ -437,7 +429,7 @@ def graded_contains(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
         raise ValueError("an input is truncated below the requested bound")
     for d in range(bound + 1):
         rows = a.piece_rows[d]
-        pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
+        pivots = [_first_nonzero(r) for r in rows]
         for v in b.piece_rows[d]:
             if not int_contains(rows, pivots, v):
                 return False
@@ -461,7 +453,7 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
         for mono, coef in part.items():
             vec[idx[mono]] = int(coef * den)
         rows = gi.piece_rows[d]
-        pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
+        pivots = [_first_nonzero(r) for r in rows]
         if not int_contains(rows, pivots, vec):
             return False
     return True

@@ -13,25 +13,28 @@ key.  Once a cover flat is known, every hyperplane inside its closed set
 is marked off and never tried again from the same parent; this keeps the
 work proportional to the number of cover edges rather than flats times
 hyperplanes.
+
+A proper flat is irreducible when the linear matroid on its closed set is
+connected; the irreducible flats form the minimal building set (see the
+building module).  The lattice computes them once and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
-    Subspace,
+    _first_nonzero,
     _strip,
     int_canonical,
     int_contains,
     int_insert,
     int_reduce,
     primitive_vector,
-    span_contains,
-    subspace_from_int_rows,
 )
 
 
@@ -40,8 +43,7 @@ class Flat:
     """One element of the intersection lattice.
 
     ``basis_rows`` is the canonical primitive-integer echelon basis of the
-    normal space; ``normal_space`` converts it to the RREF Subspace on
-    demand (most flats of a big lattice never need it).
+    normal space (see ``linalg.int_canonical``).
     """
 
     closed_set: tuple[int, ...]
@@ -49,18 +51,6 @@ class Flat:
     mult: int
     ambient_dim: int
     basis_rows: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def normal_space(self) -> Subspace:
-        return subspace_from_int_rows(self.basis_rows, self.ambient_dim)
-
-    def contains(self, other: "Flat") -> bool:
-        """Whether ``other`` is a subspace of this flat."""
-        return set(self.closed_set) <= set(other.closed_set)
-
-    @property
-    def is_ambient(self) -> bool:
-        return self.rank == 0
 
 
 def flat_sort_key(flat: Flat) -> tuple[int, tuple[int, ...]]:
@@ -84,6 +74,12 @@ class IntersectionLattice:
         """Primitive integer normals of the hyperplanes, in file order."""
         return _int_normals(self.arrangement)
 
+    @cached_property
+    def irreducibles(self) -> tuple[Flat, ...]:
+        """The irreducible proper flats, in canonical order."""
+        normals = self.int_normals
+        return tuple(f for f in self.proper if _is_irreducible(normals, f))
+
     @property
     def ambient(self) -> Flat:
         return self.flats[0]
@@ -101,22 +97,6 @@ class IntersectionLattice:
         if f is None:
             raise ValueError(f"no hyperplane with index {index}")
         return f
-
-    def flat_with_normal_space(self, sub: Subspace) -> Flat | None:
-        """The flat whose subspace has the given normal space, if any.
-
-        A subspace S is a flat of the lattice exactly when S is cut out by
-        the hyperplanes containing it, i.e. when the span of the normals in
-        its induced closed set is the whole candidate normal space.
-        """
-        arr = self.arrangement
-        closed = tuple(
-            i for i, h in enumerate(arr.hyperplanes) if span_contains(sub, h.normal)
-        )
-        f = self._by_closed.get(closed)
-        if f is not None and f.normal_space == sub:
-            return f
-        return None
 
 
 def _int_normals(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
@@ -215,7 +195,7 @@ def compute_lattice(arr: Arrangement) -> IntersectionLattice:
             while done != full:
                 e = ((~done & full) & -(~done & full)).bit_length() - 1
                 red = int_reduce(normals[e], rows, pivots)
-                p = next(i for i, a in enumerate(red) if a)
+                p = _first_nonzero(red)
                 if red[p] < 0:
                     red = [-a for a in red]
                 _strip(red)
@@ -263,3 +243,69 @@ def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
     ]
     out.sort(key=flat_sort_key)
     return out
+
+
+def _matroid_components(normals, closed: Sequence[int]) -> list[tuple[int, ...]]:
+    """Connected components of the linear matroid on the chosen normals.
+
+    Elements are merged along fundamental circuits: each dependent normal is
+    reduced against the running echelon basis while tracking an exact integer
+    combination over the original elements; the support of a vanished
+    combination is a circuit.
+    """
+    parent = {j: j for j in closed}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rows: list = []
+    pivots: list = []
+    combos: list[dict[int, int]] = []
+    for j in closed:
+        v = list(normals[j])
+        combo = {j: 1}
+        for row, p, rc in zip(rows, pivots, combos):
+            c = v[p]
+            if not c:
+                continue
+            pv = row[p]
+            v = [pv * a - c * b for a, b in zip(v, row)]
+            combo = {
+                k: coef
+                for k in combo.keys() | rc.keys()
+                if (coef := pv * combo.get(k, 0) - c * rc.get(k, 0))
+            }
+        p = _first_nonzero(v)
+        if p is None:
+            root = find(j)
+            for k in combo:
+                parent[find(k)] = root
+        else:
+            g = 0
+            for a in v:
+                g = gcd(g, a)
+            for a in combo.values():
+                g = gcd(g, a)
+            if g > 1:
+                v = [a // g for a in v]
+                combo = {k: a // g for k, a in combo.items()}
+            rows.append(tuple(v))
+            pivots.append(p)
+            combos.append(combo)
+
+    groups: dict[int, list[int]] = {}
+    for j in closed:
+        groups.setdefault(find(j), []).append(j)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def _is_irreducible(normals, flat: Flat) -> bool:
+    """Whether a proper flat's matroid is connected."""
+    if flat.rank == 1:
+        return True
+    if len(flat.closed_set) == flat.rank:
+        return False  # independent normals split into single hyperplanes
+    return len(_matroid_components(normals, flat.closed_set)) == 1

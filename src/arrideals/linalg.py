@@ -1,23 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on primitive integer rows.
 
-A subspace of Q^n is represented by the reduced row echelon basis of its
-row space.  RREF is a canonical form, so two subspaces are equal exactly
-when their bases agree entrywise; this equality is what the rest of the
-package uses to deduplicate flats and to certify ideal identities.  No
-operation here ever touches floating point.
+Every vector is scaled to a primitive integer vector (``primitive_vector``)
+and all row-space arithmetic is fraction-free: reduction multiplies by the
+pivot instead of dividing, and rows are divided by their content when they
+grow.  The arithmetic is arbitrary-precision and never touches floating
+point.  Fraction normalisation is avoided because big intersection lattices
+and graded ideal pieces involve millions of row operations.
 
-There is a second, fraction-free layer (the ``int_*`` functions) that does
-the same row-space arithmetic on primitive integer vectors.  It exists
-purely for speed: big intersection lattices and graded ideal pieces involve
-millions of row operations, and Fraction normalisation would dominate.
-The integer layer is still exact arbitrary-precision arithmetic, and
-``int_canonical`` rows are just RREF rows rescaled to primitive integers,
-so both layers agree on which subspace is which.
+An "echelon list" is a pair (rows, pivots) of parallel lists kept in
+insertion order: every row was reduced against all earlier rows before
+being appended, so it is zero at all earlier pivots.  Reducing a vector
+against the rows *in stored order* is therefore sound.  Rows are primitive
+integer vectors with positive pivot entry.
+
+``int_canonical`` turns an echelon list into the reduced row echelon basis
+of its row space, rescaled to primitive integers.  That basis is unique for
+the subspace, so two subspaces are equal exactly when their canonical rows
+agree entrywise; this equality is what the rest of the package uses to
+deduplicate flats and to certify ideal identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -30,162 +34,13 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable rectangular matrix with Fraction entries."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "QMatrix":
-        ent = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-        if cols is None:
-            if not ent:
-                raise ValueError("empty matrix needs an explicit column count")
-            cols = len(ent[0])
-        return cls(ent, cols)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Row space of a matrix, stored as its canonical RREF basis.
-
-    Invariants: basis rows are nonzero, pivots strictly increase, every
-    pivot entry is 1 and every pivot column is zero elsewhere.  They are
-    checked at construction, so a Subspace can only hold a genuine RREF.
-    """
-
-    ambient_dim: int
-    basis: QMatrix
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width differs from ambient dimension")
-        last = -1
-        for row in self.basis.entries:
-            p = _first_nonzero(row)
-            if p is None or p <= last:
-                raise ValueError("basis is not in reduced row echelon form")
-            if row[p] != 1:
-                raise ValueError("pivot entry is not 1")
-            for other in self.basis.entries:
-                if other is not row and other[p] != 0:
-                    raise ValueError("pivot column is not clear")
-            last = p
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rows
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_first_nonzero(row) for row in self.basis.entries)
-
-
 def _first_nonzero(row: Sequence) -> int | None:
+    """Index of the first nonzero entry (the pivot), None for a zero row."""
     for i, a in enumerate(row):
         if a:
             return i
     return None
 
-
-def rref(m: QMatrix) -> Subspace:
-    """Canonical RREF of the row space of ``m``.
-
-    Row-equivalent matrices give entrywise-equal results; the empty matrix
-    gives the rank-0 subspace.
-    """
-    basis: list[list[Fraction]] = []  # fully reduced, pivots ascending
-    pivots: list[int] = []
-    for row in m.entries:
-        v = list(row)
-        for r, p in zip(basis, pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, r)]
-        p = _first_nonzero(v)
-        if p is None:
-            continue
-        inv = v[p]
-        v = [a / inv for a in v]
-        for r in basis:
-            c = r[p]
-            if c:
-                r[:] = [a - c * b for a, b in zip(r, v)]
-        k = 0
-        while k < len(pivots) and pivots[k] < p:
-            k += 1
-        basis.insert(k, v)
-        pivots.insert(k, p)
-    return Subspace(m.cols, QMatrix(tuple(tuple(r) for r in basis), m.cols))
-
-
-def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Subspace spanned by the given vectors."""
-    return rref(QMatrix.from_rows(vectors, ambient_dim))
-
-
-def span_contains(s: Subspace, v: Sequence) -> bool:
-    """Whether ``v`` is a rational combination of the basis rows."""
-    if len(v) != s.ambient_dim:
-        raise ValueError(
-            f"vector has length {len(v)}, ambient dimension is {s.ambient_dim}"
-        )
-    w = [to_fraction(x) for x in v]
-    for row, p in zip(s.basis.entries, s.pivots):
-        c = w[p]
-        if c:
-            w = [a - c * b for a, b in zip(w, row)]
-    return all(a == 0 for a in w)
-
-
-def span_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Sum of two subspaces (RREF of the stacked bases)."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return rref(QMatrix(a.basis.entries + b.basis.entries, a.ambient_dim))
-
-
-def span_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces via the Zassenhaus block trick.
-
-    Row reduce [A|A ; B|0]: the RREF rows whose left half vanishes carry
-    the intersection in their right halves, and those right halves are
-    already in RREF.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    n = a.ambient_dim
-    zero = (Fraction(0),) * n
-    stacked = [row + row for row in a.basis.entries]
-    stacked += [row + zero for row in b.basis.entries]
-    reduced = rref(QMatrix(tuple(stacked), 2 * n))
-    rows = [
-        row[n:]
-        for row, p in zip(reduced.basis.entries, reduced.pivots)
-        if p >= n
-    ]
-    return Subspace(n, QMatrix(tuple(rows), n))
-
-
-# ---------------------------------------------------------------------------
-# Fraction-free integer layer.
-#
-# An "echelon list" is a pair (rows, pivots) of parallel lists kept in
-# insertion order: every row was reduced against all earlier rows before
-# being appended, so it is zero at all earlier pivots.  Reducing a vector
-# against the rows *in stored order* is therefore sound.  Rows are primitive
-# integer vectors with positive pivot entry.
 
 _STRIP_LIMIT = 1 << 96
 
@@ -308,12 +163,3 @@ def int_intersect(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int
             inner_pivots.append(p - width)
     return int_canonical(inner, inner_pivots)
 
-
-def subspace_from_int_rows(rows: Sequence[Sequence[int]], width: int) -> Subspace:
-    """Convert canonical integer rows (see ``int_canonical``) to a Subspace."""
-    out = []
-    for row in rows:
-        p = _first_nonzero(row)
-        pv = row[p]
-        out.append(tuple(Fraction(a, pv) for a in row))
-    return Subspace(width, QMatrix(tuple(out), width))

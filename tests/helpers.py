@@ -1,5 +1,8 @@
 """Shared test oracles: brute-force enumerators and an independent
-Fraction-arithmetic route for spans of polynomial coefficient vectors."""
+Fraction-arithmetic route for spans of polynomial coefficient vectors.
+
+``normal_space`` and ``pieces`` convert the package's canonical integer
+rows to Fraction RREF subspaces (``fraction_linalg``) for comparison."""
 
 from __future__ import annotations
 
@@ -10,9 +13,25 @@ from math import comb
 
 from arrideals.arrangement import Arrangement, canonical_normal
 from arrideals.building import is_building_set, is_decomposition
-from arrideals.graded import Polynomial, monomial_index, monomials
-from arrideals.lattice import IntersectionLattice
-from arrideals.linalg import Subspace, span
+from arrideals.graded import GradedIdeal, Polynomial, monomial_index, monomials
+from arrideals.lattice import Flat, IntersectionLattice
+
+from fraction_linalg import Subspace, span, subspace_from_int_rows
+
+
+# --- Fraction views of integer data ---------------------------------------
+
+def normal_space(flat: Flat) -> Subspace:
+    """The flat's normal space as a Fraction RREF subspace."""
+    return subspace_from_int_rows(flat.basis_rows, flat.ambient_dim)
+
+
+def pieces(gi: GradedIdeal) -> tuple[Subspace, ...]:
+    """Each graded piece as a Fraction RREF subspace of its coefficient space."""
+    return tuple(
+        subspace_from_int_rows(rows, comb(gi.nvars + d - 1, d))
+        for d, rows in enumerate(gi.piece_rows)
+    )
 
 
 # --- set partitions -------------------------------------------------------
@@ -121,8 +140,8 @@ def brute_force_decompositions(lat: IntersectionLattice, target):
         for parts in combinations(ups, k):
             if sum(U.rank for U in parts) != target.rank:
                 continue
-            rows = [r for U in parts for r in U.normal_space.basis.entries]
-            if span(rows, dim) != target.normal_space:
+            rows = [r for U in parts for r in normal_space(U).basis.entries]
+            if span(rows, dim) != normal_space(target):
                 continue
             if is_decomposition(lat, target, list(parts)):
                 found.append(tuple(parts))

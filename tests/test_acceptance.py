@@ -164,7 +164,7 @@ def test_criterion_6_smooth_divisor():
                 gi = presentation_ideal(presentation(lat, gmin, lam), 6)
                 k = int(lam * m)
                 for d in range(7):
-                    assert gi.pieces[d] == helpers.principal_power_piece(form, k, d)
+                    assert helpers.pieces(gi)[d] == helpers.principal_power_piece(form, k, d)
 
 
 def test_criterion_7a_monotonicity(corpus, corpus_lattices):

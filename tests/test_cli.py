@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arrideals import cli
+from arrideals import cli, lattice, multiplier
 from arrideals.arrangement import parse_arrangement
 from arrideals.errors import InvariantError
 
@@ -126,6 +126,46 @@ def test_hilbert(capsys, braid3_file):
         capsys, ["hilbert", braid3_file, "--lambda", "2/3", "--degree", "4"]
     )
     assert (code, out.strip()) == (0, "0 2 5 9 14")
+
+
+def test_hilbert_in_high_dimension(capsys, tmp_path):
+    # one variable per recursion level would overflow the interpreter stack
+    dim = 1200
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"dim": dim, "hyperplanes": [{"normal": ["1"] + ["0"] * (dim - 1)}]}
+    ))
+    code, out, err = run(
+        capsys, ["hilbert", str(path), "--lambda", "1", "--degree", "1"]
+    )
+    assert (code, out, err) == (0, "0 1\n", "")
+
+
+def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
+    """Every call for the minimal building set reads the lattice's cache."""
+    path = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", path]) == 0
+    checked, gmin_calls = [], []
+    is_irreducible = lattice._is_irreducible
+    minimal_building_set = multiplier.minimal_building_set
+
+    def counting_is_irreducible(normals, flat):
+        checked.append(flat.closed_set)
+        return is_irreducible(normals, flat)
+
+    def counting_minimal_building_set(lat):
+        gmin_calls.append(lat)
+        return minimal_building_set(lat)
+
+    monkeypatch.setattr(lattice, "_is_irreducible", counting_is_irreducible)
+    monkeypatch.setattr(multiplier, "minimal_building_set",
+                        counting_minimal_building_set)
+    code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify"])
+    assert code == 0 and len(out.splitlines()) == 9
+    # one call for the candidates, one per verified candidate
+    assert len(gmin_calls) == 10
+    # ... but each of the 51 proper flats of braid(5) is tested once
+    assert len(checked) == len(set(checked)) == 51
 
 
 def test_verify_theorem(capsys, braid3_file):

@@ -59,6 +59,11 @@ def test_power_of_braid_diagonal():
     assert contains_polynomial(gi, parse_polynomial("x0 - x1", 3))
     assert contains_polynomial(gi, parse_polynomial("x1 - x2", 3))
     assert not contains_polynomial(gi, parse_polynomial("x0", 3))
+    # the integer pieces are canonical: they convert to genuine RREF subspaces
+    sq = graded_power(top, 2, 4)
+    for d, piece in enumerate(helpers.pieces(sq)):
+        assert piece.ambient_dim == comb(3 + d - 1, d)
+        assert piece.rank == hilbert(sq)[d]
 
 
 def test_power_errors():
@@ -174,7 +179,7 @@ def test_coordinate_subspace_closed_form():
                             sub = helpers.span_of_polynomials(vecs, n, d)
                         else:
                             sub = helpers.span_of_polynomials([], n, d)
-                        assert gi.pieces[d] == sub
+                        assert helpers.pieces(gi)[d] == sub
 
 
 def test_power_pieces_match_fraction_route_on_random_flats():
@@ -210,7 +215,7 @@ def test_power_pieces_match_fraction_route_on_random_flats():
                 for m in monomials(n, d - e):
                     mono = Polynomial.from_terms(n, {m: Fraction(1)})
                     vecs.extend(p * mono for p in prods)
-                assert gi.pieces[d] == helpers.span_of_polynomials(vecs, n, d)
+                assert helpers.pieces(gi)[d] == helpers.span_of_polynomials(vecs, n, d)
 
 
 def test_multiplicative_closure_is_validated():
@@ -222,14 +227,6 @@ def test_multiplicative_closure_is_validated():
         GradedIdeal(2, 2, (gx.piece_rows[0], gx.piece_rows[1], ()))
     with pytest.raises(InvariantError):
         GradedIdeal(2, 2, (gx.piece_rows[0], gx.piece_rows[1]))
-
-
-def test_pieces_are_rref_subspaces():
-    lat = compute_lattice(braid(3))
-    gi = graded_power(lat.flat_with_closed((0, 1, 2)), 2, 4)
-    for d, piece in enumerate(gi.pieces):
-        assert piece.ambient_dim == comb(3 + d - 1, d)
-        assert piece.rank == hilbert(gi)[d]
 
 
 def test_polynomial_basics():

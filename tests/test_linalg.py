@@ -4,13 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from arrideals.linalg import (
+from arrideals.linalg import int_canonical, int_intersect, int_span, primitive_vector
+
+from fraction_linalg import (
     QMatrix,
     Subspace,
-    int_canonical,
-    int_intersect,
-    int_span,
-    primitive_vector,
     rref,
     span,
     span_contains,
