@@ -8,9 +8,25 @@ is called everywhere.  Monomials of one degree are ordered graded-
 lexicographically (largest exponent vector first), which fixes all bases.
 
 Pieces are computed and stored as canonical primitive-integer row bases
-(see linalg).  Every constructed ideal is checked for multiplicative closure: each piece times each variable must land in the
-next piece.  Coefficients are rational, which is faithful for every
-identity handled here since all inputs are rational.
+(see linalg), so equal subspaces have equal rows whatever route built them.
+
+Every ideal here is an intersection of powers I_W^e of ideals of linear
+flats W, and each piece is built from inverse systems.  The apolarity
+pairing of x^a with y^b (y_i acting as ∂/∂x_i) is a! = a_0!·a_1!··· when
+a = b and 0 otherwise.  For a linear flat, the perp of (I_W^e)_d under it
+is Sym^(d−e+1)(W)·S_(e−1), the degree-(d−e+1) forms in the points of W
+times all forms of degree e − 1 (Emsalem–Iarrobino, "Inverse system of a
+symbolic power I", J. Algebra 1995).  With every coefficient of y^a of
+those forms multiplied by a!, the pairing is the plain dot product of
+coefficient vectors.  So the degree-d piece of an intersection is one
+kernel: the vectors orthogonal to the stacked inverse systems of all its
+terms, and a polynomial is in the intersection when every homogeneous
+component is orthogonal to them, with no piece built at all.
+
+Every returned ideal is checked once for multiplicative closure: each
+piece times each variable must land in the next piece.  Coefficients are
+rational, which is faithful for every identity handled here since all
+inputs are rational.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import InvariantError
@@ -30,7 +46,8 @@ from .linalg import (
     int_canonical,
     int_contains,
     int_insert,
-    int_intersect,
+    int_kernel,
+    int_span,
     to_fraction,
 )
 
@@ -315,101 +332,160 @@ class GradedIdeal:
                         )
 
 
-def unit_ideal(nvars: int, bound: int) -> GradedIdeal:
-    """Truncation of the whole polynomial ring."""
-    pieces = []
-    for d in range(bound + 1):
-        space = comb(nvars + d - 1, d)
-        pieces.append(tuple(
-            tuple(1 if i == j else 0 for i in range(space)) for j in range(space)
-        ))
-    return GradedIdeal(nvars, bound, tuple(pieces))
-
-
 def hilbert(gi: GradedIdeal) -> list[int]:
     """Dimension of each piece, degrees 0..degree_bound."""
     return [len(rows) for rows in gi.piece_rows]
 
 
+def _times_form(poly: dict[Monomial, int], form: Sequence[int]) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
+    for mono, coef in poly.items():
+        for var, c in enumerate(form):
+            if c:
+                m = list(mono)
+                m[var] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + coef * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _products(forms: Sequence[Sequence[int]], nvars: int,
+              k: int) -> list[dict[Monomial, int]]:
+    """Every product of k of the linear forms, one per multiset of forms."""
+    level = [(0, {(0,) * nvars: 1})]
+    for _ in range(k):
+        level = [(i, _times_form(poly, forms[i]))
+                 for start, poly in level for i in range(start, len(forms))]
+    return [poly for _, poly in level]
+
+
+@lru_cache(maxsize=None)
+def _factorial_weights(nvars: int, degree: int) -> tuple[int, ...]:
+    """a! = a_0!·a_1!··· for each degree-d monomial x^a, in monomial order."""
+    return tuple(prod(map(factorial, m)) for m in monomials(nvars, degree))
+
+
+@lru_cache(maxsize=None)
+def _inverse_system(forms: IntRows, nvars: int, exponent: int,
+                    degree: int) -> IntRows:
+    """Basis of the perp of (I^e)_d, I the ideal of the canonical ``forms``.
+
+    See the module docstring: the points of the flat (the integer kernel of
+    ``forms``) together with the variables at the pivots of ``forms`` are a
+    basis of the linear forms, and the perp has the basis of the monomials
+    in them of degree d with at most e − 1 pivot variables.  Coefficients
+    carry the a! weight, so f lies in (I^e)_d iff f·g = 0 for every row g.
+    """
+    points = int_kernel(forms, nvars)
+    pivots = [_first_nonzero(f) for f in forms]
+    idx = monomial_index(nvars, degree)
+    weights = _factorial_weights(nvars, degree)
+    rows = []
+    for j in range(min(exponent - 1, degree) + 1):
+        prods = _products(points, nvars, degree - j)
+        for extra in combinations_with_replacement(pivots, j):
+            for poly in prods:
+                vec = [0] * len(idx)
+                for mono, coef in poly.items():
+                    m = list(mono)
+                    for p in extra:
+                        m[p] += 1
+                    pos = idx[tuple(m)]
+                    vec[pos] = coef * weights[pos]
+                rows.append(tuple(vec))
+    return tuple(rows)
+
+
+def _realize(terms: tuple[tuple[IntRows, int], ...], nvars: int,
+             bound: int) -> GradedIdeal:
+    """Truncation of the intersection of the powers I^e, one per (forms, e).
+
+    Each degree-d piece is one kernel: the vectors orthogonal to the stacked
+    inverse systems of all terms.  No terms give the unit ideal.
+    """
+    pieces: list[IntRows] = []
+    for d in range(bound + 1):
+        if any(d < e for _, e in terms):
+            pieces.append(())
+            continue
+        width = comb(nvars + d - 1, d)
+        rows: list = []
+        pivots: list = []
+        for forms, e in terms:
+            if len(rows) == width:  # the perps span everything: the piece is 0
+                break
+            for g in _inverse_system(forms, nvars, e, d):
+                int_insert(rows, pivots, g)
+        kernel = int_kernel(int_canonical(rows, pivots), width)
+        pieces.append(int_canonical(*int_span(kernel, width)))
+    return GradedIdeal(nvars, bound, tuple(pieces))
+
+
+def _check_power(flat: Flat, exponent: int) -> None:
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if flat.rank == 0:
+        raise ValueError("the ambient space has no proper ideal")
+
+
 def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
     """Truncation of I_W^e for the ideal of a linear flat W.
 
-    Generated by the e-fold products of the flat's normal-space basis
-    forms; for a linear flat this is everything vanishing to order ≥ e
-    along it, because ordinary and symbolic powers of such ideals agree.
+    For a linear flat the ordinary and symbolic powers agree: I_W^e is
+    everything vanishing to order ≥ e along W.
     """
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    _check_power(flat, exponent)
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
-    if flat.rank == 0:
-        raise ValueError("the ambient space has no proper ideal")
     return _power_of_forms(flat.basis_rows, flat.ambient_dim, exponent, bound)
 
 
 @lru_cache(maxsize=None)
 def _power_of_forms(forms: IntRows, nvars: int, exponent: int,
                     bound: int) -> GradedIdeal:
-    pieces: list[IntRows] = [() for _ in range(bound + 1)]
-    if exponent <= bound:
-        rows: list = []
-        pivots: list = []
-        idx = monomial_index(nvars, exponent)
-        for combo in combinations_with_replacement(range(len(forms)), exponent):
-            poly: dict[Monomial, int] = {(0,) * nvars: 1}
-            for g in combo:
-                form = forms[g]
-                nxt: dict[Monomial, int] = {}
-                for mono, coef in poly.items():
-                    for var, c in enumerate(form):
-                        if c:
-                            m = list(mono)
-                            m[var] += 1
-                            m = tuple(m)
-                            nxt[m] = nxt.get(m, 0) + coef * c
-                poly = {m: c for m, c in nxt.items() if c}
-            vec = [0] * len(idx)
-            for mono, coef in poly.items():
-                vec[idx[mono]] = coef
-            int_insert(rows, pivots, vec)
-        pieces[exponent] = int_canonical(rows, pivots)
-        for d in range(exponent + 1, bound + 1):
-            width = comb(nvars + d - 1, d)
-            rows, pivots = [], []
-            for var in range(nvars):
-                table = _shift_table(nvars, d - 1, var)
-                for row in pieces[d - 1]:
-                    int_insert(rows, pivots, _shift_row(row, table, width))
-            pieces[d] = int_canonical(rows, pivots)
-    return GradedIdeal(nvars, bound, tuple(pieces))
+    return _realize(((forms, exponent),), nvars, bound)
 
 
-def graded_intersect(ideals: Sequence[GradedIdeal], bound: int,
-                     nvars: int | None = None) -> GradedIdeal:
-    """Degreewise intersection; the empty intersection is the unit ideal."""
-    if not ideals:
-        if nvars is None:
-            raise ValueError("empty intersection needs an explicit variable count")
-        return unit_ideal(nvars, bound)
-    n = ideals[0].nvars
-    for gi in ideals:
-        if gi.nvars != n:
+def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
+                     bound: int) -> GradedIdeal:
+    """Truncation of the intersection of I_W^e over the (W, e) terms.
+
+    The empty intersection is the unit ideal.
+    """
+    for flat, e in terms:
+        _check_power(flat, e)
+        if flat.ambient_dim != nvars:
             raise ValueError("variable counts differ")
-        if gi.degree_bound < bound:
-            raise ValueError("an input is truncated below the requested bound")
-    pieces: list[IntRows] = []
-    for d in range(bound + 1):
-        width = comb(n + d - 1, d)
-        parts = sorted((gi.piece_rows[d] for gi in ideals), key=len)
-        cur = parts[0]
-        for nxt in parts[1:]:
-            if not cur:
-                break
-            if cur == nxt:
-                continue
-            cur = int_intersect(cur, nxt, width)
-        pieces.append(cur)
-    return GradedIdeal(n, bound, tuple(pieces))
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    return _intersection_of_powers(
+        tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
+
+
+# A sweep over λ asks for the ideal just below a candidate right after the
+# ideal at the previous candidate, which is the same ideal; two entries keep
+# it.  Realizations are large, so the cache keeps no more.
+_intersection_of_powers = lru_cache(maxsize=2)(_realize)
+
+
+def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
+    """Whether ``poly`` lies in I_W^e, without realizing the ideal.
+
+    Each homogeneous component f_d must pair to zero with every row of the
+    inverse system of (I_W^e)_d; a nonzero component of degree below e
+    cannot lie in the ideal.
+    """
+    _check_power(flat, exponent)
+    if poly.nvars != flat.ambient_dim:
+        raise ValueError("variable counts differ")
+    for d, part in poly.homogeneous_parts().items():
+        if d < exponent:
+            return False
+        vec = _integer_vector(poly.nvars, d, part)
+        for g in _inverse_system(flat.basis_rows, flat.ambient_dim, exponent, d):
+            if sum(a * b for a, b in zip(vec, g) if a):
+                return False
+    return True
 
 
 def graded_equal(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
@@ -436,6 +512,17 @@ def graded_contains(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
     return True
 
 
+def _integer_vector(nvars: int, degree: int,
+                    part: Mapping[Monomial, Fraction]) -> list[int]:
+    """A positive multiple of a homogeneous component, as integer coefficients."""
+    idx = monomial_index(nvars, degree)
+    den = lcm(*(c.denominator for c in part.values()))
+    vec = [0] * len(idx)
+    for mono, coef in part.items():
+        vec[idx[mono]] = int(coef * den)
+    return vec
+
+
 def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` lies in its piece."""
     if poly.nvars != gi.nvars:
@@ -447,11 +534,7 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
             f"polynomial degree {poly.degree} exceeds the truncation bound {gi.degree_bound}"
         )
     for d, part in poly.homogeneous_parts().items():
-        idx = monomial_index(gi.nvars, d)
-        den = lcm(*(c.denominator for c in part.values()))
-        vec = [0] * len(idx)
-        for mono, coef in part.items():
-            vec[idx[mono]] = int(coef * den)
+        vec = _integer_vector(gi.nvars, d, part)
         rows = gi.piece_rows[d]
         pivots = [_first_nonzero(r) for r in rows]
         if not int_contains(rows, pivots, vec):

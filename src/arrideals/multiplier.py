@@ -27,11 +27,9 @@ from .building import BuildingSet, minimal_building_set
 from .graded import (
     GradedIdeal,
     Polynomial,
-    contains_polynomial,
     graded_equal,
-    graded_intersect,
-    graded_power,
-    unit_ideal,
+    intersect_powers,
+    power_contains,
 )
 from .lattice import Flat, IntersectionLattice
 
@@ -83,11 +81,7 @@ def presentation(lat: IntersectionLattice, building: BuildingSet,
 
 def presentation_ideal(pres: MultiplierIdealPresentation, bound: int) -> GradedIdeal:
     """Degreewise realization of the intersected ideal, up to ``bound``."""
-    if pres.is_unit:
-        return unit_ideal(pres.ambient_dim, bound)
-    return graded_intersect(
-        [graded_power(W, e, bound) for W, e in pres.terms], bound
-    )
+    return intersect_powers(pres.terms, pres.ambient_dim, bound)
 
 
 def default_degree_bound(*presentations: MultiplierIdealPresentation) -> int:
@@ -141,7 +135,8 @@ def verify_jump(lat: IntersectionLattice, candidate, bound: int) -> bool:
     Compares the graded ideals at the candidate and just below it; the left
     offset 1/(2·lcm of all s(W)) is small enough that no other candidate
     lies in between.  A False answer certifies nothing beyond degree
-    ``bound``.
+    ``bound``.  The ideal just below is realized first: in an ascending
+    sweep it is the ideal at the previous candidate, still cached.
     """
     candidate = Fraction(candidate)
     if candidate <= 0:
@@ -151,8 +146,8 @@ def verify_jump(lat: IntersectionLattice, candidate, bound: int) -> bool:
     gmin = minimal_building_set(lat)
     eps = Fraction(1, 2 * lcm(*(W.mult for W in gmin.flats)))
     below = max(candidate - eps, Fraction(0))
-    at = presentation_ideal(presentation(lat, gmin, candidate), bound)
     before = presentation_ideal(presentation(lat, gmin, below), bound)
+    at = presentation_ideal(presentation(lat, gmin, candidate), bound)
     return not graded_equal(at, before, bound)
 
 
@@ -161,7 +156,7 @@ def membership(arr: Arrangement, pres: MultiplierIdealPresentation,
     """Whether the polynomial lies in the presented ideal.
 
     The intersection is homogeneous, so each homogeneous component is
-    tested degree by degree against every term's power ideal.
+    tested against the inverse system of every term's power.
     """
     if poly.nvars != arr.dim or pres.ambient_dim != arr.dim:
         raise ValueError(
@@ -170,11 +165,7 @@ def membership(arr: Arrangement, pres: MultiplierIdealPresentation,
         )
     if poly.is_zero or pres.is_unit:
         return True
-    bound = poly.degree
-    return all(
-        contains_polynomial(graded_power(W, e, bound), poly)
-        for W, e in pres.terms
-    )
+    return all(power_contains(W, e, poly) for W, e in pres.terms)
 
 
 def resolution_table(lat: IntersectionLattice,

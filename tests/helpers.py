@@ -1,20 +1,34 @@
-"""Shared test oracles: brute-force enumerators and an independent
-Fraction-arithmetic route for spans of polynomial coefficient vectors.
+"""Shared test oracles: brute-force enumerators, an independent
+Fraction-arithmetic route for spans of polynomial coefficient vectors, and
+the generator route for graded ideals.
 
 ``normal_space`` and ``pieces`` convert the package's canonical integer
-rows to Fraction RREF subspaces (``fraction_linalg``) for comparison."""
+rows to Fraction RREF subspaces (``fraction_linalg``) for comparison.
+``generator_power`` and ``zassenhaus_intersect`` build pieces from
+generators (products of normal forms, shifted degree by degree) and
+intersect them pairwise, independently of the inverse systems the package
+uses."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from arrideals.arrangement import Arrangement, canonical_normal
 from arrideals.building import is_building_set, is_decomposition
-from arrideals.graded import GradedIdeal, Polynomial, monomial_index, monomials
+from arrideals.graded import (
+    GradedIdeal,
+    Polynomial,
+    _shift_row,
+    _shift_table,
+    monomial_index,
+    monomials,
+)
 from arrideals.lattice import Flat, IntersectionLattice
+from arrideals.linalg import int_canonical, int_insert, int_intersect
 
 from fraction_linalg import Subspace, span, subspace_from_int_rows
 
@@ -196,3 +210,75 @@ def principal_power_piece(form: Polynomial, power: int, degree: int) -> Subspace
         m = Polynomial.from_terms(n, {mono: Fraction(1)})
         prods.append(fk * m)
     return span_of_polynomials(prods, n, degree)
+
+
+# --- graded ideals from generators ------------------------------------------
+
+def identity_rows(width: int):
+    return tuple(tuple(1 if i == j else 0 for i in range(width)) for j in range(width))
+
+
+@lru_cache(maxsize=None)
+def _generator_power(forms, nvars: int, exponent: int, bound: int) -> GradedIdeal:
+    pieces = [() for _ in range(bound + 1)]
+    if exponent <= bound:
+        rows: list = []
+        pivots: list = []
+        idx = monomial_index(nvars, exponent)
+        for combo in combinations_with_replacement(range(len(forms)), exponent):
+            poly = {(0,) * nvars: 1}
+            for g in combo:
+                nxt = {}
+                for mono, coef in poly.items():
+                    for var, c in enumerate(forms[g]):
+                        if c:
+                            m = list(mono)
+                            m[var] += 1
+                            m = tuple(m)
+                            nxt[m] = nxt.get(m, 0) + coef * c
+                poly = {m: c for m, c in nxt.items() if c}
+            vec = [0] * len(idx)
+            for mono, coef in poly.items():
+                vec[idx[mono]] = coef
+            int_insert(rows, pivots, vec)
+        pieces[exponent] = int_canonical(rows, pivots)
+        for d in range(exponent + 1, bound + 1):
+            width = comb(nvars + d - 1, d)
+            rows, pivots = [], []
+            for var in range(nvars):
+                table = _shift_table(nvars, d - 1, var)
+                for row in pieces[d - 1]:
+                    int_insert(rows, pivots, _shift_row(row, table, width))
+            pieces[d] = int_canonical(rows, pivots)
+    return GradedIdeal(nvars, bound, tuple(pieces))
+
+
+def generator_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
+    """I_W^e from the e-fold products of the flat's normal forms, each piece
+    the previous one times every variable."""
+    return _generator_power(flat.basis_rows, flat.ambient_dim, exponent, bound)
+
+
+def zassenhaus_intersect(ideals, bound: int, nvars: int) -> GradedIdeal:
+    """Degreewise pairwise intersection; the empty one is the unit ideal."""
+    pieces = []
+    for d in range(bound + 1):
+        width = comb(nvars + d - 1, d)
+        parts = sorted((gi.piece_rows[d] for gi in ideals), key=len)
+        if not parts:
+            pieces.append(identity_rows(width))
+            continue
+        cur = parts[0]
+        for nxt in parts[1:]:
+            if not cur:
+                break
+            if cur != nxt:
+                cur = int_intersect(cur, nxt, width)
+        pieces.append(cur)
+    return GradedIdeal(nvars, bound, tuple(pieces))
+
+
+def generator_presentation_ideal(pres, bound: int) -> GradedIdeal:
+    """``presentation_ideal`` by the generator route."""
+    return zassenhaus_intersect(
+        [generator_power(W, e, bound) for W, e in pres.terms], bound, pres.ambient_dim)

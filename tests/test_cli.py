@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arrideals import cli, lattice, multiplier
+from arrideals import cli, graded, lattice, multiplier
 from arrideals.arrangement import parse_arrangement
 from arrideals.errors import InvariantError
 
@@ -166,6 +166,29 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
     assert len(gmin_calls) == 10
     # ... but each of the 51 proper flats of braid(5) is tested once
     assert len(checked) == len(set(checked)) == 51
+
+
+def test_jumps_sweep_realizes_each_ideal_once(capsys, tmp_path, monkeypatch):
+    """The ideal just below a candidate is the ideal at the previous one, so
+    a sweep realizes (and closure-checks) each distinct ideal once."""
+    path = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", path]) == 0
+    graded._intersection_of_powers.cache_clear()
+    built = []
+    check = graded.GradedIdeal._check_multiplicative_closure
+
+    def counting_check(gi):
+        built.append(gi)
+        return check(gi)
+
+    monkeypatch.setattr(graded.GradedIdeal, "_check_multiplicative_closure",
+                        counting_check)
+    code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify",
+                                "--degree", "4"])
+    assert code == 0 and len(out.splitlines()) == 9
+    # the unit ideal below the lct, then one ideal per candidate: 10, where
+    # realizing both sides of every candidate takes 18
+    assert len(built) == 10
 
 
 def test_verify_theorem(capsys, braid3_file):

@@ -12,13 +12,13 @@ from arrideals.graded import (
     contains_polynomial,
     graded_contains,
     graded_equal,
-    graded_intersect,
     graded_power,
     hilbert,
+    intersect_powers,
     monomial_index,
     monomials,
     parse_polynomial,
-    unit_ideal,
+    power_contains,
 )
 from arrideals.lattice import closure, compute_lattice
 
@@ -76,38 +76,48 @@ def test_power_errors():
 
 def test_intersect_examples():
     lat = compute_lattice(axes(2))
-    gx = graded_power(lat.hyperplane_flat(0), 1, 2)
-    gy = graded_power(lat.hyperplane_flat(1), 1, 2)
-    assert hilbert(graded_intersect([gx, gy], 2)) == [0, 0, 1]
-    assert graded_equal(graded_intersect([gx], 2), gx, 2)
+    x, y = lat.hyperplane_flat(0), lat.hyperplane_flat(1)
+    gx = graded_power(x, 1, 2)
+    assert hilbert(intersect_powers([(x, 1), (y, 1)], 2, 2)) == [0, 0, 1]
+    assert graded_equal(intersect_powers([(x, 1)], 2, 2), gx, 2)
 
     b3 = compute_lattice(braid(3))
-    planes = [graded_power(b3.hyperplane_flat(i), 1, 3) for i in range(3)]
-    assert hilbert(graded_intersect(planes, 3)) == [0, 0, 0, 1]
+    planes = [(b3.hyperplane_flat(i), 1) for i in range(3)]
+    got = intersect_powers(planes, 3, 3)
+    assert hilbert(got) == [0, 0, 0, 1]
+    oracle = helpers.zassenhaus_intersect(
+        [helpers.generator_power(W, e, 3) for W, e in planes], 3, 3)
+    assert got.piece_rows == oracle.piece_rows
 
-    empty = graded_intersect([], 2, nvars=2)
-    assert graded_equal(empty, unit_ideal(2, 2), 2)
+    empty = intersect_powers([], 2, 2)
+    assert empty.piece_rows == tuple(
+        helpers.identity_rows(comb(2 + d - 1, d)) for d in range(3))
     with pytest.raises(ValueError):
-        graded_intersect([], 2)
+        intersect_powers([(x, 1)], 3, 2)
+    with pytest.raises(ValueError):
+        intersect_powers([(x, 0)], 2, 2)
+    with pytest.raises(ValueError):
+        intersect_powers([(lat.ambient, 1)], 2, 2)
 
 
 def test_unit_ideal_dims():
-    assert hilbert(unit_ideal(2, 2)) == [1, 2, 3]
-    assert hilbert(unit_ideal(3, 3)) == [1, 3, 6, 10]
+    assert hilbert(intersect_powers([], 2, 2)) == [1, 2, 3]
+    assert hilbert(intersect_powers([], 3, 3)) == [1, 3, 6, 10]
 
 
 def test_intersect_algebra():
     lat = compute_lattice(braid(3))
-    a = graded_power(lat.hyperplane_flat(0), 1, 3)
-    b = graded_power(lat.hyperplane_flat(1), 2, 3)
-    c = graded_power(lat.flat_with_closed((0, 1, 2)), 1, 3)
-    assert graded_equal(graded_intersect([a, b], 3), graded_intersect([b, a], 3), 3)
+    a = (lat.hyperplane_flat(0), 1)
+    b = (lat.hyperplane_flat(1), 2)
+    c = (lat.flat_with_closed((0, 1, 2)), 1)
+    assert graded_equal(intersect_powers([a, b], 3, 3), intersect_powers([b, a], 3, 3), 3)
     assert graded_equal(
-        graded_intersect([a, b, c], 3),
-        graded_intersect([graded_intersect([a, b], 3), c], 3),
+        intersect_powers([a, b, c], 3, 3),
+        helpers.zassenhaus_intersect(
+            [intersect_powers([a, b], 3, 3), graded_power(*c, 3)], 3, 3),
         3,
     )
-    assert graded_equal(graded_intersect([a, a], 3), a, 3)
+    assert graded_equal(intersect_powers([a, a], 3, 3), graded_power(*a, 3), 3)
 
 
 def test_graded_equal_and_contains():
@@ -116,11 +126,11 @@ def test_graded_equal_and_contains():
     gy = graded_power(lat.hyperplane_flat(1), 1, 2)
     assert graded_equal(gx, gx, 2)
     assert not graded_equal(gx, gy, 1)
-    both = graded_intersect([gx, gy], 2)
+    both = intersect_powers([(lat.hyperplane_flat(0), 1), (lat.hyperplane_flat(1), 1)], 2, 2)
     assert graded_contains(gx, both, 2)
     assert not graded_contains(both, gx, 2)
     with pytest.raises(ValueError):
-        graded_equal(gx, unit_ideal(3, 2), 2)
+        graded_equal(gx, intersect_powers([], 3, 2), 2)
     with pytest.raises(ValueError):
         graded_equal(gx, gy, 5)
 
@@ -216,6 +226,65 @@ def test_power_pieces_match_fraction_route_on_random_flats():
                     mono = Polynomial.from_terms(n, {m: Fraction(1)})
                     vecs.extend(p * mono for p in prods)
                 assert helpers.pieces(gi)[d] == helpers.span_of_polynomials(vecs, n, d)
+
+
+def test_power_dimension_closed_form(corpus_lattices):
+    """dim (I_W^e)_d = C(n+d-1,d) - sum_(k<e) C(r+k-1,k)*C(n-r+d-k-1,d-k):
+    the perp has the degree-d monomials with at most e - 1 of their factors
+    in a complement of the flat's points."""
+    import random
+
+    def forms(m, j):  # dimension of the degree-j forms in m variables
+        if j < 0:
+            return 0
+        return comb(m + j - 1, j) if m else int(j == 0)
+
+    rng = random.Random(11)
+    bound = 6
+    non_unit = full_rank = 0
+    for lat in corpus_lattices:
+        n = lat.arrangement.dim
+        skew = [f for f in lat.proper
+                if any(abs(a) > 1 for row in f.basis_rows for a in row)]
+        chosen = rng.sample(skew, min(2, len(skew)))
+        chosen += [f for f in lat.proper if f.rank == n]
+        for flat in chosen:
+            r = flat.rank
+            non_unit += flat in skew
+            full_rank += r == n
+            for e in (1, 2, 3):
+                expected = [
+                    forms(n, d) - sum(forms(r, k) * forms(n - r, d - k) for k in range(e))
+                    for d in range(bound + 1)
+                ]
+                assert hilbert(graded_power(flat, e, bound)) == expected, (n, r, e)
+    assert non_unit >= 10 and full_rank >= 5
+
+
+def test_power_contains_matches_pieces():
+    """A polynomial is in I_W^e exactly when its components are in the pieces."""
+    import random
+
+    rng = random.Random(5)
+    lat = compute_lattice(braid(4))
+    for flat in (lat.hyperplane_flat(0), lat.flat_with_closed((0, 1, 3)),
+                 lat.flat_with_closed(tuple(range(6)))):
+        for e in (1, 2, 3):
+            gi = helpers.generator_power(flat, e, 5)
+            for _ in range(6):
+                d = rng.randint(e, 5)
+                rows = gi.piece_rows[d]
+                inside = {m: Fraction(c) for m, c in zip(monomials(4, d), rng.choice(rows))
+                          if c} if rows else {}
+                low = {monomials(4, d - 1)[0]: Fraction(rng.randint(1, 5), 3)}
+                for terms, expect in ((inside, True), ({**inside, **low}, False)):
+                    poly = Polynomial.from_terms(4, terms)
+                    assert power_contains(flat, e, poly) == expect
+                    assert contains_polynomial(gi, poly) == expect
+    with pytest.raises(ValueError):
+        power_contains(lat.ambient, 1, parse_polynomial("x0", 4))
+    with pytest.raises(ValueError):
+        power_contains(lat.hyperplane_flat(0), 1, parse_polynomial("x0", 3))
 
 
 def test_multiplicative_closure_is_validated():

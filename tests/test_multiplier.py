@@ -1,10 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from arrideals.arrangement import Arrangement, braid
+from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.building import full_building_set, minimal_building_set
-from arrideals.graded import graded_contains, graded_equal, hilbert, parse_polynomial
+from arrideals.graded import (
+    Polynomial,
+    contains_polynomial,
+    graded_contains,
+    graded_equal,
+    hilbert,
+    parse_polynomial,
+)
 from arrideals.lattice import compute_lattice
 from arrideals.multiplier import (
     default_degree_bound,
@@ -314,3 +322,70 @@ def test_non_reduced_braid_pipeline():
         a = presentation_ideal(presentation(lat, gmin, lam), 5)
         b = presentation_ideal(presentation(lat, full, lam), 5)
         assert graded_equal(a, b, 5)
+
+
+LAMBDAS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(6, 5), Fraction(3, 2))
+
+
+def dim4_arrangements():
+    """Seeded dimension-4 arrangements: 6 or 7 hyperplanes, multiplicities 1-3."""
+    out = []
+    for seed in range(3):
+        rng = random.Random(4000 + seed)
+        count = rng.randint(6, 7)
+        normals, seen = [], set()
+        while len(normals) < count:
+            v = tuple(rng.randint(-2, 2) for _ in range(4))
+            if any(v) and canonical_normal(v) not in seen:
+                seen.add(canonical_normal(v))
+                normals.append(v)
+        out.append(Arrangement.from_normals(4, normals,
+                                            [rng.randint(1, 3) for _ in normals]))
+    return out
+
+
+def test_presentation_ideal_matches_generator_route(braid_lattices):
+    """Inverse-system kernels equal intersected generator-built powers, row for row."""
+    cases = [(braid_lattices[n], 5) for n in (3, 4, 5)] + [(braid_lattices[6], 4)]
+    cases += [(compute_lattice(arr), 5) for arr in dim4_arrangements()]
+    for lat, bound in cases:
+        for bs in (minimal_building_set(lat), full_building_set(lat)):
+            for lam in LAMBDAS:
+                pres = presentation(lat, bs, lam)
+                oracle = helpers.generator_presentation_ideal(pres, bound)
+                got = presentation_ideal(pres, bound)
+                assert got.piece_rows == oracle.piece_rows, (lat.arrangement.dim, bs.kind, lam)
+
+
+def test_membership_matches_generator_route(braid_lattices):
+    """``membership`` agrees with piece containment in the generator-built
+    ideal, on products of the arrangement's forms and on non-homogeneous
+    sums of them with Fraction coefficients."""
+    rng = random.Random(17)
+    cases = [braid_lattices[4], braid_lattices[5]]
+    cases += [compute_lattice(arr) for arr in dim4_arrangements()]
+    answers = set()
+    for lat in cases:
+        arr = lat.arrangement
+        n = arr.dim
+        forms = [Polynomial.from_terms(n, {tuple(int(i == j) for j in range(n)): c
+                                           for i, c in enumerate(h.normal)})
+                 for h in arr.hyperplanes]
+
+        def product(k):
+            poly = Polynomial.from_terms(n, {(0,) * n: Fraction(rng.randint(1, 7), 5)})
+            for _ in range(k):
+                poly = poly * rng.choice(forms)
+            return poly
+
+        for lam in LAMBDAS:
+            pres = presentation(lat, minimal_building_set(lat), lam)
+            oracle = helpers.generator_presentation_ideal(pres, 6)
+            for _ in range(4):
+                k = rng.randint(2, 6)
+                polys = [product(k), product(k) + product(rng.randint(1, k - 1))]
+                for poly in polys:
+                    got = membership(arr, pres, poly)
+                    assert got == contains_polynomial(oracle, poly)
+                    answers.add((got, len(poly.homogeneous_parts()) > 1))
+    assert answers == {(True, False), (False, False), (True, True), (False, True)}
