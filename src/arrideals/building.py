@@ -28,10 +28,11 @@ from .lattice import (
     IntersectionLattice,
     _is_irreducible,
     _matroid_components,
+    _spanned_hyperplanes,
     flat_sort_key,
     minimal_containing,
 )
-from .linalg import _first_nonzero, int_canonical, int_contains, int_insert, int_intersect
+from .linalg import int_canonical, int_insert, int_intersect
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,11 @@ def _require_proper_flat(lat: IntersectionLattice, flat: Flat, what: str) -> Non
         raise ValueError(f"{what} is not a flat of this lattice")
 
 
-def _closed_of_rows(normals, rows) -> tuple[int, ...]:
-    pivots = [_first_nonzero(r) for r in rows]
-    return tuple(j for j, nj in enumerate(normals) if int_contains(rows, pivots, nj))
-
-
 def _is_lattice_span(lat: IntersectionLattice, rows) -> bool:
     """Whether canonical rows are the normal space of some flat (V included)."""
     if not rows:
         return True  # the ambient space is always in the lattice
-    closed = _closed_of_rows(lat.int_normals, rows)
+    closed = _spanned_hyperplanes(lat.int_normals, rows)
     f = lat.flat_with_closed(closed)
     return f is not None and f.basis_rows == tuple(rows)
 

@@ -5,14 +5,20 @@ set: the indices of *all* hyperplanes containing it.  Geometrically a flat
 is carried by its normal space (the span of those hyperplanes' normals);
 rank is the codimension, mult is the total multiplicity of the closed set.
 
-The lattice is built level by level.  Extending a flat of rank k by one
-hyperplane outside its closed set always yields a flat of rank k+1, and two
-extensions land in the same flat exactly when they have the same normal
-space, so the canonical integer basis of that span doubles as the dedup
-key.  Once a cover flat is known, every hyperplane inside its closed set
-is marked off and never tried again from the same parent; this keeps the
-work proportional to the number of cover edges rather than flats times
-hyperplanes.
+The lattice is built level by level, each flat X of rank k held as an
+echelon list of its normal space and its closed set as a bitmask.  Its
+covers come from residual classes: every normal outside the closed set is
+reduced against X's rows, which leaves it zero at X's pivots, and scaled to
+primitive integers with a positive lead.  Two hyperplanes lie in the same
+cover flat exactly when their residuals are proportional, that is equal, so
+grouping the residuals in a dict lists X's covers at once; a cover's closed
+set is X's closed set plus its group, and its echelon rows are X's rows
+plus the residual, with no closure scan.  The closed set is the dedup key
+across parents, and the canonical basis (``int_canonical``) is built once,
+when a flat is first found.  The top flat is not reached by expansion:
+the arrangement's rank r is read off the span of all normals, the only
+flat of rank r is the one whose closed set is every hyperplane, and the
+flats of rank r − 1, whose only cover it is, keep no rows.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
@@ -32,8 +38,8 @@ from .linalg import (
     _strip,
     int_canonical,
     int_contains,
-    int_insert,
     int_reduce,
+    int_span,
     primitive_vector,
 )
 
@@ -103,32 +109,6 @@ def _int_normals(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     return tuple(primitive_vector(h.normal) for h in arr.hyperplanes)
 
 
-def _support_mask(vec: Sequence[int]) -> int:
-    m = 0
-    for k, a in enumerate(vec):
-        if a:
-            m |= 1 << k
-    return m
-
-
-def _closed_mask(rows, pivots, base_mask: int, colmask: int,
-                 normals, supports) -> int:
-    """All hyperplanes whose normal lies in the row span.
-
-    ``base_mask`` marks indices already known to be inside.  A normal with
-    support outside the united support of the rows cannot be spanned, which
-    filters most candidates without arithmetic.
-    """
-    mask = base_mask
-    for j, nj in enumerate(normals):
-        bit = 1 << j
-        if mask & bit or supports[j] & ~colmask:
-            continue
-        if int_contains(rows, pivots, nj):
-            mask |= bit
-    return mask
-
-
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
     j = 0
@@ -140,6 +120,16 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _spanned_hyperplanes(normals, rows) -> tuple[int, ...]:
+    """Indices of every hyperplane whose normal lies in the span of ``rows``.
+
+    ``rows`` is an echelon list or canonical rows; each row's pivot is its
+    first nonzero entry.
+    """
+    pivots = [_first_nonzero(r) for r in rows]
+    return tuple(j for j, nj in enumerate(normals) if int_contains(rows, pivots, nj))
+
+
 def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
     """The flat cut out by the chosen hyperplanes.
 
@@ -147,77 +137,62 @@ def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
     span of the chosen ones; the empty set gives the ambient space.
     """
     normals = _int_normals(arr)
-    nh = len(normals)
     idx = sorted(set(indices))
     for i in idx:
-        if not 0 <= i < nh:
+        if not 0 <= i < len(normals):
             raise ValueError(f"hyperplane index {i} out of range")
-    rows: list = []
-    pivots: list = []
-    base = 0
-    for i in idx:
-        int_insert(rows, pivots, normals[i])
-        base |= 1 << i
-    colmask = 0
-    for r in rows:
-        colmask |= _support_mask(r)
-    supports = tuple(_support_mask(v) for v in normals)
-    mask = _closed_mask(rows, pivots, base, colmask, normals, supports)
-    closed = _mask_to_tuple(mask)
-    mult = sum(arr.hyperplanes[j].mult for j in closed)
+    rows, pivots = int_span((normals[i] for i in idx), arr.dim)
+    closed = _spanned_hyperplanes(normals, rows)
     return Flat(
         closed_set=closed,
         rank=len(rows),
-        mult=mult,
+        mult=sum(arr.hyperplanes[j].mult for j in closed),
         ambient_dim=arr.dim,
         basis_rows=int_canonical(rows, pivots),
     )
 
 
-def compute_lattice(arr: Arrangement) -> IntersectionLattice:
-    """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
-    normals = _int_normals(arr)
-    nh = len(normals)
-    mults = tuple(h.mult for h in arr.hyperplanes)
-    supports = tuple(_support_mask(v) for v in normals)
-    full = (1 << nh) - 1
-
-    # entry = (rows, pivots, closed_mask, colmask); key = canonical basis
-    collected: list[tuple[tuple[tuple[int, ...], ...], int, int]] = []
-    collected.append(((), 0, 0))  # ambient space: canonical rows, closed mask, rank
-    level = [((), (), 0, 0)]
-    rank = 0
-    while level:
-        rank += 1
-        nxt: dict = {}
-        for rows, pivots, cmask, colmask in level:
-            done = cmask
-            while done != full:
-                e = ((~done & full) & -(~done & full)).bit_length() - 1
-                red = int_reduce(normals[e], rows, pivots)
-                p = _first_nonzero(red)
-                if red[p] < 0:
+def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...], int, int]]:
+    """(canonical rows, closed mask, rank) of every flat, in discovery order."""
+    full = (1 << len(normals)) - 1
+    span_rows, span_pivots = int_span(normals, dim)
+    top = len(span_rows)
+    found = [((), 0, 0), (int_canonical(span_rows, span_pivots), full, top)]
+    # echelon rows, pivots and closed mask of each flat of the current rank
+    level = [((), (), 0)]
+    for rank in range(1, top):
+        seen: set[int] = set()
+        nxt = []
+        for rows, pivots, cmask in level:
+            classes: dict[tuple[int, ...], int] = {}  # residual -> hyperplanes
+            for j, nj in enumerate(normals):
+                if cmask >> j & 1:
+                    continue
+                red = int_reduce(nj, rows, pivots)
+                if red[_first_nonzero(red)] < 0:
                     red = [-a for a in red]
                 _strip(red)
-                child_rows = rows + (tuple(red),)
-                child_pivots = pivots + (p,)
-                key = int_canonical(child_rows, child_pivots)
-                got = nxt.get(key)
-                if got is None:
-                    ccol = colmask | _support_mask(red)
-                    ccmask = _closed_mask(
-                        child_rows, child_pivots, cmask | (1 << e), ccol,
-                        normals, supports,
-                    )
-                    got = (child_rows, child_pivots, ccmask, ccol)
-                    nxt[key] = got
-                done |= got[2]
-        level = list(nxt.values())
-        for key, (_, _, ccmask, _) in nxt.items():
-            collected.append((key, ccmask, rank))
+                key = tuple(red)
+                classes[key] = classes.get(key, 0) | 1 << j
+            for red, group in classes.items():
+                ccmask = cmask | group
+                if ccmask in seen:
+                    continue
+                seen.add(ccmask)
+                child_rows = rows + (red,)
+                child_pivots = pivots + (_first_nonzero(red),)
+                found.append((int_canonical(child_rows, child_pivots), ccmask, rank))
+                if rank < top - 1:
+                    nxt.append((child_rows, child_pivots, ccmask))
+        level = nxt
+    return found
 
+
+def compute_lattice(arr: Arrangement) -> IntersectionLattice:
+    """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
+    mults = tuple(h.mult for h in arr.hyperplanes)
     flats = []
-    for basis, cmask, rk in collected:
+    for basis, cmask, rk in _flats_by_level(_int_normals(arr), arr.dim):
         closed = _mask_to_tuple(cmask)
         flats.append(Flat(
             closed_set=closed,

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
 
 from arrideals.arrangement import Arrangement, canonical_normal
 from arrideals.building import is_building_set, is_decomposition
@@ -30,7 +30,7 @@ from arrideals.graded import (
 from arrideals.lattice import Flat, IntersectionLattice
 from arrideals.linalg import int_canonical, int_insert, int_intersect
 
-from fraction_linalg import Subspace, span, subspace_from_int_rows
+from fraction_linalg import Subspace, span, span_contains, subspace_from_int_rows
 
 
 # --- Fraction views of integer data ---------------------------------------
@@ -46,6 +46,47 @@ def pieces(gi: GradedIdeal) -> tuple[Subspace, ...]:
         subspace_from_int_rows(rows, comb(gi.nvars + d - 1, d))
         for d, rows in enumerate(gi.piece_rows)
     )
+
+
+# --- the lattice by Fraction elimination ----------------------------------
+
+def _primitive_row(row) -> tuple[int, ...]:
+    """An RREF row (pivot 1) scaled to primitive integers."""
+    den = lcm(*(a.denominator for a in row))
+    ints = [int(a * den) for a in row]
+    g = 0
+    for a in ints:
+        g = gcd(g, a)
+    return tuple(a // g for a in ints)
+
+
+def fraction_closure(arr: Arrangement, indices) -> Flat:
+    """The flat cut out by the chosen hyperplanes, by Fraction RREF alone.
+
+    Independent of ``arrideals.linalg``: the normal space is the Fraction
+    span of the chosen normals, the closed set every hyperplane whose normal
+    that span contains, and ``basis_rows`` its RREF scaled to primitive
+    integers (the form ``int_canonical`` returns).
+    """
+    hps = arr.hyperplanes
+    sub = span([hps[i].normal for i in indices], arr.dim)
+    closed = tuple(j for j, h in enumerate(hps) if span_contains(sub, h.normal))
+    return Flat(
+        closed_set=closed,
+        rank=sub.rank,
+        mult=sum(hps[j].mult for j in closed),
+        ambient_dim=arr.dim,
+        basis_rows=tuple(_primitive_row(r) for r in sub.basis.entries),
+    )
+
+
+def subset_closure_flats(arr: Arrangement) -> set[Flat]:
+    """Every flat, as the Fraction closure of every subset of hyperplanes."""
+    nh = len(arr.hyperplanes)
+    return {
+        fraction_closure(arr, [i for i in range(nh) if bits >> i & 1])
+        for bits in range(1 << nh)
+    }
 
 
 # --- set partitions -------------------------------------------------------

@@ -1,8 +1,11 @@
+import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from arrideals.arrangement import Arrangement, braid
+from arrideals import lattice
+from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.lattice import closure, compute_lattice, minimal_containing
 
 import helpers
@@ -84,15 +87,15 @@ def test_containment_monotonicity(corpus_lattices):
 
 
 def test_lattice_matches_subset_closure_enumeration(corpus_lattices):
-    """Reference construction: close every subset of hyperplanes."""
+    """Reference construction: close every subset of hyperplanes by Fraction
+    elimination; ``closure`` must agree with it subset by subset."""
     for lat in corpus_lattices:
         arr = lat.arrangement
+        assert set(lat.flats) == helpers.subset_closure_flats(arr)
         nh = len(arr.hyperplanes)
-        expected = set()
         for bits in range(1 << nh):
             idx = [i for i in range(nh) if bits >> i & 1]
-            expected.add(closure(arr, idx))
-        assert set(lat.flats) == expected
+            assert closure(arr, idx) == helpers.fraction_closure(arr, idx)
 
 
 def test_compute_lattice_is_deterministic(corpus):
@@ -100,38 +103,84 @@ def test_compute_lattice_is_deterministic(corpus):
         assert compute_lattice(arr) == compute_lattice(arr)
 
 
+def _distinct_normals(count, draw):
+    """``count`` normals from ``draw()``, nonzero and pairwise non-proportional."""
+    normals = []
+    seen = set()
+    while len(normals) < count:
+        v = draw()
+        if not any(v):
+            continue
+        c = canonical_normal(v)
+        if c in seen:
+            continue
+        seen.add(c)
+        normals.append(v)
+    return normals
+
+
 def test_lattice_closure_agreement_harder_fuzz():
     """Rational normals and awkward scalings against the reference build."""
-    import random
-    from fractions import Fraction
-
-    from arrideals.arrangement import canonical_normal
-
     rng = random.Random(77)
     for _ in range(25):
         dim = rng.randint(2, 4)
         count = rng.randint(2, 6)
-        normals = []
-        seen = set()
-        while len(normals) < count:
-            v = tuple(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                for _ in range(dim)
-            )
-            if not any(v):
-                continue
-            c = canonical_normal(v)
-            if c in seen:
-                continue
-            seen.add(c)
-            normals.append(v)
+        normals = _distinct_normals(count, lambda: tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)
+        ))
         arr = Arrangement.from_normals(dim, normals)
+        assert set(compute_lattice(arr).flats) == helpers.subset_closure_flats(arr)
+
+
+@pytest.mark.parametrize("rank,count", [(2, 9), (3, 9)])
+def test_lattice_of_normals_spanning_a_subspace(rank, count):
+    """Normals in a rank-2 or rank-3 subspace of Q^5: the top flat has rank
+    below the dimension and is reached without expanding the level under it."""
+    rng = random.Random(500 + rank)
+    basis = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(rank)]
+
+    def draw():
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        return tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(5))
+
+    normals = _distinct_normals(count, draw)
+    arr = Arrangement.from_normals(5, normals, [rng.randint(1, 3) for _ in normals])
+    lat = compute_lattice(arr)
+    assert set(lat.flats) == helpers.subset_closure_flats(arr)
+    top = lat.flats[-1]
+    assert top.rank == rank and top.closed_set == tuple(range(count))
+    assert [f.rank for f in lat.flats].count(rank) == 1
+
+
+def test_lattice_of_generic_arrangement():
+    """Seven generic hyperplanes in Q^4: every set of at most three is
+    independent, so the rank-3 level (35 flats) is the largest."""
+    rng = random.Random(4)
+    normals = _distinct_normals(7, lambda: tuple(rng.randint(-9, 9) for _ in range(4)))
+    arr = Arrangement.from_normals(4, normals)
+    lat = compute_lattice(arr)
+    assert set(lat.flats) == helpers.subset_closure_flats(arr)
+    sizes = [[f.rank for f in lat.flats].count(k) for k in range(5)]
+    assert sizes == [1, 7, 21, 35, 1]
+
+
+def test_int_canonical_called_once_per_proper_flat(monkeypatch):
+    """The canonical form is built once per flat, not once per cover edge."""
+    rng = random.Random(55)
+    normals = _distinct_normals(11, lambda: tuple(rng.randint(-2, 2) for _ in range(5)))
+    calls = []
+    int_canonical = lattice.int_canonical
+
+    def counting_int_canonical(rows, pivots):
+        calls.append(len(rows))
+        return int_canonical(rows, pivots)
+
+    monkeypatch.setattr(lattice, "int_canonical", counting_int_canonical)
+    for arr in (braid(6), Arrangement.from_normals(5, normals)):
+        calls.clear()
         lat = compute_lattice(arr)
-        nh = count
-        expected = set()
-        for bits in range(1 << nh):
-            expected.add(closure(arr, [i for i in range(nh) if bits >> i & 1]))
-        assert set(lat.flats) == expected
+        assert len(calls) == len(lat.proper)
+        assert sorted(calls) == sorted(f.rank for f in lat.proper)
 
 
 def test_closed_under_intersection(corpus_lattices, braid_lattices):
@@ -139,7 +188,8 @@ def test_closed_under_intersection(corpus_lattices, braid_lattices):
     for lat in lats:
         arr = lat.arrangement
         for f1, f2 in combinations(lat.flats, 2):
-            joined = closure(arr, set(f1.closed_set) | set(f2.closed_set))
+            joined = helpers.fraction_closure(
+                arr, set(f1.closed_set) | set(f2.closed_set))
             assert lat.flat_with_closed(joined.closed_set) == joined
 
 
