@@ -32,7 +32,7 @@ from .lattice import (
     flat_sort_key,
     minimal_containing,
 )
-from .linalg import int_canonical, int_insert, int_intersect
+from .linalg import int_canonical, int_intersect, int_span
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,22 @@ def _require_proper_flat(lat: IntersectionLattice, flat: Flat, what: str) -> Non
         raise ValueError(f"{what} is not a flat of this lattice")
 
 
+def _require_distinct_proper_flats(lat: IntersectionLattice, flats: Sequence[Flat],
+                                   what: str, group: str) -> None:
+    seen = set()
+    for f in flats:
+        _require_proper_flat(lat, f, what)
+        if f.closed_set in seen:
+            raise ValueError(f"{group} must be distinct")
+        seen.add(f.closed_set)
+
+
+def _spans(row_sets, flat: Flat) -> bool:
+    """Whether the rows of all the sets together span the flat's normal space."""
+    rows, pivots = int_span((r for rs in row_sets for r in rs), flat.ambient_dim)
+    return int_canonical(rows, pivots) == flat.basis_rows
+
+
 def _is_lattice_span(lat: IntersectionLattice, rows) -> bool:
     """Whether canonical rows are the normal space of some flat (V included)."""
     if not rows:
@@ -71,12 +87,7 @@ def _validate_parts(lat: IntersectionLattice, target: Flat,
     _require_proper_flat(lat, target, "target")
     if not parts:
         raise ValueError("parts must be non-empty")
-    seen = set()
-    for U in parts:
-        _require_proper_flat(lat, U, "part")
-        if U.closed_set in seen:
-            raise ValueError("parts must be distinct")
-        seen.add(U.closed_set)
+    _require_distinct_proper_flats(lat, parts, "part", "parts")
 
 
 def decomposition_obstruction(lat: IntersectionLattice, target: Flat,
@@ -94,22 +105,11 @@ def decomposition_obstruction(lat: IntersectionLattice, target: Flat,
         if not set(B.closed_set) <= tset:
             continue
         sums = [int_intersect(B.basis_rows, U.basis_rows, dim) for U in parts]
-        if not _compatible(lat, B, sums):
+        if (sum(len(s) for s in sums) != B.rank
+                or not all(_is_lattice_span(lat, s) for s in sums)
+                or not _spans(sums, B)):
             return B
     return None
-
-
-def _compatible(lat: IntersectionLattice, B: Flat, sums) -> bool:
-    if sum(len(s) for s in sums) != B.rank:
-        return False
-    rows: list = []
-    pivots: list = []
-    for s in sums:
-        if not _is_lattice_span(lat, s):
-            return False
-        for r in s:
-            int_insert(rows, pivots, r)
-    return int_canonical(rows, pivots) == B.basis_rows
 
 
 def is_decomposition(lat: IntersectionLattice, target: Flat,
@@ -119,12 +119,7 @@ def is_decomposition(lat: IntersectionLattice, target: Flat,
     # transversal intersection: normal spaces sum to the target's, ranks add
     if sum(U.rank for U in parts) != target.rank:
         return False
-    rows: list = []
-    pivots: list = []
-    for U in parts:
-        for r in U.basis_rows:
-            int_insert(rows, pivots, r)
-    if int_canonical(rows, pivots) != target.basis_rows:
+    if not _spans([U.basis_rows for U in parts], target):
         return False
     return decomposition_obstruction(lat, target, parts) is None
 
@@ -169,12 +164,7 @@ def full_building_set(lat: IntersectionLattice) -> BuildingSet:
 
 def custom_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> BuildingSet:
     """Wrap a user-chosen family after verifying the building property."""
-    seen = set()
-    for f in flats:
-        _require_proper_flat(lat, f, "flat")
-        if f.closed_set in seen:
-            raise ValueError("building set flats must be distinct")
-        seen.add(f.closed_set)
+    _require_distinct_proper_flats(lat, flats, "flat", "building set flats")
     ordered = tuple(sorted(flats, key=flat_sort_key))
     bad = building_set_obstruction(lat, ordered)
     if bad is not None:
@@ -196,10 +186,5 @@ def building_set_obstruction(lat: IntersectionLattice,
 
 def is_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> bool:
     """Whether every proper flat is decomposed by its minimal covers in ``flats``."""
-    seen = set()
-    for f in flats:
-        _require_proper_flat(lat, f, "flat")
-        if f.closed_set in seen:
-            raise ValueError("building set flats must be distinct")
-        seen.add(f.closed_set)
+    _require_distinct_proper_flats(lat, flats, "flat", "building set flats")
     return building_set_obstruction(lat, flats) is None

@@ -53,6 +53,16 @@ def _building_set(lat: IntersectionLattice, choice: str) -> bmod.BuildingSet:
     return bmod.full_building_set(lat)
 
 
+def _default_degree(*presentations) -> int:
+    """The default truncation degree; a note on stderr says when it is capped."""
+    bound = mmod.default_degree_bound(*presentations)
+    uncapped = mmod.uncapped_degree_bound(*presentations)
+    if uncapped > bound:
+        print(f"note: default degree bound {uncapped} capped at {bound}; "
+              f"set --degree to override", file=sys.stderr)
+    return bound
+
+
 def _flat_json(flat) -> dict:
     return {"rank": flat.rank, "s": flat.mult, "closed": list(flat.closed_set)}
 
@@ -161,7 +171,7 @@ def _cmd_resolution(args, lat: IntersectionLattice) -> int:
 
 def _cmd_hilbert(args, lat: IntersectionLattice) -> int:
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
-    bound = args.degree if args.degree is not None else mmod.default_degree_bound(pres)
+    bound = args.degree if args.degree is not None else _default_degree(pres)
     dims = gmod.hilbert(mmod.presentation_ideal(pres, bound))
     print(" ".join(map(str, dims)))
     return 0
@@ -171,7 +181,7 @@ def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     pres_min = mmod.presentation(lat, bmod.minimal_building_set(lat), args.lam)
     pres_full = mmod.presentation(lat, bmod.full_building_set(lat), args.lam)
     bound = (args.degree if args.degree is not None
-             else mmod.default_degree_bound(pres_min, pres_full))
+             else _default_degree(pres_min, pres_full))
     a = mmod.presentation_ideal(pres_min, bound)
     b = mmod.presentation_ideal(pres_full, bound)
     print("minimal:", " ".join(map(str, gmod.hilbert(a))))

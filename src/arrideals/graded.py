@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
 from .errors import InvariantError
@@ -48,6 +48,7 @@ from .linalg import (
     int_insert,
     int_kernel,
     int_span,
+    primitive_vector,
     to_fraction,
 )
 
@@ -428,6 +429,21 @@ def _check_power(flat: Flat, exponent: int) -> None:
         raise ValueError("the ambient space has no proper ideal")
 
 
+# Most monomials of one degree that a piece or membership test may span; memory
+# grows with its square (width 1716: about 112 MB, 3432: about 405 MB).
+MAX_PIECE_WIDTH = 2000
+
+
+def _check_width(nvars: int, degree: int) -> None:
+    """Refuse degree d, and so every higher one, if C(n+d−1, d) is too wide."""
+    width = comb(nvars + degree - 1, degree)
+    if width > MAX_PIECE_WIDTH:
+        raise ValueError(
+            f"degree {degree} in {nvars} variables has {width} monomials, "
+            f"more than the {MAX_PIECE_WIDTH} supported"
+        )
+
+
 def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
     """Truncation of I_W^e for the ideal of a linear flat W.
 
@@ -458,6 +474,7 @@ def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
             raise ValueError("variable counts differ")
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
+    _check_width(nvars, bound)
     return _intersection_of_powers(
         tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
 
@@ -478,10 +495,12 @@ def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
     _check_power(flat, exponent)
     if poly.nvars != flat.ambient_dim:
         raise ValueError("variable counts differ")
-    for d, part in poly.homogeneous_parts().items():
+    parts = poly.homogeneous_parts()
+    _check_width(poly.nvars, max(parts, default=0))
+    for d, part in parts.items():
         if d < exponent:
             return False
-        vec = _integer_vector(poly.nvars, d, part)
+        vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
         for g in _inverse_system(flat.basis_rows, flat.ambient_dim, exponent, d):
             if sum(a * b for a, b in zip(vec, g) if a):
                 return False
@@ -512,17 +531,6 @@ def graded_contains(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
     return True
 
 
-def _integer_vector(nvars: int, degree: int,
-                    part: Mapping[Monomial, Fraction]) -> list[int]:
-    """A positive multiple of a homogeneous component, as integer coefficients."""
-    idx = monomial_index(nvars, degree)
-    den = lcm(*(c.denominator for c in part.values()))
-    vec = [0] * len(idx)
-    for mono, coef in part.items():
-        vec[idx[mono]] = int(coef * den)
-    return vec
-
-
 def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` lies in its piece."""
     if poly.nvars != gi.nvars:
@@ -534,7 +542,7 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
             f"polynomial degree {poly.degree} exceeds the truncation bound {gi.degree_bound}"
         )
     for d, part in poly.homogeneous_parts().items():
-        vec = _integer_vector(gi.nvars, d, part)
+        vec = primitive_vector([part.get(m, 0) for m in monomials(gi.nvars, d)])
         rows = gi.piece_rows[d]
         pivots = [_first_nonzero(r) for r in rows]
         if not int_contains(rows, pivots, vec):

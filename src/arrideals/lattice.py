@@ -9,36 +9,37 @@ The lattice is built level by level, each flat X of rank k held as an
 echelon list of its normal space and its closed set as a bitmask.  Its
 covers come from residual classes: every normal outside the closed set is
 reduced against X's rows, which leaves it zero at X's pivots, and scaled to
-primitive integers with a positive lead.  Two hyperplanes lie in the same
-cover flat exactly when their residuals are proportional, that is equal, so
-grouping the residuals in a dict lists X's covers at once; a cover's closed
-set is X's closed set plus its group, and its echelon rows are X's rows
-plus the residual, with no closure scan.  The closed set is the dedup key
-across parents, and the canonical basis (``int_canonical``) is built once,
-when a flat is first found.  The top flat is not reached by expansion:
-the arrangement's rank r is read off the span of all normals, the only
-flat of rank r is the one whose closed set is every hyperplane, and the
-flats of rank r − 1, whose only cover it is, keep no rows.
+primitive integers with a positive lead (``linalg.int_residual``).  Two
+hyperplanes lie in the same cover flat exactly when their residuals are
+proportional, that is equal, so grouping the residuals in a dict lists X's
+covers at once; a cover's closed set is X's closed set plus its group, and
+its echelon rows are X's rows plus the residual, with no closure scan.  The
+closed set is the dedup key across parents, and the canonical basis
+(``int_canonical``) is built once, when a flat is first found.  The top
+flat is not reached by expansion: the arrangement's rank r is read off the
+span of all normals, the only flat of rank r is the one whose closed set is
+every hyperplane, and the flats of rank r − 1, whose only cover it is, keep
+no rows.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
-building module).  The lattice computes them once and keeps them.
+building module).  The components come from fundamental circuits, found
+by the same ``int_residual`` step.  The lattice computes the irreducible
+flats once and keeps them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
-    _strip,
     int_canonical,
     int_contains,
-    int_reduce,
+    int_residual,
     int_span,
     primitive_vector,
 )
@@ -164,23 +165,19 @@ def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...]
         seen: set[int] = set()
         nxt = []
         for rows, pivots, cmask in level:
-            classes: dict[tuple[int, ...], int] = {}  # residual -> hyperplanes
+            classes: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
             for j, nj in enumerate(normals):
                 if cmask >> j & 1:
                     continue
-                red = int_reduce(nj, rows, pivots)
-                if red[_first_nonzero(red)] < 0:
-                    red = [-a for a in red]
-                _strip(red)
-                key = tuple(red)
+                key = int_residual(nj, rows, pivots)
                 classes[key] = classes.get(key, 0) | 1 << j
-            for red, group in classes.items():
+            for (red, p), group in classes.items():
                 ccmask = cmask | group
                 if ccmask in seen:
                     continue
                 seen.add(ccmask)
                 child_rows = rows + (red,)
-                child_pivots = pivots + (_first_nonzero(red),)
+                child_pivots = pivots + (p,)
                 found.append((int_canonical(child_rows, child_pivots), ccmask, rank))
                 if rank < top - 1:
                     nxt.append((child_rows, child_pivots, ccmask))
@@ -223,12 +220,14 @@ def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
 def _matroid_components(normals, closed: Sequence[int]) -> list[tuple[int, ...]]:
     """Connected components of the linear matroid on the chosen normals.
 
-    Elements are merged along fundamental circuits: each dependent normal is
-    reduced against the running echelon basis while tracking an exact integer
-    combination over the original elements; the support of a vanished
-    combination is a circuit.
+    The normal at position i of ``closed``, extended by the unit vector e_i,
+    is reduced against the independent rows kept so far.  If its normal part
+    vanishes, the extension is the exact dependency on earlier independent
+    elements, the fundamental circuit of i, and its support is merged.  The
+    fundamental circuits of one basis connect exactly the components.
     """
-    parent = {j: j for j in closed}
+    size = len(closed)
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -238,42 +237,22 @@ def _matroid_components(normals, closed: Sequence[int]) -> list[tuple[int, ...]]
 
     rows: list = []
     pivots: list = []
-    combos: list[dict[int, int]] = []
-    for j in closed:
-        v = list(normals[j])
-        combo = {j: 1}
-        for row, p, rc in zip(rows, pivots, combos):
-            c = v[p]
-            if not c:
-                continue
-            pv = row[p]
-            v = [pv * a - c * b for a, b in zip(v, row)]
-            combo = {
-                k: coef
-                for k in combo.keys() | rc.keys()
-                if (coef := pv * combo.get(k, 0) - c * rc.get(k, 0))
-            }
-        p = _first_nonzero(v)
-        if p is None:
-            root = find(j)
-            for k in combo:
-                parent[find(k)] = root
-        else:
-            g = 0
-            for a in v:
-                g = gcd(g, a)
-            for a in combo.values():
-                g = gcd(g, a)
-            if g > 1:
-                v = [a // g for a in v]
-                combo = {k: a // g for k, a in combo.items()}
-            rows.append(tuple(v))
+    for i, j in enumerate(closed):
+        dim = len(normals[j])
+        unit = (0,) * i + (1,) + (0,) * (size - i - 1)
+        res, p = int_residual(normals[j] + unit, rows, pivots)
+        if p < dim:
+            rows.append(res)
             pivots.append(p)
-            combos.append(combo)
+        else:
+            root = find(i)
+            for k, a in enumerate(res[dim:]):
+                if a:
+                    parent[find(k)] = root
 
     groups: dict[int, list[int]] = {}
-    for j in closed:
-        groups.setdefault(find(j), []).append(j)
+    for i, j in enumerate(closed):
+        groups.setdefault(find(i), []).append(j)
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 

@@ -13,6 +13,10 @@ being appended, so it is zero at all earlier pivots.  Reducing a vector
 against the rows *in stored order* is therefore sound.  Rows are primitive
 integer vectors with positive pivot entry.
 
+``int_residual`` is the one normalization step (reduce, then make primitive
+with a positive pivot); row insertion, the covers of a flat and the circuits
+of a matroid all go through it.
+
 ``int_canonical`` turns an echelon list into the reduced row echelon basis
 of its row space, rescaled to primitive integers.  That basis is unique for
 the subspace, so two subspaces are equal exactly when their canonical rows
@@ -45,21 +49,6 @@ def _first_nonzero(row: Sequence) -> int | None:
 _STRIP_LIMIT = 1 << 96
 
 
-def primitive_vector(values: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to primitive integers."""
-    fr = [to_fraction(x) for x in values]
-    den = lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * den) for f in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
-
-
 def _strip(v: list[int]) -> None:
     g = 0
     for a in v:
@@ -69,6 +58,15 @@ def _strip(v: list[int]) -> None:
     if g > 1:
         for i, a in enumerate(v):
             v[i] = a // g
+
+
+def primitive_vector(values: Sequence) -> tuple[int, ...]:
+    """Scale a rational vector by a positive rational to primitive integers."""
+    fr = [x if isinstance(x, int) else to_fraction(x) for x in values]
+    den = lcm(*(f.denominator for f in fr)) if fr else 1
+    ints = [f.numerator * (den // f.denominator) for f in fr]
+    _strip(ints)
+    return tuple(ints)
 
 
 def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
@@ -96,16 +94,30 @@ def int_contains(rows: Sequence[Sequence[int]], pivots: Sequence[int],
     return not any(int_reduce(vec, rows, pivots))
 
 
-def int_insert(rows: list, pivots: list, vec: Sequence[int]) -> bool:
-    """Append ``vec`` to an echelon list; False if it was already spanned."""
+def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
+                 pivots: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
+    """``vec`` reduced against an echelon list, primitive with a positive pivot.
+
+    The pivot is None when ``vec`` lies in the row space.  Proportional
+    vectors have equal residuals.
+    """
     v = int_reduce(vec, rows, pivots)
     p = _first_nonzero(v)
     if p is None:
-        return False
+        return tuple(v), None
     if v[p] < 0:
         v = [-a for a in v]
-    _strip(v)
-    rows.append(tuple(v))
+    if v[p] != 1:  # the content divides the pivot entry
+        _strip(v)
+    return tuple(v), p
+
+
+def int_insert(rows: list, pivots: list, vec: Sequence[int]) -> bool:
+    """Append ``vec`` to an echelon list; False if it was already spanned."""
+    v, p = int_residual(vec, rows, pivots)
+    if p is None:
+        return False
+    rows.append(v)
     pivots.append(p)
     return True
 

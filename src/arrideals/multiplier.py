@@ -84,12 +84,17 @@ def presentation_ideal(pres: MultiplierIdealPresentation, bound: int) -> GradedI
     return intersect_powers(pres.terms, pres.ambient_dim, bound)
 
 
+DEGREE_CAP = 10
+
+
+def uncapped_degree_bound(*presentations: MultiplierIdealPresentation) -> int:
+    """2 plus the largest exponent total among the presentations."""
+    return 2 + max((sum(e for _, e in p.terms) for p in presentations), default=0)
+
+
 def default_degree_bound(*presentations: MultiplierIdealPresentation) -> int:
-    """2 plus the largest exponent total among the presentations, capped at 10."""
-    total = max(
-        (sum(e for _, e in p.terms) for p in presentations), default=0
-    )
-    return min(2 + total, 10)
+    """``uncapped_degree_bound``, capped at ``DEGREE_CAP``."""
+    return min(uncapped_degree_bound(*presentations), DEGREE_CAP)
 
 
 def lct(lat: IntersectionLattice) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,41 @@ def test_hilbert_in_high_dimension(capsys, tmp_path):
         capsys, ["hilbert", str(path), "--lambda", "1", "--degree", "1"]
     )
     assert (code, out, err) == (0, "0 1\n", "")
+
+
+def test_capped_default_degree_is_noted(capsys, braid3_file):
+    """The presentation at lambda 5 asks for degree 31 (one term has e = 14);
+    the default is capped at 10 and stderr says so, stdout is unchanged."""
+    note = "note: default degree bound 31 capped at 10; set --degree to override\n"
+    code, out, err = run(capsys, ["hilbert", braid3_file, "--lambda", "5"])
+    assert (code, out, err) == (0, " ".join(["0"] * 11) + "\n", note)
+    code, out, err = run(capsys, ["verify-theorem", braid3_file, "--lambda", "5"])
+    assert (code, out.splitlines()[-1], err) == (0, "EQUAL up to degree 10", note)
+    # an uncapped default or an explicit --degree prints no note
+    for argv in (["hilbert", braid3_file, "--lambda", "2/3"],
+                 ["hilbert", braid3_file, "--lambda", "5", "--degree", "3"],
+                 ["verify-theorem", braid3_file, "--lambda", "2/3"]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+
+
+def test_oversized_degree_is_refused(capsys, tmp_path):
+    """A degree wider than graded.MAX_PIECE_WIDTH monomials ends in an error
+    before anything is allocated.  The sizes are chosen so that, without the
+    guard, the commands would still finish, only slowly."""
+    wide = tmp_path / "d8.json"
+    wide.write_text(json.dumps(
+        {"dim": 8, "hyperplanes": [{"normal": ["1", "-1"] + ["0"] * 6}]}))
+    b5 = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", b5]) == 0
+    for argv, width in ((["hilbert", str(wide), "--lambda", "1", "--degree", "7"], 3432),
+                        (["member", b5, "--lambda", "1", "--poly", "x0^13"], 2380)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"{width} monomials" in err
+        assert width > graded.MAX_PIECE_WIDTH
 
 
 def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from arrideals.linalg import int_canonical, int_intersect, int_span, primitive_vector
+from arrideals.linalg import (
+    int_canonical,
+    int_insert,
+    int_intersect,
+    int_residual,
+    int_span,
+    primitive_vector,
+)
 
 from fraction_linalg import (
     QMatrix,
@@ -118,6 +126,40 @@ def test_primitive_vector():
     assert primitive_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
     assert primitive_vector([2, 4, -6]) == (1, 2, -3)
     assert primitive_vector([0, 0]) == (0, 0)
+
+
+def test_int_residual_example():
+    rows, pivots = int_span([(2, 4, 0), (0, 3, 3)], 3)
+    assert int_residual((1, 2, 0), rows, pivots) == ((0, 0, 0), None)
+    assert int_residual((-2, -6, -2), rows, pivots) == ((0, 0, 0), None)
+    assert int_residual((0, 0, -6), rows, pivots) == ((0, 0, 1), 2)
+    assert int_residual((0, -4, 6), [], []) == ((0, 2, -3), 1)
+
+
+def test_int_residual_normalizes_and_matches_insert():
+    """Zero residuals have no pivot; others are primitive with a positive
+    pivot, zero at the earlier pivots, the same for any nonzero multiple of
+    the vector, and exactly the row int_insert appends."""
+    rng = random.Random(13)
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        rows, pivots = int_span(
+            [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(rng.randint(0, dim))],
+            dim)
+        vec = [rng.randint(-5, 5) for _ in range(dim)]
+        res, p = int_residual(vec, rows, pivots)
+        k = rng.choice([-6, -1, 2, 7])
+        assert int_residual([k * a for a in vec], rows, pivots) == (res, p)
+        before = list(rows)
+        if p is None:
+            assert not any(res)
+            assert not int_insert(rows, pivots, vec) and rows == before
+            continue
+        assert res[p] > 0 and not any(res[:p])
+        assert all(res[q] == 0 for q in pivots)
+        assert gcd(*res) == 1
+        assert int_insert(rows, pivots, vec)
+        assert (rows[-1], pivots[-1]) == (res, p) and rows[:-1] == before
 
 
 def test_int_layer_agrees_with_fraction_layer():
