@@ -55,12 +55,12 @@ def _building_set(lat: IntersectionLattice, choice: str) -> bmod.BuildingSet:
 
 def _default_degree(*presentations) -> int:
     """The default truncation degree; a note on stderr says when it is capped."""
-    bound = mmod.default_degree_bound(*presentations)
     uncapped = mmod.uncapped_degree_bound(*presentations)
-    if uncapped > bound:
-        print(f"note: default degree bound {uncapped} capped at {bound}; "
-              f"set --degree to override", file=sys.stderr)
-    return bound
+    if uncapped <= mmod.DEGREE_CAP:
+        return uncapped
+    print(f"note: default degree bound {uncapped} capped at {mmod.DEGREE_CAP}; "
+          f"set --degree to override", file=sys.stderr)
+    return mmod.DEGREE_CAP
 
 
 def _flat_json(flat) -> dict:

@@ -429,19 +429,18 @@ def _check_power(flat: Flat, exponent: int) -> None:
         raise ValueError("the ambient space has no proper ideal")
 
 
-# Most monomials of one degree that a piece or membership test may span; memory
-# grows with its square (width 1716: about 112 MB, 3432: about 405 MB).
-MAX_PIECE_WIDTH = 2000
+# Most monomials of one degree a piece or membership test may span: C(15, 10),
+# every degree up to the default cap 10 in six variables.  Memory grows with
+# the square (width 3003: about 810 MB for hilbert on braid(6) at λ = 4/5).
+MAX_PIECE_WIDTH = 3003
 
 
 def _check_width(nvars: int, degree: int) -> None:
     """Refuse degree d, and so every higher one, if C(n+d−1, d) is too wide."""
     width = comb(nvars + degree - 1, degree)
     if width > MAX_PIECE_WIDTH:
-        raise ValueError(
-            f"degree {degree} in {nvars} variables has {width} monomials, "
-            f"more than the {MAX_PIECE_WIDTH} supported"
-        )
+        raise ValueError(f"degree {degree} in {nvars} variables has {width} "
+                         f"monomials, more than the {MAX_PIECE_WIDTH} supported")
 
 
 def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
@@ -474,7 +473,8 @@ def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
             raise ValueError("variable counts differ")
     if bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {bound}")
-    _check_width(nvars, bound)
+    if bound >= max((e for _, e in terms), default=0):  # else every piece is 0
+        _check_width(nvars, bound)
     return _intersection_of_powers(
         tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
 
@@ -496,10 +496,10 @@ def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
     if poly.nvars != flat.ambient_dim:
         raise ValueError("variable counts differ")
     parts = poly.homogeneous_parts()
+    if any(d < exponent for d in parts):
+        return False
     _check_width(poly.nvars, max(parts, default=0))
     for d, part in parts.items():
-        if d < exponent:
-            return False
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
         for g in _inverse_system(flat.basis_rows, flat.ambient_dim, exponent, d):
             if sum(a * b for a, b in zip(vec, g) if a):

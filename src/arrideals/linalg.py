@@ -107,8 +107,7 @@ def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
         return tuple(v), None
     if v[p] < 0:
         v = [-a for a in v]
-    if v[p] != 1:  # the content divides the pivot entry
-        _strip(v)
+    _strip(v)
     return tuple(v), p
 
 

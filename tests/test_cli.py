@@ -158,6 +158,21 @@ def test_capped_default_degree_is_noted(capsys, braid3_file):
         assert (code, err) == (0, "")
 
 
+def test_degrees_below_every_exponent_are_not_width_checked(capsys, tmp_path):
+    """At lambda 1 the top flat of braid(7) has e = 16 above the capped
+    bound 10, so every piece is 0 and none is built, although degree 10 in
+    seven variables has 8008 monomials, over the width limit."""
+    b7 = str(tmp_path / "b7.json")
+    assert cli.main(["braid", "7", "-o", b7]) == 0
+    note = "note: default degree bound {} capped at 10; set --degree to override\n"
+    code, out, err = run(capsys, ["hilbert", b7, "--lambda", "1"])
+    assert (code, out, err) == (0, " ".join(["0"] * 11) + "\n", note.format(473))
+    code, out, err = run(capsys, ["verify-theorem", b7, "--lambda", "1"])
+    assert (code, out.splitlines()[-1], err) == (0, "EQUAL up to degree 10",
+                                                 note.format(2265))
+    assert graded.MAX_PIECE_WIDTH < 8008
+
+
 def test_oversized_degree_is_refused(capsys, tmp_path):
     """A degree wider than graded.MAX_PIECE_WIDTH monomials ends in an error
     before anything is allocated.  The sizes are chosen so that, without the
@@ -168,7 +183,7 @@ def test_oversized_degree_is_refused(capsys, tmp_path):
     b5 = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", b5]) == 0
     for argv, width in ((["hilbert", str(wide), "--lambda", "1", "--degree", "7"], 3432),
-                        (["member", b5, "--lambda", "1", "--poly", "x0^13"], 2380)):
+                        (["member", b5, "--lambda", "1", "--poly", "x0^14"], 3060)):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 1
