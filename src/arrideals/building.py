@@ -28,11 +28,10 @@ from .lattice import (
     IntersectionLattice,
     _is_irreducible,
     _matroid_components,
-    _spanned_hyperplanes,
     flat_sort_key,
     minimal_containing,
 )
-from .linalg import int_canonical, int_intersect, int_span
+from .linalg import int_canonical, int_span
 
 
 @dataclass(frozen=True)
@@ -67,61 +66,47 @@ def _require_distinct_proper_flats(lat: IntersectionLattice, flats: Sequence[Fla
         seen.add(f.closed_set)
 
 
-def _spans(row_sets, flat: Flat) -> bool:
-    """Whether the rows of all the sets together span the flat's normal space."""
-    rows, pivots = int_span((r for rs in row_sets for r in rs), flat.ambient_dim)
-    return int_canonical(rows, pivots) == flat.basis_rows
-
-
-def _is_lattice_span(lat: IntersectionLattice, rows) -> bool:
-    """Whether canonical rows are the normal space of some flat (V included)."""
-    if not rows:
-        return True  # the ambient space is always in the lattice
-    closed = _spanned_hyperplanes(lat.int_normals, rows)
-    f = lat.flat_with_closed(closed)
-    return f is not None and f.basis_rows == tuple(rows)
-
-
-def _validate_parts(lat: IntersectionLattice, target: Flat,
-                    parts: Sequence[Flat]) -> None:
-    _require_proper_flat(lat, target, "target")
-    if not parts:
-        raise ValueError("parts must be non-empty")
-    _require_distinct_proper_flats(lat, parts, "part", "parts")
-
-
 def decomposition_obstruction(lat: IntersectionLattice, target: Flat,
                               parts: Sequence[Flat]) -> Flat | None:
     """First proper flat B ⊇ target violating the compatibility condition.
 
     For each such B (canonical order) the subspace sums B + U_i must all be
     flats, must intersect back to B, and their codimensions must add up to
-    the codimension of B.  Returns None when every B passes.
+    the codimension of B.  Returns None when every B passes.  The sum B + U
+    lies in the flat J with closed set closed(B) ∩ closed(U), and is J iff
+    rank J = rank B + rank U − dim(N(B) + N(U)).
     """
-    _validate_parts(lat, target, parts)
+    _require_proper_flat(lat, target, "target")
+    if not parts:
+        raise ValueError("parts must be non-empty")
+    _require_distinct_proper_flats(lat, parts, "part", "parts")
     dim = lat.arrangement.dim
     tset = set(target.closed_set)
     for B in lat.proper:
-        if not set(B.closed_set) <= tset:
+        bset = set(B.closed_set)
+        if not bset <= tset:
             continue
-        sums = [int_intersect(B.basis_rows, U.basis_rows, dim) for U in parts]
-        if (sum(len(s) for s in sums) != B.rank
-                or not all(_is_lattice_span(lat, s) for s in sums)
-                or not _spans(sums, B)):
+        sums = [lat.flat_with_closed(bset.intersection(U.closed_set)) for U in parts]
+        if (any(J.rank != B.rank + U.rank
+                - len(int_span(B.basis_rows + U.basis_rows, dim)[0])
+                for J, U in zip(sums, parts))
+                or sum(J.rank for J in sums) != B.rank
+                or int_canonical(*int_span((r for J in sums for r in J.basis_rows), dim))
+                != B.basis_rows):
             return B
     return None
 
 
 def is_decomposition(lat: IntersectionLattice, target: Flat,
                      parts: Sequence[Flat]) -> bool:
-    """Whether ``parts`` is a decomposition of ``target``."""
-    _validate_parts(lat, target, parts)
-    # transversal intersection: normal spaces sum to the target's, ranks add
-    if sum(U.rank for U in parts) != target.rank:
-        return False
-    if not _spans([U.basis_rows for U in parts], target):
-        return False
-    return decomposition_obstruction(lat, target, parts) is None
+    """Whether ``parts`` is a decomposition of ``target``.
+
+    Each part contains the target; then the scan's step at B = target checks
+    that the parts meet in it transversally.
+    """
+    tset = set(target.closed_set)
+    return (decomposition_obstruction(lat, target, parts) is None
+            and all(set(U.closed_set) <= tset for U in parts))
 
 
 def is_irreducible(lat: IntersectionLattice, flat: Flat) -> bool:

@@ -142,14 +142,12 @@ def _cmd_support(args, lat: IntersectionLattice) -> int:
 
 
 def _cmd_jumps(args, lat: IntersectionLattice) -> int:
-    for c in mmod.jump_candidates(lat, args.max):
-        if args.verify:
-            if mmod.verify_jump(lat, c, args.degree):
-                print(f"{c}\tverified")
-            else:
-                print(f"{c}\tnot detected up to degree {args.degree}")
-        else:
+    if not args.verify:
+        for c in mmod.jump_candidates(lat, args.max):
             print(c)
+        return 0
+    for c, jump in mmod.verify_jumps(lat, args.max, args.degree):
+        print(f"{c}\tverified" if jump else f"{c}\tnot detected up to degree {args.degree}")
     return 0
 
 
@@ -183,7 +181,8 @@ def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     bound = (args.degree if args.degree is not None
              else _default_degree(pres_min, pres_full))
     a = mmod.presentation_ideal(pres_min, bound)
-    b = mmod.presentation_ideal(pres_full, bound)
+    # the full set often adds only zero exponents: the same terms, one ideal
+    b = a if pres_full.terms == pres_min.terms else mmod.presentation_ideal(pres_full, bound)
     print("minimal:", " ".join(map(str, gmod.hilbert(a))))
     print("full:   ", " ".join(map(str, gmod.hilbert(b))))
     for d in range(bound + 1):

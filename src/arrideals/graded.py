@@ -475,14 +475,7 @@ def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
         raise ValueError(f"degree bound must be >= 0, got {bound}")
     if bound >= max((e for _, e in terms), default=0):  # else every piece is 0
         _check_width(nvars, bound)
-    return _intersection_of_powers(
-        tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
-
-
-# A sweep over λ asks for the ideal just below a candidate right after the
-# ideal at the previous candidate, which is the same ideal; two entries keep
-# it.  Realizations are large, so the cache keeps no more.
-_intersection_of_powers = lru_cache(maxsize=2)(_realize)
+    return _realize(tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
 
 
 def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
@@ -504,47 +497,4 @@ def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
         for g in _inverse_system(flat.basis_rows, flat.ambient_dim, exponent, d):
             if sum(a * b for a, b in zip(vec, g) if a):
                 return False
-    return True
-
-
-def graded_equal(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
-    """Whether the two truncations agree in every degree up to ``bound``."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable counts differ")
-    if a.degree_bound < bound or b.degree_bound < bound:
-        raise ValueError("an input is truncated below the requested bound")
-    return all(a.piece_rows[d] == b.piece_rows[d] for d in range(bound + 1))
-
-
-def graded_contains(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
-    """Whether every piece of ``b`` lies inside the matching piece of ``a``."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable counts differ")
-    if a.degree_bound < bound or b.degree_bound < bound:
-        raise ValueError("an input is truncated below the requested bound")
-    for d in range(bound + 1):
-        rows = a.piece_rows[d]
-        pivots = [_first_nonzero(r) for r in rows]
-        for v in b.piece_rows[d]:
-            if not int_contains(rows, pivots, v):
-                return False
-    return True
-
-
-def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
-    """Whether every homogeneous component of ``poly`` lies in its piece."""
-    if poly.nvars != gi.nvars:
-        raise ValueError("variable counts differ")
-    if poly.is_zero:
-        return True
-    if poly.degree > gi.degree_bound:
-        raise ValueError(
-            f"polynomial degree {poly.degree} exceeds the truncation bound {gi.degree_bound}"
-        )
-    for d, part in poly.homogeneous_parts().items():
-        vec = primitive_vector([part.get(m, 0) for m in monomials(gi.nvars, d)])
-        rows = gi.piece_rows[d]
-        pivots = [_first_nonzero(r) for r in rows]
-        if not int_contains(rows, pivots, vec):
-            return False
     return True

@@ -13,24 +13,22 @@ The numerical shadow of the underlying resolution is the table of
 The log canonical threshold is min r(W)/s(W) over the minimal building set
 (the smallest λ at which some exponent reaches one), and candidate
 jumping numbers are the rationals m/s(W) where some floor increments.
+
+Each exponent is a right-continuous step function of λ stepping only at
+candidates, so the ideal is constant from one candidate to the next and is
+the unit ideal below the first.  Jumps are verified in one ascending pass
+comparing each candidate's ideal with the previous one, up to a degree bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .building import BuildingSet, minimal_building_set
-from .graded import (
-    GradedIdeal,
-    Polynomial,
-    graded_equal,
-    intersect_powers,
-    power_contains,
-)
+from .graded import GradedIdeal, Polynomial, intersect_powers, power_contains
 from .lattice import Flat, IntersectionLattice
 
 
@@ -92,11 +90,6 @@ def uncapped_degree_bound(*presentations: MultiplierIdealPresentation) -> int:
     return 2 + max((sum(e for _, e in p.terms) for p in presentations), default=0)
 
 
-def default_degree_bound(*presentations: MultiplierIdealPresentation) -> int:
-    """``uncapped_degree_bound``, capped at ``DEGREE_CAP``."""
-    return min(uncapped_degree_bound(*presentations), DEGREE_CAP)
-
-
 def lct(lat: IntersectionLattice) -> Fraction:
     """Log canonical threshold: min r(W)/s(W) over the minimal building set.
 
@@ -134,26 +127,26 @@ def jump_candidates(lat: IntersectionLattice, lam_max) -> list[Fraction]:
     return sorted(out)
 
 
-def verify_jump(lat: IntersectionLattice, candidate, bound: int) -> bool:
-    """Whether the ideal strictly shrinks at ``candidate``, seen up to ``bound``.
+def verify_jumps(lat: IntersectionLattice, lam_max,
+                 bound: int) -> list[tuple[Fraction, bool]]:
+    """Each candidate up to ``lam_max`` and whether the ideal shrinks there.
 
-    Compares the graded ideals at the candidate and just below it; the left
-    offset 1/(2·lcm of all s(W)) is small enough that no other candidate
-    lies in between.  A False answer certifies nothing beyond degree
-    ``bound``.  The ideal just below is realized first: in an ascending
-    sweep it is the ideal at the previous candidate, still cached.
+    One ascending pass (see the module docstring) realizes each ideal once.
+    A False answer certifies nothing beyond degree ``bound``.
     """
-    candidate = Fraction(candidate)
-    if candidate <= 0:
-        raise ValueError(f"candidate must be > 0, got {candidate}")
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
+    candidates = jump_candidates(lat, lam_max)
+    if not candidates:
+        return []
     gmin = minimal_building_set(lat)
-    eps = Fraction(1, 2 * lcm(*(W.mult for W in gmin.flats)))
-    below = max(candidate - eps, Fraction(0))
-    before = presentation_ideal(presentation(lat, gmin, below), bound)
-    at = presentation_ideal(presentation(lat, gmin, candidate), bound)
-    return not graded_equal(at, before, bound)
+    before = presentation_ideal(presentation(lat, gmin, 0), bound)
+    out = []
+    for c in candidates:
+        at = presentation_ideal(presentation(lat, gmin, c), bound)
+        out.append((c, at.piece_rows != before.piece_rows))
+        before = at
+    return out
 
 
 def membership(arr: Arrangement, pres: MultiplierIdealPresentation,

@@ -7,7 +7,8 @@ rows to Fraction RREF subspaces (``fraction_linalg``) for comparison.
 ``generator_power`` and ``zassenhaus_intersect`` build pieces from
 generators (products of normal forms, shifted degree by degree) and
 intersect them pairwise, independently of the inverse systems the package
-uses."""
+uses.  ``graded_equal``, ``graded_contains`` and ``contains_polynomial``
+compare realized truncations piece by piece."""
 
 from __future__ import annotations
 
@@ -28,9 +29,22 @@ from arrideals.graded import (
     monomials,
 )
 from arrideals.lattice import Flat, IntersectionLattice
-from arrideals.linalg import int_canonical, int_insert, int_intersect
+from arrideals.linalg import (
+    _first_nonzero,
+    int_canonical,
+    int_contains,
+    int_insert,
+    int_intersect,
+    primitive_vector,
+)
 
-from fraction_linalg import Subspace, span, span_contains, subspace_from_int_rows
+from fraction_linalg import (
+    Subspace,
+    span,
+    span_contains,
+    span_intersect,
+    subspace_from_int_rows,
+)
 
 
 # --- Fraction views of integer data ---------------------------------------
@@ -203,6 +217,28 @@ def brute_force_decompositions(lat: IntersectionLattice, target):
     return found
 
 
+def fraction_decomposition_obstruction(lat: IntersectionLattice, target, parts):
+    """``decomposition_obstruction`` from its definition, on the Fraction side.
+
+    For each proper B ⊇ target (canonical order) the normal spaces
+    N(B) ∩ N(U_i) of the sums B + U_i must be normal spaces of flats, their
+    dimensions must add up to rank B, and together they must span N(B).
+    """
+    dim = lat.arrangement.dim
+    flat_spaces = [normal_space(F) for F in lat.flats]
+    tset = set(target.closed_set)
+    for B in lat.proper:
+        if not set(B.closed_set) <= tset:
+            continue
+        nb = normal_space(B)
+        sums = [span_intersect(nb, normal_space(U)) for U in parts]
+        if (sum(s.rank for s in sums) != B.rank
+                or any(s not in flat_spaces for s in sums)
+                or span([r for s in sums for r in s.basis.entries], dim) != nb):
+            return B
+    return None
+
+
 def all_building_sets(lat: IntersectionLattice):
     """Every building set, by testing all 2^|L'| subsets.  Small lattices only."""
     proper = lat.proper
@@ -323,3 +359,48 @@ def generator_presentation_ideal(pres, bound: int) -> GradedIdeal:
     """``presentation_ideal`` by the generator route."""
     return zassenhaus_intersect(
         [generator_power(W, e, bound) for W, e in pres.terms], bound, pres.ambient_dim)
+
+
+# --- comparisons of realized truncations -----------------------------------
+
+def graded_equal(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
+    """Whether the two truncations agree in every degree up to ``bound``."""
+    if a.nvars != b.nvars:
+        raise ValueError("variable counts differ")
+    if a.degree_bound < bound or b.degree_bound < bound:
+        raise ValueError("an input is truncated below the requested bound")
+    return all(a.piece_rows[d] == b.piece_rows[d] for d in range(bound + 1))
+
+
+def graded_contains(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:
+    """Whether every piece of ``b`` lies inside the matching piece of ``a``."""
+    if a.nvars != b.nvars:
+        raise ValueError("variable counts differ")
+    if a.degree_bound < bound or b.degree_bound < bound:
+        raise ValueError("an input is truncated below the requested bound")
+    for d in range(bound + 1):
+        rows = a.piece_rows[d]
+        pivots = [_first_nonzero(r) for r in rows]
+        for v in b.piece_rows[d]:
+            if not int_contains(rows, pivots, v):
+                return False
+    return True
+
+
+def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
+    """Whether every homogeneous component of ``poly`` lies in its piece."""
+    if poly.nvars != gi.nvars:
+        raise ValueError("variable counts differ")
+    if poly.is_zero:
+        return True
+    if poly.degree > gi.degree_bound:
+        raise ValueError(
+            f"polynomial degree {poly.degree} exceeds the truncation bound {gi.degree_bound}"
+        )
+    for d, part in poly.homogeneous_parts().items():
+        vec = primitive_vector([part.get(m, 0) for m in monomials(gi.nvars, d)])
+        rows = gi.piece_rows[d]
+        pivots = [_first_nonzero(r) for r in rows]
+        if not int_contains(rows, pivots, vec):
+            return False
+    return True

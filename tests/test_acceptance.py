@@ -26,17 +26,17 @@ from arrideals.building import (
     irreducible_decomposition,
     minimal_building_set,
 )
-from arrideals.graded import graded_contains, graded_equal
 from arrideals.lattice import compute_lattice, flat_sort_key
 from arrideals.multiplier import (
     jump_candidates,
     lct,
     presentation,
     presentation_ideal,
-    verify_jump,
+    verify_jumps,
 )
 
 import helpers
+from helpers import graded_contains, graded_equal
 
 
 @contextmanager
@@ -143,11 +143,11 @@ def test_criterion_5_lct(braid_data):
         for n in range(3, 7):
             lat = braid_data[n][0]
             assert lct(lat) == Fraction(2, n)
-            assert verify_jump(lat, Fraction(2, n), 4)
+            assert verify_jumps(lat, Fraction(2, n), 4) == [(Fraction(2, n), True)]
         for m in range(1, 5):
             lat = compute_lattice(Arrangement.from_normals(1, [(1,)], [m]))
             assert lct(lat) == Fraction(1, m)
-            assert verify_jump(lat, Fraction(1, m), 4)
+            assert verify_jumps(lat, Fraction(1, m), 4) == [(Fraction(1, m), True)]
 
 
 def test_criterion_6_smooth_divisor():
@@ -223,6 +223,10 @@ def test_criterion_8_braid3_jumping_numbers(braid_data):
         lat = braid_data[3][0]
         candidates = jump_candidates(lat, 1)
         assert candidates == [Fraction(2, 3), Fraction(1)]
-        verified = [c for c in candidates if verify_jump(lat, c, 4)]
+        verified = [c for c, jump in verify_jumps(lat, 1, 4) if jump]
         assert verified == [Fraction(2, 3), Fraction(1)]
-        assert not verify_jump(lat, Fraction(1, 2), 4)
+        # no candidate up to 1/2, and the ideal there is still the unit ideal
+        assert verify_jumps(lat, Fraction(1, 2), 4) == []
+        gmin = braid_data[3][1]
+        assert graded_equal(presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 4),
+                            presentation_ideal(presentation(lat, gmin, 0), 4), 4)

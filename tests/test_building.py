@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arrideals.arrangement import Arrangement, braid
@@ -15,6 +17,7 @@ from arrideals.building import (
 from arrideals.lattice import compute_lattice, flat_sort_key
 
 import helpers
+from fraction_linalg import span
 
 
 def test_braid3_negative_example(braid_lattices):
@@ -38,6 +41,37 @@ def test_braid5_block_decomposition():
     w34 = lat.flat_with_closed((9,))
     assert is_decomposition(lat, c, [w012, w34])
     assert irreducible_decomposition(lat, c) == sorted([w012, w34], key=flat_sort_key)
+
+
+def test_parts_must_contain_the_target():
+    """A part that does not contain the target is never a decomposition,
+    even when every sum B + U_i passes (here U + C is the whole space)."""
+    lat = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    line = lat.flat_with_closed((0, 1))
+    plane = lat.hyperplane_flat(2)
+    assert decomposition_obstruction(lat, line, [line, plane]) is None
+    assert not is_decomposition(lat, line, [line, plane])
+    assert is_decomposition(lat, line, [lat.hyperplane_flat(0), lat.hyperplane_flat(1)])
+
+
+def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
+    """Lattice meets and ranks find the same obstruction as Fraction
+    intersections of normal spaces, and a decomposition is a transversal
+    intersection with no obstruction, on 4,000 seeded (target, parts) draws."""
+    rng = random.Random(11)
+    for lat in corpus_lattices:
+        proper = lat.proper
+        for _ in range(200):
+            target = rng.choice(proper)
+            parts = rng.sample(proper, rng.randint(1, min(3, len(proper))))
+            expect = helpers.fraction_decomposition_obstruction(lat, target, parts)
+            assert decomposition_obstruction(lat, target, parts) == expect
+            rows = [r for U in parts for r in helpers.normal_space(U).basis.entries]
+            transversal = (sum(U.rank for U in parts) == target.rank
+                           and span(rows, lat.arrangement.dim)
+                           == helpers.normal_space(target))
+            assert is_decomposition(lat, target, parts) == (transversal
+                                                            and expect is None)
 
 
 def test_decomposition_errors(braid_lattices):

@@ -213,8 +213,8 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
                         counting_minimal_building_set)
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify"])
     assert code == 0 and len(out.splitlines()) == 9
-    # one call for the candidates, one per verified candidate
-    assert len(gmin_calls) == 10
+    # one call for the candidates, one for the pass over them
+    assert len(gmin_calls) == 2
     # ... but each of the 51 proper flats of braid(5) is tested once
     assert len(checked) == len(set(checked)) == 51
 
@@ -224,7 +224,6 @@ def test_jumps_sweep_realizes_each_ideal_once(capsys, tmp_path, monkeypatch):
     a sweep realizes (and closure-checks) each distinct ideal once."""
     path = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", path]) == 0
-    graded._intersection_of_powers.cache_clear()
     built = []
     check = graded.GradedIdeal._check_multiplicative_closure
 
@@ -238,8 +237,32 @@ def test_jumps_sweep_realizes_each_ideal_once(capsys, tmp_path, monkeypatch):
                                 "--degree", "4"])
     assert code == 0 and len(out.splitlines()) == 9
     # the unit ideal below the lct, then one ideal per candidate: 10, where
-    # realizing both sides of every candidate takes 18
+    # realizing both sides of every candidate would take 18
     assert len(built) == 10
+
+
+def test_verify_theorem_realizes_equal_presentations_once(capsys, tmp_path,
+                                                         monkeypatch):
+    """When the full set adds only zero exponents both presentations have the
+    same terms, so one ideal is realized and compared with itself."""
+    path = str(tmp_path / "b4.json")
+    assert cli.main(["braid", "4", "-o", path]) == 0
+    built = []
+    check = graded.GradedIdeal._check_multiplicative_closure
+
+    def counting_check(gi):
+        built.append(gi)
+        return check(gi)
+
+    monkeypatch.setattr(graded.GradedIdeal, "_check_multiplicative_closure",
+                        counting_check)
+    # at 1/2 every reducible flat of braid(4) has exponent 0; at 1 it has 1
+    for lam, ideals in (("1/2", 1), ("1", 2)):
+        built.clear()
+        code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", lam,
+                                    "--degree", "4"])
+        assert code == 0 and out.splitlines()[-1] == "EQUAL up to degree 4"
+        assert len(built) == ideals
 
 
 def test_verify_theorem(capsys, braid3_file):

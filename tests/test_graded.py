@@ -9,9 +9,6 @@ from arrideals.graded import (
     GradedIdeal,
     Polynomial,
     PolynomialParseError,
-    contains_polynomial,
-    graded_contains,
-    graded_equal,
     graded_power,
     hilbert,
     intersect_powers,
@@ -23,6 +20,7 @@ from arrideals.graded import (
 from arrideals.lattice import closure, compute_lattice
 
 import helpers
+from helpers import contains_polynomial, graded_contains, graded_equal
 
 
 def axes(n):

@@ -5,17 +5,10 @@ import pytest
 
 from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.building import full_building_set, minimal_building_set
-from arrideals.graded import (
-    Polynomial,
-    contains_polynomial,
-    graded_contains,
-    graded_equal,
-    hilbert,
-    parse_polynomial,
-)
+from arrideals.graded import Polynomial, hilbert, parse_polynomial
 from arrideals.lattice import compute_lattice
 from arrideals.multiplier import (
-    default_degree_bound,
+    DEGREE_CAP,
     jump_candidates,
     lct,
     membership,
@@ -23,10 +16,12 @@ from arrideals.multiplier import (
     presentation_ideal,
     resolution_table,
     support,
-    verify_jump,
+    uncapped_degree_bound,
+    verify_jumps,
 )
 
 import helpers
+from helpers import contains_polynomial, graded_contains, graded_equal
 
 
 def single_hyperplane(mult):
@@ -97,15 +92,21 @@ def test_jump_candidates(braid_lattices):
 
 def test_verify_jump(braid_lattices):
     lat = braid_lattices[3]
-    assert verify_jump(lat, Fraction(2, 3), 4)
-    assert not verify_jump(lat, Fraction(1, 2), 4)
-    assert verify_jump(single_hyperplane(1), 1, 2)
-    # a candidate below every jump, smaller than the left-limit offset
-    assert not verify_jump(lat, Fraction(1, 1000), 4)
+    assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(2, 3), True)]
+    # no candidate up to 1/2: the ideal there is the unit ideal below the lct
+    assert verify_jumps(lat, Fraction(1, 2), 4) == []
+    gmin = minimal_building_set(lat)
+    assert graded_equal(presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 4),
+                        presentation_ideal(presentation(lat, gmin, 0), 4), 4)
+    assert verify_jumps(single_hyperplane(1), 1, 2) == [(Fraction(1), True)]
+    # J(λ) = f·J(λ − 1) for λ ≥ 1 (Skoda), and 1/3 is no jump, so 4/3 is none
+    assert verify_jumps(lat, 2, 4) == [
+        (Fraction(c, 3), c != 4) for c in (2, 3, 4, 5, 6)
+    ]
     with pytest.raises(ValueError):
-        verify_jump(lat, 0, 4)
+        verify_jumps(lat, 0, 4)
     with pytest.raises(ValueError):
-        verify_jump(lat, 1, 0)
+        verify_jumps(lat, 1, 0)
 
 
 def test_membership(braid_lattices):
@@ -162,15 +163,20 @@ def test_unit_exactly_below_lct(corpus_lattices):
         assert presentation(lat, gmin, 0).is_unit
 
 
-def test_default_degree_bound(braid_lattices):
+def test_default_degree_bound(braid_lattices, capsys):
+    from arrideals.cli import _default_degree
+
     lat = braid_lattices[3]
     gmin = minimal_building_set(lat)
-    assert default_degree_bound(presentation(lat, gmin, 0)) == 2
+    assert uncapped_degree_bound(presentation(lat, gmin, 0)) == 2
     p = presentation(lat, gmin, 1)  # exponents 1,1,1,2
-    assert default_degree_bound(p) == 7
-    assert default_degree_bound(p, presentation(lat, full_building_set(lat), 1)) == 7
-    big = presentation(lat, gmin, 4)
-    assert default_degree_bound(big) == 10
+    assert uncapped_degree_bound(p) == 7
+    assert uncapped_degree_bound(p, presentation(lat, full_building_set(lat), 1)) == 7
+    assert _default_degree(p) == 7 and capsys.readouterr().err == ""
+    big = presentation(lat, gmin, 4)  # exponents 4,4,4,11
+    assert uncapped_degree_bound(big) == 25
+    assert _default_degree(big) == DEGREE_CAP == 10
+    assert "default degree bound 25 capped at 10" in capsys.readouterr().err
 
 
 def test_building_set_independence_corpus(corpus_lattices):
@@ -212,7 +218,7 @@ def test_all_building_sets_present_equal_ideals():
 
 
 def test_jump_structure_on_corpus(corpus_lattices):
-    """Presentations only change at candidates, and verify_jump sees exactly
+    """Presentations only change at candidates, and verify_jumps sees exactly
     the candidates where consecutive ideals differ."""
     for lat in corpus_lattices[:8]:
         gmin = minimal_building_set(lat)
@@ -227,9 +233,10 @@ def test_jump_structure_on_corpus(corpus_lattices):
             lam: presentation_ideal(presentation(lat, gmin, lam), 3)
             for lam in grid
         }
-        for a, b in zip(grid, grid[1:]):
-            changed = not graded_equal(ideals[a], ideals[b], 3)
-            assert verify_jump(lat, b, 3) == changed
+        answers = verify_jumps(lat, 1, 3)
+        assert [c for c, _ in answers] == grid[1:]
+        for (a, b), (_, jump) in zip(zip(grid, grid[1:]), answers):
+            assert jump == (not graded_equal(ideals[a], ideals[b], 3))
 
 
 def test_braid4_jumps_all_verify(braid_lattices):
@@ -237,7 +244,7 @@ def test_braid4_jumps_all_verify(braid_lattices):
     lat = braid_lattices[4]
     cands = jump_candidates(lat, 1)
     assert cands == [Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(1)]
-    assert all(verify_jump(lat, c, 4) for c in cands)
+    assert verify_jumps(lat, 1, 4) == [(c, True) for c in cands]
     # at the threshold the ideal is the full diagonal line's ideal, whose
     # piece dimensions have the closed form C(d+3, 3) - 1
     from math import comb
@@ -314,9 +321,11 @@ def test_non_reduced_braid_pipeline():
     assert jump_candidates(lat, 1) == [
         Fraction(1, 2), Fraction(3, 4), Fraction(1),
     ]
-    assert verify_jump(lat, Fraction(1, 2), 4)
-    assert not verify_jump(lat, Fraction(2, 3), 4)
+    # 2/3 is no candidate: the ideal there is the ideal at 1/2
+    assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(1, 2), True)]
     gmin = minimal_building_set(lat)
+    assert graded_equal(presentation_ideal(presentation(lat, gmin, Fraction(2, 3)), 4),
+                        presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 4), 4)
     full = full_building_set(lat)
     for lam in jump_candidates(lat, 1):
         a = presentation_ideal(presentation(lat, gmin, lam), 5)

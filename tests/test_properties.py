@@ -9,28 +9,40 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from arrideals.arrangement import Arrangement, canonical_normal
+from arrideals.arrangement import (
+    Arrangement,
+    canonical_normal,
+    parse_arrangement,
+    serialize_arrangement,
+)
 from arrideals.building import (
     full_building_set,
     irreducible_decomposition,
     minimal_building_set,
 )
 from arrideals.lattice import compute_lattice
-from arrideals.multiplier import presentation, presentation_ideal
+from arrideals.multiplier import (
+    jump_candidates,
+    presentation,
+    presentation_ideal,
+    verify_jumps,
+)
 
 import helpers
 from fraction_linalg import span
 
 
 @st.composite
-def arrangements(draw, dims=(1, 4), size=7, coef=3):
-    """Distinct hyperplanes with integer coefficients, multiplicities 1-3."""
+def arrangements(draw, dims=(1, 4), size=7, coef=3, entry=None,
+                 mult=st.integers(1, 3)):
+    """Distinct hyperplanes with integer coefficients in [-coef, coef] (or
+    drawn from ``entry``), multiplicities 1-3 (or drawn from ``mult``)."""
     dim = draw(st.integers(*dims))
-    normal = st.tuples(*[st.integers(-coef, coef)] * dim).filter(any)
+    entry = st.integers(-coef, coef) if entry is None else entry
+    normal = st.tuples(*[entry] * dim).filter(any)
     normals = draw(st.lists(normal, min_size=1, max_size=size,
                             unique_by=canonical_normal))
-    mults = draw(st.lists(st.integers(1, 3), min_size=len(normals),
-                          max_size=len(normals)))
+    mults = draw(st.lists(mult, min_size=len(normals), max_size=len(normals)))
     return Arrangement.from_normals(dim, normals, mults)
 
 
@@ -89,3 +101,42 @@ def test_minimal_and_full_building_sets_give_one_ideal(arr, p, q, bound):
     a = presentation_ideal(presentation(lat, minimal_building_set(lat), lam), bound)
     b = presentation_ideal(presentation(lat, full_building_set(lat), lam), bound)
     assert a.piece_rows == b.piece_rows
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(arrangements(dims=(2, 3), size=5, coef=2), st.integers(1, 4))
+def test_verify_jumps_compares_each_candidate_with_the_interval_below(arr, bound):
+    """The ideal is constant between candidates, so the answer at c is
+    whether the ideal at c differs from the ideal halfway back to the
+    previous candidate (or to 0)."""
+    lat = compute_lattice(arr)
+    gmin = minimal_building_set(lat)
+    lam_max = Fraction(3, 2)
+    answers = verify_jumps(lat, lam_max, bound)
+    cands = jump_candidates(lat, lam_max)
+    assert [c for c, _ in answers] == cands
+    for prev, (c, jump) in zip([Fraction(0)] + cands, answers):
+        at = presentation_ideal(presentation(lat, gmin, c), bound)
+        mid = presentation_ideal(presentation(lat, gmin, (prev + c) / 2), bound)
+        assert jump == (not helpers.graded_equal(at, mid, bound))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(arrangements(dims=(2, 3), size=5, coef=2),
+       st.fractions(0, 3, max_denominator=6), st.fractions(0, 3, max_denominator=6),
+       st.integers(1, 4))
+def test_multiplier_ideals_shrink_as_lambda_grows(arr, a, b, bound):
+    """J(λ') ⊆ J(λ) for λ' > λ."""
+    lat = compute_lattice(arr)
+    gmin = minimal_building_set(lat)
+    lo, hi = sorted((a, b))
+    big = presentation_ideal(presentation(lat, gmin, lo), bound)
+    small = presentation_ideal(presentation(lat, gmin, hi), bound)
+    assert helpers.graded_contains(big, small, bound)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(arrangements(size=6, entry=st.fractions(-4, 4, max_denominator=5),
+                    mult=st.integers(1, 10**6)))
+def test_serialize_parse_round_trip(arr):
+    assert parse_arrangement(serialize_arrangement(arr)) == arr
