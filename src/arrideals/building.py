@@ -3,18 +3,26 @@
 A set of proper flats {U_1, ..., U_k} decomposes a proper flat C when
 C = U_1 ∩ ... ∩ U_k transversally (codimensions add up) and, for every
 proper flat B containing C, each subspace sum B + U_i is again a flat and
-B = (B + U_1) ∩ ... ∩ (B + U_k), again transversally.  On normal spaces a
-flat intersection is a span sum and a subspace sum is a span intersection,
-so everything below is row-space arithmetic.
+B = (B + U_1) ∩ ... ∩ (B + U_k), again transversally (De Concini and
+Procesi).  In matroid terms: distinct proper flats U_i decompose C iff
+their closed sets partition closed(C) and Σ rank U_i = rank C.
+
+- (⇒) Take B = H_h, the hyperplane of some h ∈ closed(C).  Then B + U_i
+  is H_h when h ∈ closed(U_i) and the whole space otherwise, so
+  transversality at B puts h in exactly one part.  At B = C the ranks add.
+- (⇐) Such a partition makes the matroid on closed(C) the direct sum of
+  the parts, so for every flat B ⊇ C, N(B) ∩ N(U_i) is the span of
+  closed(B) ∩ closed(U_i): a flat's normal space, and these spaces sum
+  directly to N(B).  Every condition of the definition holds.
 
 A subset G of the proper flats is a building set when for every proper
-flat C the minimal elements of G containing C decompose C.  The
-irreducible flats (those with no non-trivial decomposition) always form
-one, and it is contained in every other.  Irreducibility is decided by
-connectivity of the linear matroid on the flat's closed set: the
-components' closures are exactly the finest decomposition.  That matroid
-code lives in the lattice module, and each lattice computes its
-irreducible flats once.
+flat C the minimal elements of G containing C decompose C; a C in G is
+decomposed by itself alone.  The irreducible flats (those with no
+non-trivial decomposition) always form one, and it is contained in every
+other.  Irreducibility is decided by connectivity of the linear matroid on
+the flat's closed set: the components' closures are exactly the finest
+decomposition.  That matroid code lives in the lattice module, and each
+lattice computes its irreducible flats once.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .lattice import (
     flat_sort_key,
     minimal_containing,
 )
-from .linalg import int_canonical, int_span
 
 
 @dataclass(frozen=True)
@@ -66,47 +73,16 @@ def _require_distinct_proper_flats(lat: IntersectionLattice, flats: Sequence[Fla
         seen.add(f.closed_set)
 
 
-def decomposition_obstruction(lat: IntersectionLattice, target: Flat,
-                              parts: Sequence[Flat]) -> Flat | None:
-    """First proper flat B ⊇ target violating the compatibility condition.
-
-    For each such B (canonical order) the subspace sums B + U_i must all be
-    flats, must intersect back to B, and their codimensions must add up to
-    the codimension of B.  Returns None when every B passes.  The sum B + U
-    lies in the flat J with closed set closed(B) ∩ closed(U), and is J iff
-    rank J = rank B + rank U − dim(N(B) + N(U)).
-    """
+def is_decomposition(lat: IntersectionLattice, target: Flat,
+                     parts: Sequence[Flat]) -> bool:
+    """Whether ``parts`` is a decomposition of ``target`` (see the module
+    docstring): their closed sets partition the target's and ranks add."""
     _require_proper_flat(lat, target, "target")
     if not parts:
         raise ValueError("parts must be non-empty")
     _require_distinct_proper_flats(lat, parts, "part", "parts")
-    dim = lat.arrangement.dim
-    tset = set(target.closed_set)
-    for B in lat.proper:
-        bset = set(B.closed_set)
-        if not bset <= tset:
-            continue
-        sums = [lat.flat_with_closed(bset.intersection(U.closed_set)) for U in parts]
-        if (any(J.rank != B.rank + U.rank
-                - len(int_span(B.basis_rows + U.basis_rows, dim)[0])
-                for J, U in zip(sums, parts))
-                or sum(J.rank for J in sums) != B.rank
-                or int_canonical(*int_span((r for J in sums for r in J.basis_rows), dim))
-                != B.basis_rows):
-            return B
-    return None
-
-
-def is_decomposition(lat: IntersectionLattice, target: Flat,
-                     parts: Sequence[Flat]) -> bool:
-    """Whether ``parts`` is a decomposition of ``target``.
-
-    Each part contains the target; then the scan's step at B = target checks
-    that the parts meet in it transversally.
-    """
-    tset = set(target.closed_set)
-    return (decomposition_obstruction(lat, target, parts) is None
-            and all(set(U.closed_set) <= tset for U in parts))
+    return (sorted(j for U in parts for j in U.closed_set) == list(target.closed_set)
+            and sum(U.rank for U in parts) == target.rank)
 
 
 def is_irreducible(lat: IntersectionLattice, flat: Flat) -> bool:
@@ -162,7 +138,10 @@ def custom_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> Buil
 def building_set_obstruction(lat: IntersectionLattice,
                              flats: Sequence[Flat]) -> Flat | None:
     """First proper flat whose minimal covers in ``flats`` fail to decompose it."""
+    members = {U.closed_set for U in flats}
     for C in lat.proper:
+        if C.closed_set in members:
+            continue
         parts = minimal_containing(lat, flats, C)
         if not parts or not is_decomposition(lat, C, parts):
             return C

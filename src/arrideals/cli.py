@@ -160,8 +160,7 @@ def _cmd_member(args, lat: IntersectionLattice) -> int:
 
 
 def _cmd_resolution(args, lat: IntersectionLattice) -> int:
-    table = mmod.resolution_table(lat, _building_set(lat, args.set))
-    for row in table.rows:
+    for row in mmod.resolution_table(lat, _building_set(lat, args.set)):
         closed = ",".join(map(str, row.flat.closed_set))
         print(f"{closed}\t{row.discrepancy}\t{row.vanishing_order}")
     return 0

@@ -52,11 +52,6 @@ class ResolutionRow(NamedTuple):
     vanishing_order: int
 
 
-@dataclass(frozen=True)
-class ResolutionTable:
-    rows: tuple[ResolutionRow, ...]
-
-
 def _exponent(lam: Fraction, flat: Flat) -> int:
     scaled = lam * flat.mult
     return scaled.numerator // scaled.denominator - flat.rank + 1
@@ -167,8 +162,6 @@ def membership(arr: Arrangement, pres: MultiplierIdealPresentation,
 
 
 def resolution_table(lat: IntersectionLattice,
-                     building: BuildingSet) -> ResolutionTable:
+                     building: BuildingSet) -> tuple[ResolutionRow, ...]:
     """Discrepancy r(W)−1 and vanishing order s(W) for each building-set flat."""
-    return ResolutionTable(tuple(
-        ResolutionRow(W, W.rank - 1, W.mult) for W in building.flats
-    ))
+    return tuple(ResolutionRow(W, W.rank - 1, W.mult) for W in building.flats)

@@ -218,7 +218,8 @@ def brute_force_decompositions(lat: IntersectionLattice, target):
 
 
 def fraction_decomposition_obstruction(lat: IntersectionLattice, target, parts):
-    """``decomposition_obstruction`` from its definition, on the Fraction side.
+    """First proper flat B ⊇ target where the compatibility condition of a
+    decomposition fails, from the definition, on the Fraction side.
 
     For each proper B ⊇ target (canonical order) the normal spaces
     N(B) ∩ N(U_i) of the sums B + U_i must be normal spaces of flats, their
@@ -236,6 +237,29 @@ def fraction_decomposition_obstruction(lat: IntersectionLattice, target, parts):
                 or any(s not in flat_spaces for s in sums)
                 or span([r for s in sums for r in s.basis.entries], dim) != nb):
             return B
+    return None
+
+
+def fraction_building_set_obstruction(lat: IntersectionLattice, flats):
+    """``building.building_set_obstruction`` from the definition.
+
+    For each proper C (canonical order) the members of ``flats`` with the
+    largest closed sets inside closed(C) must meet in C transversally
+    (ranks add and normal spaces span N(C)) and pass
+    ``fraction_decomposition_obstruction``.  Returns the first C that fails.
+    """
+    dim = lat.arrangement.dim
+    for C in lat.proper:
+        cset = set(C.closed_set)
+        below = [U for U in flats if set(U.closed_set) <= cset]
+        parts = [U for U in below
+                 if not any(set(U.closed_set) < set(W.closed_set) for W in below)]
+        rows = [r for U in parts for r in normal_space(U).basis.entries]
+        if (not parts
+                or sum(U.rank for U in parts) != C.rank
+                or span(rows, dim) != normal_space(C)
+                or fraction_decomposition_obstruction(lat, C, parts) is not None):
+            return C
     return None
 
 

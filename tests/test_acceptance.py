@@ -19,7 +19,6 @@ import pytest
 
 from arrideals.arrangement import Arrangement, braid
 from arrideals.building import (
-    decomposition_obstruction,
     full_building_set,
     is_building_set,
     is_decomposition,
@@ -102,7 +101,8 @@ def test_criterion_3_decomposition_cases(braid_data):
         top = lat3.flat_with_closed((0, 1, 2))
         parts = [lat3.hyperplane_flat(0), lat3.hyperplane_flat(1)]
         assert not is_decomposition(lat3, top, parts)
-        assert decomposition_obstruction(lat3, top, parts) == lat3.hyperplane_flat(2)
+        assert (helpers.fraction_decomposition_obstruction(lat3, top, parts)
+                == lat3.hyperplane_flat(2))
 
         lat5 = braid_data[5][0]
         c = lat5.flat_with_closed((0, 1, 4, 9))  # x0=x1=x2 and x3=x4

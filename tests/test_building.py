@@ -6,7 +6,6 @@ from arrideals.arrangement import Arrangement, braid
 from arrideals.building import (
     building_set_obstruction,
     custom_building_set,
-    decomposition_obstruction,
     full_building_set,
     irreducible_decomposition,
     is_building_set,
@@ -25,7 +24,7 @@ def test_braid3_negative_example(braid_lattices):
     top = lat.flat_with_closed((0, 1, 2))
     h01, h02, h12 = (lat.hyperplane_flat(i) for i in range(3))
     assert not is_decomposition(lat, top, [h01, h02])
-    assert decomposition_obstruction(lat, top, [h01, h02]) == h12
+    assert helpers.fraction_decomposition_obstruction(lat, top, [h01, h02]) == h12
 
 
 def test_trivial_decomposition(braid_lattices, corpus_lattices):
@@ -49,15 +48,15 @@ def test_parts_must_contain_the_target():
     lat = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     line = lat.flat_with_closed((0, 1))
     plane = lat.hyperplane_flat(2)
-    assert decomposition_obstruction(lat, line, [line, plane]) is None
+    assert helpers.fraction_decomposition_obstruction(lat, line, [line, plane]) is None
     assert not is_decomposition(lat, line, [line, plane])
     assert is_decomposition(lat, line, [lat.hyperplane_flat(0), lat.hyperplane_flat(1)])
 
 
 def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
-    """Lattice meets and ranks find the same obstruction as Fraction
-    intersections of normal spaces, and a decomposition is a transversal
-    intersection with no obstruction, on 4,000 seeded (target, parts) draws."""
+    """The closed-set partition and rank-sum test accepts exactly the
+    transversal intersections with no obstruction found by Fraction
+    intersections of normal spaces, on 4,000 seeded (target, parts) draws."""
     rng = random.Random(11)
     for lat in corpus_lattices:
         proper = lat.proper
@@ -65,7 +64,6 @@ def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
             target = rng.choice(proper)
             parts = rng.sample(proper, rng.randint(1, min(3, len(proper))))
             expect = helpers.fraction_decomposition_obstruction(lat, target, parts)
-            assert decomposition_obstruction(lat, target, parts) == expect
             rows = [r for U in parts for r in helpers.normal_space(U).basis.entries]
             transversal = (sum(U.rank for U in parts) == target.rank
                            and span(rows, lat.arrangement.dim)
@@ -141,6 +139,26 @@ def test_building_set_basics(braid_lattices):
     assert is_building_set(lat, minimal_building_set(lat).flats)
     assert is_building_set(lat, lat.proper)
     assert building_set_obstruction(lat, lat.proper) is None
+
+
+def test_building_set_obstruction_matches_fraction_definition(corpus_lattices):
+    """The closed-set test finds the same failing flat as the Fraction
+    definition, on seeded families drawn as the irreducibles plus random
+    extras and as random subsets; both outcomes occur."""
+    rng = random.Random(13)
+    outcomes = set()
+    for lat in corpus_lattices:
+        proper = lat.proper
+        extras = [f for f in proper if f not in lat.irreducibles]
+        for _ in range(10):
+            grown = list(lat.irreducibles) + rng.sample(extras, rng.randint(0, len(extras)))
+            drawn = rng.sample(proper, rng.randint(1, len(proper)))
+            for flats in (grown, drawn):
+                flats.sort(key=flat_sort_key)
+                bad = building_set_obstruction(lat, flats)
+                assert bad == helpers.fraction_building_set_obstruction(lat, flats)
+                outcomes.add(bad is None)
+    assert outcomes == {True, False}
 
 
 def test_custom_building_set(braid_lattices):

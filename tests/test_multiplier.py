@@ -141,15 +141,15 @@ def test_membership_higher_power(braid_lattices):
 def test_resolution_table(braid_lattices):
     lat = braid_lattices[3]
     rt = resolution_table(lat, minimal_building_set(lat))
-    assert [(r.discrepancy, r.vanishing_order) for r in rt.rows] == [
+    assert [(r.discrepancy, r.vanishing_order) for r in rt] == [
         (0, 1), (0, 1), (0, 1), (1, 3),
     ]
     lm = single_hyperplane(3)
     rt = resolution_table(lm, minimal_building_set(lm))
-    assert [(r.discrepancy, r.vanishing_order) for r in rt.rows] == [(0, 3)]
+    assert [(r.discrepancy, r.vanishing_order) for r in rt] == [(0, 3)]
     lat4 = braid_lattices[4]
     rt = resolution_table(lat4, minimal_building_set(lat4))
-    diag = [r for r in rt.rows if r.flat.rank == 3]
+    diag = [r for r in rt if r.flat.rank == 3]
     assert [(r.discrepancy, r.vanishing_order) for r in diag] == [(2, 6)]
 
 
