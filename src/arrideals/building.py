@@ -81,6 +81,11 @@ def is_decomposition(lat: IntersectionLattice, target: Flat,
     if not parts:
         raise ValueError("parts must be non-empty")
     _require_distinct_proper_flats(lat, parts, "part", "parts")
+    return _decomposes(target, parts)
+
+
+def _decomposes(target: Flat, parts: Sequence[Flat]) -> bool:
+    """The decomposition test on flats of one lattice, without input checks."""
     return (sorted(j for U in parts for j in U.closed_set) == list(target.closed_set)
             and sum(U.rank for U in parts) == target.rank)
 
@@ -137,13 +142,17 @@ def custom_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> Buil
 
 def building_set_obstruction(lat: IntersectionLattice,
                              flats: Sequence[Flat]) -> Flat | None:
-    """First proper flat whose minimal covers in ``flats`` fail to decompose it."""
+    """First proper flat whose minimal covers in ``flats`` fail to decompose it.
+
+    ``flats`` must be distinct proper flats of ``lat``, as ``is_building_set``
+    and ``custom_building_set`` check; they are not checked again per flat.
+    """
     members = {U.closed_set for U in flats}
     for C in lat.proper:
         if C.closed_set in members:
             continue
         parts = minimal_containing(lat, flats, C)
-        if not parts or not is_decomposition(lat, C, parts):
+        if not parts or not _decomposes(C, parts):
             return C
     return None
 

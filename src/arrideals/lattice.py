@@ -5,21 +5,27 @@ set: the indices of *all* hyperplanes containing it.  Geometrically a flat
 is carried by its normal space (the span of those hyperplanes' normals);
 rank is the codimension, mult is the total multiplicity of the closed set.
 
-The lattice is built level by level, each flat X of rank k held as an
-echelon list of its normal space and its closed set as a bitmask.  Its
-covers come from residual classes: every normal outside the closed set is
-reduced against X's rows, which leaves it zero at X's pivots, and scaled to
-primitive integers with a positive lead (``linalg.int_residual``).  Two
-hyperplanes lie in the same cover flat exactly when their residuals are
-proportional, that is equal, so grouping the residuals in a dict lists X's
-covers at once; a cover's closed set is X's closed set plus its group, and
-its echelon rows are X's rows plus the residual, with no closure scan.  The
-closed set is the dedup key across parents, and the canonical basis
-(``int_canonical``) is built once, when a flat is first found.  The top
-flat is not reached by expansion: the arrangement's rank r is read off the
-span of all normals, the only flat of rank r is the one whose closed set is
-every hyperplane, and the flats of rank r − 1, whose only cover it is, keep
-no rows.
+The lattice is built level by level from residual classes.  A flat X of
+rank k has a class table: every normal outside its closed set, reduced
+against X's rows (which leaves it zero at X's pivots) and scaled to a
+primitive integer vector with a positive pivot (``linalg.int_residual``),
+keyed by that residual.  Two hyperplanes lie in the same cover of X exactly
+when their residuals are proportional, that is equal, so the table lists
+X's covers at once: a cover's closed set is X's plus its class, with no
+closure scan.  The residual is unique for the space (the pivot set of an
+echelon list is the RREF's), so a cover X ∨ g takes its table from X's: the
+other classes, each residual reduced against g's residual alone and merged
+when the results agree.  Canonical rows are carried the same way: a cover's
+come from X's with ``linalg.int_canonical_extend``, one row operation per
+row instead of a rebuild.  The closed set is the dedup key across parents.
+A flat's table is built only when the flat is expanded, from its parent's
+table and its own class key.  Only the level entries of its new covers hold
+it, and each entry is released when expanded, so the table is freed once
+the last of those covers has built its own.
+The top flat is not reached by expansion: the arrangement's rank r is read
+off the span of all normals, the only flat of rank r is the one whose closed
+set is every hyperplane (its rows are the one ``int_canonical`` call), and
+the flats of rank r − 1, whose only cover it is, are never expanded.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
@@ -38,6 +44,7 @@ from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
     int_canonical,
+    int_canonical_extend,
     int_contains,
     int_residual,
     int_span,
@@ -159,28 +166,37 @@ def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...]
     span_rows, span_pivots = int_span(normals, dim)
     top = len(span_rows)
     found = [((), 0, 0), (int_canonical(span_rows, span_pivots), full, top)]
-    # echelon rows, pivots and closed mask of each flat of the current rank
-    level = [((), (), 0)]
+    ambient: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
+    for j, nj in enumerate(normals):
+        key = int_residual(nj, (), ())
+        ambient[key] = ambient.get(key, 0) | 1 << j
+    # per flat of the current rank: its parent's class table, its own
+    # (residual, pivot) key there, closed mask, canonical rows and pivots
+    level: list = [(ambient, None, 0, (), ())]
     for rank in range(1, top):
         seen: set[int] = set()
         nxt = []
-        for rows, pivots, cmask in level:
-            classes: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
-            for j, nj in enumerate(normals):
-                if cmask >> j & 1:
-                    continue
-                key = int_residual(nj, rows, pivots)
-                classes[key] = classes.get(key, 0) | 1 << j
-            for (red, p), group in classes.items():
+        for i, (parent, own, cmask, canon, pivots) in enumerate(level):
+            level[i] = None
+            if own is None:
+                classes = parent
+            else:
+                g, pg = own
+                classes = {}
+                for (red, p), group in parent.items():
+                    if group & cmask:
+                        continue
+                    key = int_residual(red, (g,), (pg,))
+                    classes[key] = classes.get(key, 0) | group
+            for key, group in classes.items():
                 ccmask = cmask | group
                 if ccmask in seen:
                     continue
                 seen.add(ccmask)
-                child_rows = rows + (red,)
-                child_pivots = pivots + (p,)
-                found.append((int_canonical(child_rows, child_pivots), ccmask, rank))
+                child_canon, child_pivots = int_canonical_extend(canon, pivots, *key)
+                found.append((child_canon, ccmask, rank))
                 if rank < top - 1:
-                    nxt.append((child_rows, child_pivots, ccmask))
+                    nxt.append((classes, key, ccmask, child_canon, child_pivots))
         level = nxt
     return found
 
@@ -208,11 +224,8 @@ def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
     if target.rank == 0:
         raise ValueError("target must be a proper flat")
     tset = set(target.closed_set)
-    cands = [U for U in flats if set(U.closed_set) <= tset]
-    out = [
-        U for U in cands
-        if not any(set(W.closed_set) > set(U.closed_set) for W in cands)
-    ]
+    cands = [(U, frozenset(U.closed_set)) for U in flats if tset.issuperset(U.closed_set)]
+    out = [U for U, uset in cands if not any(wset > uset for _, wset in cands)]
     out.sort(key=flat_sort_key)
     return out
 

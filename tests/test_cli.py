@@ -1,5 +1,8 @@
+import hashlib
 import json
+import random
 import time
+from math import gcd
 
 import pytest
 
@@ -56,6 +59,56 @@ def test_lattice_text_and_json(capsys, braid3_file):
     assert doc[0] == {"rank": 0, "s": 0, "closed": []}
     assert doc[-1] == {"rank": 2, "s": 3, "closed": [0, 1, 2]}
 
+
+
+def _seeded_arrangement_doc(seed: str, dim: int, count: int) -> dict:
+    """Pairwise non-proportional normals in [-3, 3]^dim, multiplicities 1-3,
+    drawn in a fixed order from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    normals, keys = [], set()
+    while len(normals) < count:
+        v = [rng.randint(-3, 3) for _ in range(dim)]
+        g = 0
+        for a in v:
+            g = gcd(g, a)
+        if not g:
+            continue
+        lead = next(a for a in v if a)
+        key = tuple(a // g * (1 if lead > 0 else -1) for a in v)
+        if key in keys:
+            continue
+        keys.add(key)
+        normals.append(v)
+    mults = [rng.randint(1, 3) for _ in range(count)]
+    return {"dim": dim, "hyperplanes": [{"normal": [str(a) for a in v], "mult": m}
+                                        for v, m in zip(normals, mults)]}
+
+
+@pytest.mark.parametrize("name,flats,json_sha256,rows_sha256", [
+    ("braid7", 877,
+     "729a1ab410cc5b57f28cd4f8fd6c970dc77ad07055479e131bffade48f259e4a",
+     "23735206db0590f6fd491f6049b551ca1c3c8f3b914316536714f9bd151abc52"),
+    ("rand6", 12420,
+     "ff2c9734c040d91d709f5a388c144f3dd001fd6d117b05a33c84886fd5cb9bf5",
+     "8e08fa7492e80da32c339bc215bdfd49dc41761747e91e90044c938f7eab4642"),
+])
+def test_lattice_output_digests(capsys, tmp_path, name, flats, json_sha256, rows_sha256):
+    """Golden sha256 digests of ``lattice --json`` and of every flat's
+    (closed set, rank, mult, canonical rows), on braid(7) and on a seeded
+    18-hyperplane arrangement in dimension 6: any change to the enumeration
+    must leave both byte-identical."""
+    path = tmp_path / f"{name}.json"
+    if name == "braid7":
+        assert cli.main(["braid", "7", "-o", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(_seeded_arrangement_doc("arrideals-bench/lattice/1", 6, 18)))
+    code, out, _ = run(capsys, ["lattice", str(path), "--json"])
+    assert code == 0
+    assert len(json.loads(out)) == flats
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+    lat = lattice.compute_lattice(parse_arrangement(path.read_text()))
+    rows = repr([(f.closed_set, f.rank, f.mult, f.basis_rows) for f in lat.flats])
+    assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha256
 
 def test_building_listing_and_verify(capsys, braid3_file):
     code, out, _ = run(capsys, ["building", braid3_file])

@@ -7,6 +7,7 @@ import pytest
 from arrideals import lattice
 from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.lattice import closure, compute_lattice, minimal_containing
+from arrideals.linalg import int_span
 
 import helpers
 from fraction_linalg import span, span_contains
@@ -164,23 +165,38 @@ def test_lattice_of_generic_arrangement():
     assert sizes == [1, 7, 21, 35, 1]
 
 
-def test_int_canonical_called_once_per_proper_flat(monkeypatch):
-    """The canonical form is built once per flat, not once per cover edge."""
+def test_enumeration_carries_classes_and_canonical_rows(monkeypatch):
+    """Classes and canonical rows are carried from parent to child: the
+    enumeration builds one canonical form from scratch (the top flat's),
+    reduces each class residual against the one new row only, and still
+    gives every flat the canonical rows of its closed set's normals."""
     rng = random.Random(55)
     normals = _distinct_normals(11, lambda: tuple(rng.randint(-2, 2) for _ in range(5)))
-    calls = []
+    canonical_calls = []
+    residual_rows = []
     int_canonical = lattice.int_canonical
+    int_residual = lattice.int_residual
 
     def counting_int_canonical(rows, pivots):
-        calls.append(len(rows))
+        canonical_calls.append(len(rows))
         return int_canonical(rows, pivots)
 
+    def counting_int_residual(vec, rows, pivots):
+        residual_rows.append(len(rows))
+        return int_residual(vec, rows, pivots)
+
     monkeypatch.setattr(lattice, "int_canonical", counting_int_canonical)
+    monkeypatch.setattr(lattice, "int_residual", counting_int_residual)
     for arr in (braid(6), Arrangement.from_normals(5, normals)):
-        calls.clear()
+        canonical_calls.clear()
+        residual_rows.clear()
         lat = compute_lattice(arr)
-        assert len(calls) == len(lat.proper)
-        assert sorted(calls) == sorted(f.rank for f in lat.proper)
+        assert canonical_calls == [lat.flats[-1].rank]
+        assert residual_rows and max(residual_rows) <= 1
+        int_normals = lat.int_normals
+        for f in lat.flats:
+            rows, pivots = int_span((int_normals[j] for j in f.closed_set), arr.dim)
+            assert f.basis_rows == int_canonical(rows, pivots)
 
 
 def test_closed_under_intersection(corpus_lattices, braid_lattices):

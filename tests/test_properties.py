@@ -54,6 +54,37 @@ def test_lattice_equals_subset_closure_enumeration(arr):
     assert len(lat.flats) == len(set(lat.flats))
 
 
+
+@st.composite
+def dependent_arrangements(draw):
+    """Up to five normals with coefficients in [-9, 9] in dimension 1-5,
+    plus up to three combinations a·n_i + c·n_k of them (kept when their
+    entries stay in [-9, 9]), so that classes of two or more hyperplanes,
+    non-unit pivots and coefficient growth all occur."""
+    dim = draw(st.integers(1, 5))
+    normal = st.tuples(*[st.integers(-9, 9)] * dim).filter(any)
+    normals = draw(st.lists(normal, min_size=1, max_size=5,
+                            unique_by=canonical_normal))
+    keys = {canonical_normal(v) for v in normals}
+    index = st.integers(0, len(normals) - 1)
+    coef = st.sampled_from((-2, -1, 1, 2))
+    for i, k, a, c in draw(st.lists(st.tuples(index, index, coef, coef), max_size=3)):
+        v = tuple(a * x + c * y for x, y in zip(normals[i], normals[k]))
+        if any(v) and max(map(abs, v)) <= 9 and canonical_normal(v) not in keys:
+            keys.add(canonical_normal(v))
+            normals.append(v)
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(normals),
+                          max_size=len(normals)))
+    return Arrangement.from_normals(dim, normals, mults)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(dependent_arrangements())
+def test_lattice_with_larger_coefficients_equals_subset_closure_enumeration(arr):
+    lat = compute_lattice(arr)
+    assert set(lat.flats) == helpers.subset_closure_flats(arr)
+    assert len(lat.flats) == len(set(lat.flats))
+
 def circuits(arr: Arrangement) -> list[frozenset[int]]:
     """Minimal dependent sets of hyperplanes, by Fraction ranks of subsets."""
     normals = [h.normal for h in arr.hyperplanes]
