@@ -19,23 +19,24 @@ A subset G of the proper flats is a building set when for every proper
 flat C the minimal elements of G containing C decompose C; a C in G is
 decomposed by itself alone.  The irreducible flats (those with no
 non-trivial decomposition) always form one, and it is contained in every
-other.  Irreducibility is decided by connectivity of the linear matroid on
-the flat's closed set: the components' closures are exactly the finest
-decomposition.  That matroid code lives in the lattice module, and each
-lattice computes its irreducible flats once.
+other.  A flat is irreducible iff the linear matroid on its closed set is
+connected, and the components are exactly the finest decomposition.  The
+components of a flat F are the maximal irreducible flats whose closed sets
+lie in closed(F): each component is an irreducible flat there, and an
+irreducible flat U with closed(U) ⊆ closed(F) splits along the components,
+so lies in one.  Each lattice finds its irreducible flats once, along its
+cover edges (see the lattice module).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvariantError
 from .lattice import (
     Flat,
     IntersectionLattice,
-    _is_irreducible,
-    _matroid_components,
     flat_sort_key,
     minimal_containing,
 )
@@ -92,30 +93,20 @@ def _decomposes(target: Flat, parts: Sequence[Flat]) -> bool:
 
 def is_irreducible(lat: IntersectionLattice, flat: Flat) -> bool:
     """Whether the flat admits only the trivial decomposition."""
-    if flat.rank == 0:
-        raise ValueError("the ambient space is not in the proper lattice")
-    return _is_irreducible(lat.int_normals, flat)
+    _require_proper_flat(lat, flat, "flat")
+    irreducibles = lat.irreducibles  # in canonical order, so bisect finds the flat
+    i = bisect_left(irreducibles, flat_sort_key(flat), key=flat_sort_key)
+    return i < len(irreducibles) and irreducibles[i].closed_set == flat.closed_set
 
 
 def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat]:
-    """The unique finest decomposition of ``flat`` into irreducible flats.
+    """The unique finest decomposition of ``flat`` into irreducible flats:
+    the maximal irreducible flats whose closed sets lie in the flat's.
 
     Returns ``[flat]`` exactly when the flat is irreducible.
     """
     _require_proper_flat(lat, flat, "flat")
-    comps = _matroid_components(lat.int_normals, flat.closed_set)
-    if len(comps) == 1:
-        return [flat]
-    parts = []
-    for comp in comps:
-        f = lat.flat_with_closed(comp)
-        if f is None:
-            raise InvariantError(
-                f"matroid component {comp} is not a closed set of the lattice"
-            )
-        parts.append(f)
-    parts.sort(key=flat_sort_key)
-    return parts
+    return minimal_containing(lat, lat.irreducibles, flat)
 
 
 def minimal_building_set(lat: IntersectionLattice) -> BuildingSet:

@@ -29,9 +29,27 @@ the flats of rank r − 1, whose only cover it is, are never expanded.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
-building module).  The components come from fundamental circuits, found
-by the same ``int_residual`` step.  The lattice computes the irreducible
-flats once and keeps them.
+building module).  Irreducibility is read off the cover edges with no linear
+algebra.  Every level entry carries its flat's components as closed masks,
+and one closed mask -> rank dict covers the whole enumeration.  For a cover
+C = X ∨ N of X, where N is the hyperplanes that C adds:
+
+- exactly one component of C meets N.  Two components P and Q meeting N
+  would each lose rank in X (closed(X) ∩ P is a flat missing P's part of
+  N), and the ranks of C's components, cut down to closed(X), add to r(X),
+  so r(X) ≤ r(C) − 2, against r(X) = r(C) − 1;
+- a component K of X stays a component of C iff closed(C) ∖ K is a flat
+  of rank r(C) − r(K).  If K splits off C, the ranks add and the rest of
+  C, a union of components, is closed; conversely, a flat of that rank
+  makes {K, closed(C) ∖ K} a decomposition of C, by the closed-set
+  criterion in the building module's docstring;
+- every other component of X joins N, and C is irreducible iff no
+  component of X stays.
+
+So a cover's components cost one dict lookup per component of its parent.
+The top flat, never expanded, is decided the same way from one of its lower
+covers.  The components of any flat F are the maximal irreducible flats
+whose closed sets lie in closed(F); the lattice keeps the irreducible flats.
 """
 
 from __future__ import annotations
@@ -42,7 +60,6 @@ from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
-    _first_nonzero,
     int_canonical,
     int_canonical_extend,
     int_contains,
@@ -78,21 +95,11 @@ class IntersectionLattice:
 
     arrangement: Arrangement
     flats: tuple[Flat, ...]
+    irreducibles: tuple[Flat, ...]  # the irreducible proper flats, in canonical order
 
     @cached_property
     def _by_closed(self) -> dict[tuple[int, ...], Flat]:
         return {f.closed_set: f for f in self.flats}
-
-    @cached_property
-    def int_normals(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer normals of the hyperplanes, in file order."""
-        return _int_normals(self.arrangement)
-
-    @cached_property
-    def irreducibles(self) -> tuple[Flat, ...]:
-        """The irreducible proper flats, in canonical order."""
-        normals = self.int_normals
-        return tuple(f for f in self.proper if _is_irreducible(normals, f))
 
     @property
     def ambient(self) -> Flat:
@@ -128,16 +135,6 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _spanned_hyperplanes(normals, rows) -> tuple[int, ...]:
-    """Indices of every hyperplane whose normal lies in the span of ``rows``.
-
-    ``rows`` is an echelon list or canonical rows; each row's pivot is its
-    first nonzero entry.
-    """
-    pivots = [_first_nonzero(r) for r in rows]
-    return tuple(j for j, nj in enumerate(normals) if int_contains(rows, pivots, nj))
-
-
 def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
     """The flat cut out by the chosen hyperplanes.
 
@@ -150,7 +147,7 @@ def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
         if not 0 <= i < len(normals):
             raise ValueError(f"hyperplane index {i} out of range")
     rows, pivots = int_span((normals[i] for i in idx), arr.dim)
-    closed = _spanned_hyperplanes(normals, rows)
+    closed = tuple(j for j, nj in enumerate(normals) if int_contains(rows, pivots, nj))
     return Flat(
         closed_set=closed,
         rank=len(rows),
@@ -160,23 +157,40 @@ def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
     )
 
 
-def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...], int, int]]:
-    """(canonical rows, closed mask, rank) of every flat, in discovery order."""
+def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
+                      rank_of: dict[int, int]) -> tuple[int, ...]:
+    """The components (closed masks) of the cover with closed mask ``closed``
+    and rank ``rank`` of a flat with components ``comps``: those that split
+    off the cover stay, the rest join its new hyperplanes in one component."""
+    kept = []
+    joined = closed
+    for comp in comps:
+        if rank_of.get(closed & ~comp) == rank - rank_of[comp]:
+            kept.append(comp)
+            joined &= ~comp
+    return (*kept, joined)
+
+
+def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...], int, int, bool]]:
+    """(canonical rows, closed mask, rank, irreducible) of every flat, in
+    discovery order."""
     full = (1 << len(normals)) - 1
     span_rows, span_pivots = int_span(normals, dim)
     top = len(span_rows)
-    found = [((), 0, 0), (int_canonical(span_rows, span_pivots), full, top)]
+    found = [((), 0, 0, False)]
+    rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
     ambient: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
     for j, nj in enumerate(normals):
         key = int_residual(nj, (), ())
         ambient[key] = ambient.get(key, 0) | 1 << j
     # per flat of the current rank: its parent's class table, its own
-    # (residual, pivot) key there, closed mask, canonical rows and pivots
-    level: list = [(ambient, None, 0, (), ())]
+    # (residual, pivot) key there, closed mask, canonical rows, pivots and
+    # components
+    level: list = [(ambient, None, 0, (), (), ())]
+    last_comps: tuple = ()  # components of a flat of rank top - 1
     for rank in range(1, top):
-        seen: set[int] = set()
         nxt = []
-        for i, (parent, own, cmask, canon, pivots) in enumerate(level):
+        for i, (parent, own, cmask, canon, pivots, comps) in enumerate(level):
             level[i] = None
             if own is None:
                 classes = parent
@@ -190,32 +204,42 @@ def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...]
                     classes[key] = classes.get(key, 0) | group
             for key, group in classes.items():
                 ccmask = cmask | group
-                if ccmask in seen:
+                if ccmask in rank_of:
                     continue
-                seen.add(ccmask)
+                rank_of[ccmask] = rank
+                child_comps = _cover_components(comps, ccmask, rank, rank_of)
                 child_canon, child_pivots = int_canonical_extend(canon, pivots, *key)
-                found.append((child_canon, ccmask, rank))
+                found.append((child_canon, ccmask, rank, len(child_comps) == 1))
                 if rank < top - 1:
-                    nxt.append((classes, key, ccmask, child_canon, child_pivots))
+                    nxt.append((classes, key, ccmask, child_canon, child_pivots,
+                                child_comps))
+                else:
+                    last_comps = child_comps
         level = nxt
+    top_comps = _cover_components(last_comps, full, top, rank_of)
+    found.append((int_canonical(span_rows, span_pivots), full, top, len(top_comps) == 1))
     return found
 
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
     mults = tuple(h.mult for h in arr.hyperplanes)
-    flats = []
-    for basis, cmask, rk in _flats_by_level(_int_normals(arr), arr.dim):
+    flats, irreducibles = [], []
+    for basis, cmask, rk, irreducible in _flats_by_level(_int_normals(arr), arr.dim):
         closed = _mask_to_tuple(cmask)
-        flats.append(Flat(
+        flat = Flat(
             closed_set=closed,
             rank=rk,
             mult=sum(mults[j] for j in closed),
             ambient_dim=arr.dim,
             basis_rows=basis,
-        ))
+        )
+        flats.append(flat)
+        if irreducible:
+            irreducibles.append(flat)
     flats.sort(key=flat_sort_key)
-    return IntersectionLattice(arr, tuple(flats))
+    irreducibles.sort(key=flat_sort_key)
+    return IntersectionLattice(arr, tuple(flats), tuple(irreducibles))
 
 
 def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
@@ -229,50 +253,3 @@ def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
     out.sort(key=flat_sort_key)
     return out
 
-
-def _matroid_components(normals, closed: Sequence[int]) -> list[tuple[int, ...]]:
-    """Connected components of the linear matroid on the chosen normals.
-
-    The normal at position i of ``closed``, extended by the unit vector e_i,
-    is reduced against the independent rows kept so far.  If its normal part
-    vanishes, the extension is the exact dependency on earlier independent
-    elements, the fundamental circuit of i, and its support is merged.  The
-    fundamental circuits of one basis connect exactly the components.
-    """
-    size = len(closed)
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows: list = []
-    pivots: list = []
-    for i, j in enumerate(closed):
-        dim = len(normals[j])
-        unit = (0,) * i + (1,) + (0,) * (size - i - 1)
-        res, p = int_residual(normals[j] + unit, rows, pivots)
-        if p < dim:
-            rows.append(res)
-            pivots.append(p)
-        else:
-            root = find(i)
-            for k, a in enumerate(res[dim:]):
-                if a:
-                    parent[find(k)] = root
-
-    groups: dict[int, list[int]] = {}
-    for i, j in enumerate(closed):
-        groups.setdefault(find(i), []).append(j)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
-def _is_irreducible(normals, flat: Flat) -> bool:
-    """Whether a proper flat's matroid is connected."""
-    if flat.rank == 1:
-        return True
-    if len(flat.closed_set) == flat.rank:
-        return False  # independent normals split into single hyperplanes
-    return len(_matroid_components(normals, flat.closed_set)) == 1

@@ -14,8 +14,8 @@ against the rows *in stored order* is therefore sound.  Rows are primitive
 integer vectors with positive pivot entry.
 
 ``int_residual`` is the one normalization step (reduce, then make primitive
-with a positive pivot); row insertion, the covers of a flat and the circuits
-of a matroid all go through it.
+with a positive pivot); row insertion and the covers of a flat both go
+through it.
 
 ``int_canonical`` turns an echelon list into the reduced row echelon basis
 of its row space, rescaled to primitive integers.  That basis is unique for

@@ -109,6 +109,49 @@ def test_coordinate_axes_origin_decomposes():
     assert [f.closed_set for f in parts] == [(0,), (1,)]
 
 
+def test_is_irreducible_rejects_foreign_flats(braid_lattices):
+    lat = braid_lattices[3]
+    with pytest.raises(ValueError, match="ambient"):
+        is_irreducible(lat, lat.ambient)
+    with pytest.raises(ValueError, match="not a flat of this lattice"):
+        is_irreducible(lat, braid_lattices[4].flats[-1])
+
+
+@pytest.mark.parametrize("arr,parts", [
+    # braid(3) ⊕ braid(3): the top splits into the two triple points
+    (Arrangement.from_normals(6, [(1, -1, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0),
+                                  (0, 1, -1, 0, 0, 0), (0, 0, 0, 1, -1, 0),
+                                  (0, 0, 0, 1, 0, -1), (0, 0, 0, 0, 1, -1)]),
+     [(0, 1, 2), (3, 4, 5)]),
+    (Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+     [(0,), (1,), (2,)]),
+    (Arrangement.from_normals(2, [(1, 1)]), [(0,)]),
+    (Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+     [(0, 1, 2, 3)]),
+    # two lines of three points in the plane: the rest of the top past
+    # either line is closed, but the ranks do not add
+    (Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0),
+                                  (0, 0, 1), (1, 2, 1), (1, 2, 2)]),
+     [(0, 1, 2, 3, 4, 5)]),
+    # ... and the same below the top, found from one of its lines
+    (Arrangement.from_normals(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                                  (0, 0, 1, 0), (1, 2, 1, 0), (1, 2, 2, 0),
+                                  (0, 0, 0, 1)]),
+     [(6,), (0, 1, 2, 3, 4, 5)]),
+])
+def test_top_flat_irreducibility(arr, parts):
+    """The top flat is never expanded by the enumeration; its components
+    come from one of its lower covers, and theirs from the covers below."""
+    lat = compute_lattice(arr)
+    top = lat.flats[-1]
+    assert top.closed_set == tuple(range(len(arr.hyperplanes)))
+    assert is_irreducible(lat, top) == (len(parts) == 1)
+    got = irreducible_decomposition(lat, top)
+    assert [U.closed_set for U in got] == parts
+    finest = max(helpers.brute_force_decompositions(lat, top), key=len)
+    assert sorted(finest, key=flat_sort_key) == got
+
+
 def test_hyperplanes_always_irreducible(corpus_lattices):
     for lat in corpus_lattices:
         gmin = minimal_building_set(lat)

@@ -84,19 +84,23 @@ def _seeded_arrangement_doc(seed: str, dim: int, count: int) -> dict:
                                         for v, m in zip(normals, mults)]}
 
 
-@pytest.mark.parametrize("name,flats,json_sha256,rows_sha256", [
+@pytest.mark.parametrize("name,flats,json_sha256,rows_sha256,building_sha256", [
     ("braid7", 877,
      "729a1ab410cc5b57f28cd4f8fd6c970dc77ad07055479e131bffade48f259e4a",
-     "23735206db0590f6fd491f6049b551ca1c3c8f3b914316536714f9bd151abc52"),
+     "23735206db0590f6fd491f6049b551ca1c3c8f3b914316536714f9bd151abc52",
+     "2b679ac8c846e02451d8bb419160d46185d439ff315b64762ab14e450fe10f82"),
     ("rand6", 12420,
      "ff2c9734c040d91d709f5a388c144f3dd001fd6d117b05a33c84886fd5cb9bf5",
-     "8e08fa7492e80da32c339bc215bdfd49dc41761747e91e90044c938f7eab4642"),
+     "8e08fa7492e80da32c339bc215bdfd49dc41761747e91e90044c938f7eab4642",
+     "453af40c25b41a6fc7e4d8b67c77639525ccb150feb5749d881250aa44f781df"),
 ])
-def test_lattice_output_digests(capsys, tmp_path, name, flats, json_sha256, rows_sha256):
-    """Golden sha256 digests of ``lattice --json`` and of every flat's
-    (closed set, rank, mult, canonical rows), on braid(7) and on a seeded
-    18-hyperplane arrangement in dimension 6: any change to the enumeration
-    must leave both byte-identical."""
+def test_lattice_output_digests(capsys, tmp_path, name, flats, json_sha256, rows_sha256,
+                                building_sha256):
+    """Golden sha256 digests of ``lattice --json``, of every flat's
+    (closed set, rank, mult, canonical rows) and of ``building --json`` (the
+    irreducible flats), on braid(7) and on a seeded 18-hyperplane
+    arrangement in dimension 6: any change to the enumeration must leave
+    all three byte-identical."""
     path = tmp_path / f"{name}.json"
     if name == "braid7":
         assert cli.main(["braid", "7", "-o", str(path)]) == 0
@@ -109,6 +113,9 @@ def test_lattice_output_digests(capsys, tmp_path, name, flats, json_sha256, rows
     lat = lattice.compute_lattice(parse_arrangement(path.read_text()))
     rows = repr([(f.closed_set, f.rank, f.mult, f.basis_rows) for f in lat.flats])
     assert hashlib.sha256(rows.encode()).hexdigest() == rows_sha256
+    code, out, _ = run(capsys, ["building", str(path), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == building_sha256
 
 def test_building_listing_and_verify(capsys, braid3_file):
     code, out, _ = run(capsys, ["building", braid3_file])
@@ -246,30 +253,32 @@ def test_oversized_degree_is_refused(capsys, tmp_path):
 
 
 def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
-    """Every call for the minimal building set reads the lattice's cache."""
+    """gmin comes with the lattice's one enumeration: every call for the
+    minimal building set returns the lattice's own irreducibles."""
     path = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", path]) == 0
-    checked, gmin_calls = [], []
-    is_irreducible = lattice._is_irreducible
+    enumerations, gmin_calls = [], []
+    flats_by_level = lattice._flats_by_level
     minimal_building_set = multiplier.minimal_building_set
 
-    def counting_is_irreducible(normals, flat):
-        checked.append(flat.closed_set)
-        return is_irreducible(normals, flat)
+    def counting_flats_by_level(normals, dim):
+        enumerations.append(dim)
+        return flats_by_level(normals, dim)
 
-    def counting_minimal_building_set(lat):
-        gmin_calls.append(lat)
-        return minimal_building_set(lat)
+    def recording_minimal_building_set(lat):
+        bs = minimal_building_set(lat)
+        gmin_calls.append((lat, bs))
+        return bs
 
-    monkeypatch.setattr(lattice, "_is_irreducible", counting_is_irreducible)
+    monkeypatch.setattr(lattice, "_flats_by_level", counting_flats_by_level)
     monkeypatch.setattr(multiplier, "minimal_building_set",
-                        counting_minimal_building_set)
+                        recording_minimal_building_set)
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify"])
     assert code == 0 and len(out.splitlines()) == 9
+    assert len(enumerations) == 1
     # one call for the candidates, one for the pass over them
     assert len(gmin_calls) == 2
-    # ... but each of the 51 proper flats of braid(5) is tested once
-    assert len(checked) == len(set(checked)) == 51
+    assert all(bs.flats is lat.irreducibles for lat, bs in gmin_calls)
 
 
 def test_jumps_sweep_realizes_each_ideal_once(capsys, tmp_path, monkeypatch):

@@ -193,7 +193,7 @@ def test_enumeration_carries_classes_and_canonical_rows(monkeypatch):
         lat = compute_lattice(arr)
         assert canonical_calls == [lat.flats[-1].rank]
         assert residual_rows and max(residual_rows) <= 1
-        int_normals = lat.int_normals
+        int_normals = lattice._int_normals(arr)
         for f in lat.flats:
             rows, pivots = int_span((int_normals[j] for j in f.closed_set), arr.dim)
             assert f.basis_rows == int_canonical(rows, pivots)

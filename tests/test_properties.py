@@ -109,7 +109,7 @@ def circuit_components(closed, circs) -> list[tuple[int, ...]]:
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(arrangements())
+@given(st.one_of(arrangements(), dependent_arrangements()))
 def test_irreducibles_match_circuit_oracle(arr):
     lat = compute_lattice(arr)
     circs = circuits(arr)
