@@ -15,17 +15,19 @@ X's covers at once: a cover's closed set is X's plus its class, with no
 closure scan.  The residual is unique for the space (the pivot set of an
 echelon list is the RREF's), so a cover X ∨ g takes its table from X's: the
 other classes, each residual reduced against g's residual alone and merged
-when the results agree.  Canonical rows are carried the same way: a cover's
-come from X's with ``linalg.int_canonical_extend``, one row operation per
-row instead of a rebuild.  The closed set is the dedup key across parents.
+when the results agree.  The closed set is the dedup key across parents.
 A flat's table is built only when the flat is expanded, from its parent's
 table and its own class key.  Only the level entries of its new covers hold
 it, and each entry is released when expanded, so the table is freed once
 the last of those covers has built its own.
 The top flat is not reached by expansion: the arrangement's rank r is read
 off the span of all normals, the only flat of rank r is the one whose closed
-set is every hyperplane (its rows are the one ``int_canonical`` call), and
-the flats of rank r − 1, whose only cover it is, are never expanded.
+set is every hyperplane, and the flats of rank r − 1, whose only cover it
+is, are never expanded.
+
+Enumeration builds no flat's canonical rows.  A flat computes them the
+first time they are read, from the normals of its closed set; the package
+reads them only for the terms of a presentation.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
@@ -54,14 +56,13 @@ whose closed sets lie in closed(F); the lattice keeps the irreducible flats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
     int_canonical,
-    int_canonical_extend,
     int_contains,
     int_residual,
     int_span,
@@ -73,15 +74,23 @@ from .linalg import (
 class Flat:
     """One element of the intersection lattice.
 
-    ``basis_rows`` is the canonical primitive-integer echelon basis of the
-    normal space (see ``linalg.int_canonical``).
+    ``normals`` are the arrangement's primitive integer normals, one tuple
+    shared by every flat of a lattice; they take part in ``==``, so a flat
+    of another arrangement with the same closed set is a different flat.
     """
 
     closed_set: tuple[int, ...]
     rank: int
     mult: int
     ambient_dim: int
-    basis_rows: tuple[tuple[int, ...], ...]
+    normals: tuple[tuple[int, ...], ...] = field(repr=False, hash=False)
+
+    @cached_property
+    def basis_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical primitive-integer echelon basis of the normal space
+        (see ``linalg.int_canonical``), computed on first read."""
+        return int_canonical(*int_span((self.normals[j] for j in self.closed_set),
+                                       self.ambient_dim))
 
 
 def flat_sort_key(flat: Flat) -> tuple[int, tuple[int, ...]]:
@@ -153,7 +162,7 @@ def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
         rank=len(rows),
         mult=sum(arr.hyperplanes[j].mult for j in closed),
         ambient_dim=arr.dim,
-        basis_rows=int_canonical(rows, pivots),
+        normals=normals,
     )
 
 
@@ -171,26 +180,23 @@ def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
     return (*kept, joined)
 
 
-def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...], int, int, bool]]:
-    """(canonical rows, closed mask, rank, irreducible) of every flat, in
-    discovery order."""
+def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
+    """(closed mask, rank, irreducible) of every flat, in discovery order."""
     full = (1 << len(normals)) - 1
-    span_rows, span_pivots = int_span(normals, dim)
-    top = len(span_rows)
-    found = [((), 0, 0, False)]
+    top = len(int_span(normals, dim)[0])
+    found = [(0, 0, False)]
     rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
     ambient: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
     for j, nj in enumerate(normals):
         key = int_residual(nj, (), ())
         ambient[key] = ambient.get(key, 0) | 1 << j
     # per flat of the current rank: its parent's class table, its own
-    # (residual, pivot) key there, closed mask, canonical rows, pivots and
-    # components
-    level: list = [(ambient, None, 0, (), (), ())]
+    # (residual, pivot) key there, closed mask and components
+    level: list = [(ambient, None, 0, ())]
     last_comps: tuple = ()  # components of a flat of rank top - 1
     for rank in range(1, top):
         nxt = []
-        for i, (parent, own, cmask, canon, pivots, comps) in enumerate(level):
+        for i, (parent, own, cmask, comps) in enumerate(level):
             level[i] = None
             if own is None:
                 classes = parent
@@ -208,31 +214,30 @@ def _flats_by_level(normals, dim: int) -> list[tuple[tuple[tuple[int, ...], ...]
                     continue
                 rank_of[ccmask] = rank
                 child_comps = _cover_components(comps, ccmask, rank, rank_of)
-                child_canon, child_pivots = int_canonical_extend(canon, pivots, *key)
-                found.append((child_canon, ccmask, rank, len(child_comps) == 1))
+                found.append((ccmask, rank, len(child_comps) == 1))
                 if rank < top - 1:
-                    nxt.append((classes, key, ccmask, child_canon, child_pivots,
-                                child_comps))
+                    nxt.append((classes, key, ccmask, child_comps))
                 else:
                     last_comps = child_comps
         level = nxt
     top_comps = _cover_components(last_comps, full, top, rank_of)
-    found.append((int_canonical(span_rows, span_pivots), full, top, len(top_comps) == 1))
+    found.append((full, top, len(top_comps) == 1))
     return found
 
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
+    normals = _int_normals(arr)
     mults = tuple(h.mult for h in arr.hyperplanes)
     flats, irreducibles = [], []
-    for basis, cmask, rk, irreducible in _flats_by_level(_int_normals(arr), arr.dim):
+    for cmask, rk, irreducible in _flats_by_level(normals, arr.dim):
         closed = _mask_to_tuple(cmask)
         flat = Flat(
             closed_set=closed,
             rank=rk,
             mult=sum(mults[j] for j in closed),
             ambient_dim=arr.dim,
-            basis_rows=basis,
+            normals=normals,
         )
         flats.append(flat)
         if irreducible:

@@ -21,14 +21,11 @@ through it.
 of its row space, rescaled to primitive integers.  That basis is unique for
 the subspace, so two subspaces are equal exactly when their canonical rows
 agree entrywise; this equality is what the rest of the package uses to
-deduplicate flats and to certify ideal identities.  ``int_canonical_extend``
-gives the same basis for a space grown by one residual, from the smaller
-space's canonical rows, without rebuilding it.
+certify ideal identities.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -157,39 +154,6 @@ def int_canonical(rows: Sequence[Sequence[int]],
     for r in rs:
         _strip(r)  # inputs need not be primitive; no-op when they are
     return tuple(tuple(r) for r in rs)
-
-
-def int_canonical_extend(canon: Sequence[Sequence[int]], pivots: Sequence[int],
-                         red: Sequence[int], p: int
-                         ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Canonical rows and pivots of the row space of ``canon`` plus ``red``.
-
-    ``canon`` is canonical (``int_canonical``), with its pivots ``pivots`` in
-    ascending order.  ``red`` is the residual of a vector outside that space
-    (``int_residual`` against any echelon list of it): primitive, positive
-    at its pivot ``p`` and zero at every pivot of ``canon``, because an
-    echelon list's rows sorted by pivot are in row echelon form, so its
-    pivots are the RREF's.
-
-    Clearing column p from each row that is nonzero there keeps that row
-    zero at the other pivots and positive at its own; ``red`` goes in at its
-    pivot's place.  The result is a primitive-integer RREF with positive
-    pivots.  That form is unique for the row space, so it equals
-    ``int_canonical`` of any echelon list of the grown space, at one row
-    operation per row instead of a back-substitution.
-    """
-    pv = red[p]
-    rows = []
-    for r in canon:
-        c = r[p]
-        if c:
-            r = [pv * a - c * b for a, b in zip(r, red)]
-            _strip(r)
-            r = tuple(r)
-        rows.append(r)
-    i = bisect(pivots, p)
-    rows.insert(i, tuple(red))
-    return tuple(rows), tuple(pivots[:i]) + (p,) + tuple(pivots[i:])
 
 
 def int_kernel(canonical: Sequence[Sequence[int]], width: int) -> list[list[int]]:

@@ -38,7 +38,6 @@ class MultiplierIdealPresentation:
 
     lam: Fraction
     ambient_dim: int
-    kind: str  # which building set produced it
     terms: tuple[tuple[Flat, int], ...]
 
     @property
@@ -68,8 +67,7 @@ def presentation(lat: IntersectionLattice, building: BuildingSet,
         e = _exponent(lam, W)
         if e >= 1:
             terms.append((W, e))
-    return MultiplierIdealPresentation(lam, lat.arrangement.dim,
-                                       building.kind, tuple(terms))
+    return MultiplierIdealPresentation(lam, lat.arrangement.dim, tuple(terms))
 
 
 def presentation_ideal(pres: MultiplierIdealPresentation, bound: int) -> GradedIdeal:

@@ -74,28 +74,30 @@ def _primitive_row(row) -> tuple[int, ...]:
     return tuple(a // g for a in ints)
 
 
-def fraction_closure(arr: Arrangement, indices) -> Flat:
-    """The flat cut out by the chosen hyperplanes, by Fraction RREF alone.
+def flat_key(flat: Flat) -> tuple:
+    """A flat's data, its canonical rows included, as one comparable tuple."""
+    return (flat.closed_set, flat.rank, flat.mult, flat.ambient_dim, flat.basis_rows)
+
+
+def fraction_closure(arr: Arrangement, indices) -> tuple:
+    """The ``flat_key`` of the flat cut out by the chosen hyperplanes, by
+    Fraction RREF alone.
 
     Independent of ``arrideals.linalg``: the normal space is the Fraction
     span of the chosen normals, the closed set every hyperplane whose normal
-    that span contains, and ``basis_rows`` its RREF scaled to primitive
-    integers (the form ``int_canonical`` returns).
+    that span contains, and the rows its RREF scaled to primitive integers
+    (the form ``int_canonical`` returns).
     """
     hps = arr.hyperplanes
     sub = span([hps[i].normal for i in indices], arr.dim)
     closed = tuple(j for j, h in enumerate(hps) if span_contains(sub, h.normal))
-    return Flat(
-        closed_set=closed,
-        rank=sub.rank,
-        mult=sum(hps[j].mult for j in closed),
-        ambient_dim=arr.dim,
-        basis_rows=tuple(_primitive_row(r) for r in sub.basis.entries),
-    )
+    return (closed, sub.rank, sum(hps[j].mult for j in closed), arr.dim,
+            tuple(_primitive_row(r) for r in sub.basis.entries))
 
 
-def subset_closure_flats(arr: Arrangement) -> set[Flat]:
-    """Every flat, as the Fraction closure of every subset of hyperplanes."""
+def subset_closure_flats(arr: Arrangement) -> set[tuple]:
+    """The ``flat_key`` of every flat, as the Fraction closure of every
+    subset of hyperplanes."""
     nh = len(arr.hyperplanes)
     return {
         fraction_closure(arr, [i for i in range(nh) if bits >> i & 1])

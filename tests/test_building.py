@@ -115,6 +115,14 @@ def test_is_irreducible_rejects_foreign_flats(braid_lattices):
         is_irreducible(lat, lat.ambient)
     with pytest.raises(ValueError, match="not a flat of this lattice"):
         is_irreducible(lat, braid_lattices[4].flats[-1])
+    # same closed set, rank, multiplicity and dimension; another normal line
+    axes = compute_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1)]))
+    foreign = compute_lattice(
+        Arrangement.from_normals(2, [(1, 1), (1, -1)])).hyperplane_flat(0)
+    with pytest.raises(ValueError, match="not a flat of this lattice"):
+        is_irreducible(axes, foreign)
+    with pytest.raises(ValueError, match="not a flat of this lattice"):
+        irreducible_decomposition(axes, foreign)
 
 
 @pytest.mark.parametrize("arr,parts", [

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import gcd
 
@@ -356,6 +359,28 @@ def test_parse_error_exit_code(capsys, tmp_path):
     bad.write_text('{"dim": 2, "hyperplanes": [{"normal": ["0.5", "1"]}]}')
     code, _, err = run(capsys, ["lct", str(bad)])
     assert code == 1 and "bad rational" in err
+
+
+def test_missing_file_is_a_user_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["lattice", str(tmp_path / "missing.json")])
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_reader_closing_the_pipe_is_not_an_error(tmp_path):
+    """``lattice b8.json --json | head -1``: the output is far larger than a
+    pipe holds, so the write fails once the reader has gone."""
+    path = tmp_path / "b8.json"
+    assert cli.main(["braid", "8", "-o", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "arrideals", "lattice", str(path), "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_invariant_violation_exit_code(capsys, braid3_file, monkeypatch):

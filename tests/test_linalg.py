@@ -7,7 +7,6 @@ import pytest
 
 from arrideals.linalg import (
     int_canonical,
-    int_canonical_extend,
     int_insert,
     int_intersect,
     int_residual,
@@ -215,62 +214,3 @@ def test_int_layer_with_rational_input():
         rows, pivots = int_span(ints, dim)
         got = subspace_from_int_rows(int_canonical(rows, pivots), dim)
         assert got == span(vecs, dim)
-
-
-def _extend(parent, vec, dim):
-    """int_canonical_extend of span(parent) by vec, with the inputs it takes."""
-    rows, pivots = int_span(parent, dim)
-    canon = int_canonical(rows, pivots)
-    canon_pivots = tuple(sorted(pivots))
-    red, p = int_residual(vec, rows, pivots)
-    assert p is not None
-    return canon, canon_pivots, red, p, int_canonical_extend(canon, canon_pivots, red, p)
-
-
-@pytest.mark.parametrize("parent,vec,expected", [
-    # empty parent: the residual alone
-    ([], (0, 3, -6, 9), ((0, 1, -2, 3),)),
-    # new pivot after the parent's; non-unit pivot 5 clears a row
-    ([(2, 0, 3, 0)], (0, 0, 5, 7), ((10, 0, 0, -21), (0, 0, 5, 7))),
-    # new pivot before the parent's; the parent row is zero there
-    ([(0, 0, 2, 3)], (7, 1, 0, 0), ((7, 1, 0, 0), (0, 0, 2, 3))),
-    # new pivot between; one row cleared, one zero at the new pivot
-    ([(1, 2, 0, 0), (0, 0, 1, 1)], (0, 3, 0, 4),
-     ((3, 0, 0, -8), (0, 3, 0, 4), (0, 0, 1, 1))),
-])
-def test_int_canonical_extend_examples(parent, vec, expected):
-    _, _, _, p, (rows, pivots) = _extend(parent, vec, 4)
-    assert rows == expected
-    assert pivots == tuple(next(i for i, a in enumerate(r) if a) for r in expected)
-    assert rows == int_canonical(*int_span(list(parent) + [vec], 4))
-
-
-def test_int_canonical_extend_matches_int_canonical_and_fractions():
-    """Random parents and vectors, small and beyond the content-strip
-    threshold; every placement of the new pivot and both kinds of parent
-    row (cleared, or already zero at the new pivot) occur."""
-    rng = random.Random(14)
-    seen = set()
-    for trial in range(400):
-        dim = rng.randint(1, 6)
-        bound = 1 << 110 if trial % 4 == 0 else 9
-        parent = [[rng.randint(-bound, bound) for _ in range(dim)]
-                  for _ in range(rng.randint(0, dim - 1))]
-        vec = [rng.randint(-bound, bound) for _ in range(dim)]
-        rows, pivots = int_span(parent, dim)
-        if int_residual(vec, rows, pivots)[1] is None:
-            continue
-        canon, canon_pivots, red, p, (got, got_pivots) = _extend(parent, vec, dim)
-        assert got == int_canonical(*int_span(parent + [vec], dim))
-        assert subspace_from_int_rows(got, dim) == span(parent + [vec], dim)
-        assert got_pivots == tuple(sorted(canon_pivots + (p,)))
-        seen.add(("empty",) if not canon else
-                  ("before",) if p < canon_pivots[0] else
-                  ("after",) if p > canon_pivots[-1] else ("between",))
-        seen.update(("cleared" if r[p] else "zero at p", red[p] > 1)
-                    for r in canon)
-        if red[p] > 1 << 64:
-            seen.add(("large pivot",))
-    assert {("large pivot",)} <= seen
-    assert {("empty",), ("before",), ("between",), ("after",)} <= seen
-    assert {("cleared", True), ("zero at p", True), ("cleared", False)} <= seen
