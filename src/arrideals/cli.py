@@ -147,8 +147,11 @@ def _cmd_jumps(args, lat: IntersectionLattice) -> int:
         for c in mmod.jump_candidates(lat, args.max):
             print(c)
         return 0
-    for c, jump in mmod.verify_jumps(lat, args.max, args.degree):
-        print(f"{c}\tverified" if jump else f"{c}\tnot detected up to degree {args.degree}")
+    bound = args.degree
+    if bound is None:
+        bound = _default_degree(mmod.presentation(lat, bmod.minimal_building_set(lat), args.max))
+    for c, jump in mmod.verify_jumps(lat, args.max, bound):
+        print(f"{c}\tverified" if jump else f"{c}\tnot detected up to degree {bound}")
     return 0
 
 
@@ -170,8 +173,7 @@ def _cmd_resolution(args, lat: IntersectionLattice) -> int:
 def _cmd_hilbert(args, lat: IntersectionLattice) -> int:
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
     bound = args.degree if args.degree is not None else _default_degree(pres)
-    dims = gmod.hilbert(mmod.presentation_ideal(pres, bound))
-    print(" ".join(map(str, dims)))
+    print(" ".join(map(str, mmod.hilbert_function(lat, pres, bound))))
     return 0
 
 
@@ -180,13 +182,12 @@ def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     pres_full = mmod.presentation(lat, bmod.full_building_set(lat), args.lam)
     bound = (args.degree if args.degree is not None
              else _default_degree(pres_min, pres_full))
-    a = mmod.presentation_ideal(pres_min, bound)
-    # the full set often adds only zero exponents: the same terms, one ideal
-    b = a if pres_full.terms == pres_min.terms else mmod.presentation_ideal(pres_full, bound)
-    print("minimal:", " ".join(map(str, gmod.hilbert(a))))
-    print("full:   ", " ".join(map(str, gmod.hilbert(b))))
+    a, b = mmod.theorem_rows(lat, pres_min, pres_full, bound)
+    print("minimal:", " ".join(map(str, a)))
+    print("full:   ", " ".join(map(str, b)))
+    # the full ideal lies in the minimal one: equal dimensions, equal pieces
     for d in range(bound + 1):
-        if a.piece_rows[d] != b.piece_rows[d]:
+        if a[d] != b[d]:
             print(f"DIFFER at degree {d}")
             return 0
     print(f"EQUAL up to degree {bound}")
@@ -246,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
             "by comparing graded ideals across each candidate.")
     p.add_argument("--max", type=_rational, required=True, metavar="P/Q")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--degree", type=_positive_int, default=4,
-                   help="truncation degree for verification (default 4)")
+    p.add_argument("--degree", type=_positive_int, default=None,
+                   help="truncation degree for verification (default: 2 plus the "
+                        "exponent total of the presentation at --max, capped at "
+                        f"{mmod.DEGREE_CAP})")
 
     p = add("member", _cmd_member,
             "Test membership of a polynomial in the multiplier ideal at lambda.",

@@ -23,7 +23,14 @@ kernel: the vectors orthogonal to the stacked inverse systems of all its
 terms, and a polynomial is in the intersection when every homogeneous
 component is orthogonal to them, with no piece built at all.
 
-Every returned ideal is checked once for multiplicative closure: each
+The stacked inverse systems live in one object, ``_Perps``: per degree an
+echelon list, to which terms are added in order.  Its ranks alone give
+the piece dimensions, width − rank, with no kernel, canonical form or
+closure check; the multiplier module's rank path reads nothing else.
+``_realize`` stacks its terms through ``_Perps`` as well, each degree in
+the order given, and then takes each degree's kernel.
+
+Every realized ideal is checked once for multiplicative closure: each
 piece times each variable must land in the next piece.  Coefficients are
 rational, which is faithful for every identity handled here since all
 inputs are rational.
@@ -397,6 +404,46 @@ def _inverse_system(forms: IntRows, nvars: int, exponent: int,
     return tuple(rows)
 
 
+class _Perps:
+    """The stacked inverse systems of some powers, one echelon list per
+    degree 0..bound: in degree d, the perp of the intersection's piece.
+
+    A power I^e has no piece below degree e, so every degree below the
+    largest exponent added, ``low``, is the whole space and takes no rows.
+    A degree whose rank reaches its width takes no more rows.
+    """
+
+    def __init__(self, nvars: int, bound: int) -> None:
+        self.nvars = nvars
+        self.widths = [comb(nvars + d - 1, d) for d in range(bound + 1)]
+        self.echelons = [([], []) for _ in self.widths]
+        self.low = 0
+
+    def add(self, terms: Sequence[tuple[IntRows, int]]) -> bool:
+        """Stack the inverse systems of the powers I^e, one per (forms, e)
+        with canonical forms, in order; whether the span grew in some degree."""
+        top = max((e for _, e in terms), default=0)
+        grew = any(len(rows) < width for (rows, _), width in
+                   zip(self.echelons[self.low:top], self.widths[self.low:top]))
+        self.low = max(self.low, top)
+        for d in range(self.low, len(self.widths)):
+            rows, pivots = self.echelons[d]
+            width = self.widths[d]
+            for forms, e in terms:
+                if len(rows) == width:
+                    break
+                for g in _inverse_system(forms, self.nvars, e, d):
+                    grew = int_insert(rows, pivots, g) or grew
+                    if len(rows) == width:
+                        break
+        return grew
+
+    def dims(self) -> list[int]:
+        """Dimension of each piece of the intersection: width − rank."""
+        return [0 if d < self.low else width - len(rows)
+                for d, ((rows, _), width) in enumerate(zip(self.echelons, self.widths))]
+
+
 def _realize(terms: tuple[tuple[IntRows, int], ...], nvars: int,
              bound: int) -> GradedIdeal:
     """Truncation of the intersection of the powers I^e, one per (forms, e).
@@ -404,19 +451,13 @@ def _realize(terms: tuple[tuple[IntRows, int], ...], nvars: int,
     Each degree-d piece is one kernel: the vectors orthogonal to the stacked
     inverse systems of all terms.  No terms give the unit ideal.
     """
+    perps = _Perps(nvars, bound)
+    perps.add(terms)
     pieces: list[IntRows] = []
-    for d in range(bound + 1):
-        if any(d < e for _, e in terms):
+    for d, ((rows, pivots), width) in enumerate(zip(perps.echelons, perps.widths)):
+        if d < perps.low:
             pieces.append(())
             continue
-        width = comb(nvars + d - 1, d)
-        rows: list = []
-        pivots: list = []
-        for forms, e in terms:
-            if len(rows) == width:  # the perps span everything: the piece is 0
-                break
-            for g in _inverse_system(forms, nvars, e, d):
-                int_insert(rows, pivots, g)
         kernel = int_kernel(int_canonical(rows, pivots), width)
         pieces.append(int_canonical(*int_span(kernel, width)))
     return GradedIdeal(nvars, bound, tuple(pieces))

@@ -16,20 +16,52 @@ jumping numbers are the rationals m/s(W) where some floor increments.
 
 Each exponent is a right-continuous step function of λ stepping only at
 candidates, so the ideal is constant from one candidate to the next and is
-the unit ideal below the first.  Jumps are verified in one ascending pass
-comparing each candidate's ideal with the previous one, up to a degree bound.
+the unit ideal below the first.
+
+``hilbert_function``, ``theorem_rows`` and ``verify_jumps`` need only piece
+dimensions, and read them as ranks of stacked inverse systems (the graded
+module's ``_Perps``), building no ideal:
+
+- Essential coordinates.  Every I_W is generated by linear forms in N(W),
+  inside the normal space N(top) of the top flat, of rank r.  Taking the
+  rows of N(top) as r of the n coordinates (``lattice.rows_in``), the
+  ideal J is J_ess·S for an ideal J_ess of the ring R in those r
+  variables, and S = R[z] in n − r more.  So J_d is the direct sum over
+  k ≤ d of (J_ess)_k times the forms of degree d − k in z:
+  H(d) = Σ_(k≤d) H_ess(k)·C(n−r−1+d−k, d−k), and two such ideals agree up
+  to degree D iff their essential parts do.  Pieces are computed in r
+  variables and lifted; the width guard measures r variables.
+- Jumps.  For c ≥ c′ every exponent at c is at least the one at c′, so
+  J(c) ⊆ J(c′), and the perps of J(c) contain those of J(c′).  Two ideals
+  with J ⊆ J′ agree in degree d iff their perps there have equal rank.  So
+  one ascending pass stacks a term again only when its exponent rises
+  (the inverse system of I^e lies in that of I^(e+1)), and a candidate
+  shrinks the ideal up to degree D iff the span grew in some degree ≤ D.
+- The theorem rows.  A building set G contains the minimal one, and both
+  presentations use the same exponent for a flat, so the terms over G are
+  those over gmin plus more: I_G ⊆ I_gmin.  The gmin terms are stacked
+  once and read; the other terms are stacked on top and read again.  By
+  the containment, equal dimensions in a degree mean equal pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .building import BuildingSet, minimal_building_set
-from .graded import GradedIdeal, Polynomial, intersect_powers, power_contains
-from .lattice import Flat, IntersectionLattice
+from .graded import (
+    GradedIdeal,
+    Polynomial,
+    _check_width,
+    _Perps,
+    intersect_powers,
+    power_contains,
+)
+from .lattice import Flat, IntersectionLattice, rows_in
 
 
 @dataclass(frozen=True)
@@ -120,25 +152,92 @@ def jump_candidates(lat: IntersectionLattice, lam_max) -> list[Fraction]:
     return sorted(out)
 
 
+def _stack(perps: _Perps, top: Flat, terms) -> bool:
+    """Stack the (W, e) terms in the essential coordinates of ``top``;
+    whether the span grew in some degree."""
+    return perps.add([(rows_in(top, W), e) for W, e in terms])
+
+
+def _lift(dims: list[int], extra: int) -> list[int]:
+    """Piece dimensions of J·S from those of J, where S has ``extra`` more
+    variables: degree d of J·S is the sum over k of J_k times the forms of
+    degree d − k in the new variables."""
+    if not extra:
+        return dims
+    return [sum(h * comb(extra - 1 + d - k, d - k) for k, h in enumerate(dims[:d + 1]))
+            for d in range(len(dims))]
+
+
+def _stacked(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
+             bound: int) -> tuple[Flat, _Perps]:
+    """The top flat, and the presentation's terms stacked in its essential
+    coordinates up to ``bound``, after the width guard."""
+    if bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {bound}")
+    top = lat.flats[-1]
+    if bound >= max((e for _, e in pres.terms), default=0):  # else every piece is 0
+        _check_width(top.rank, bound)
+    perps = _Perps(top.rank, bound)
+    _stack(perps, top, pres.terms)
+    return top, perps
+
+
+def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
+                     bound: int) -> list[int]:
+    """Dimension of each piece of the presented ideal, degrees 0..bound.
+
+    The same numbers as ``hilbert(presentation_ideal(pres, bound))``, read
+    off ranks in the top flat's essential coordinates (module docstring).
+    """
+    top, perps = _stacked(lat, pres, bound)
+    return _lift(perps.dims(), pres.ambient_dim - top.rank)
+
+
+def theorem_rows(lat: IntersectionLattice, pres_min: MultiplierIdealPresentation,
+                 pres_full: MultiplierIdealPresentation,
+                 bound: int) -> tuple[list[int], list[int]]:
+    """Piece dimensions of two presentations at one λ, the second over a
+    building set containing the first's, degrees 0..bound.
+
+    The second ideal lies in the first (module docstring), so the pieces of
+    one degree are equal exactly when their dimensions are.  The terms of
+    the first are stacked once, then only the second's other terms.
+    """
+    top, perps = _stacked(lat, pres_min, bound)
+    minimal = perps.dims()
+    seen = {W for W, _ in pres_min.terms}
+    _stack(perps, top, [(W, e) for W, e in pres_full.terms if W not in seen])
+    extra = pres_min.ambient_dim - top.rank
+    return _lift(minimal, extra), _lift(perps.dims(), extra)
+
+
 def verify_jumps(lat: IntersectionLattice, lam_max,
                  bound: int) -> list[tuple[Fraction, bool]]:
     """Each candidate up to ``lam_max`` and whether the ideal shrinks there.
 
-    One ascending pass (see the module docstring) realizes each ideal once.
-    A False answer certifies nothing beyond degree ``bound``.
+    One ascending pass stacks each term again when its exponent rises; a
+    candidate shrinks the ideal iff the span grew (module docstring).  A
+    False answer certifies nothing beyond degree ``bound``.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
     candidates = jump_candidates(lat, lam_max)
     if not candidates:
         return []
+    top = lat.flats[-1]
+    _check_width(top.rank, bound)
     gmin = minimal_building_set(lat)
-    before = presentation_ideal(presentation(lat, gmin, 0), bound)
+    perps = _Perps(top.rank, bound)
+    exponents = dict.fromkeys(gmin.flats, 0)
     out = []
     for c in candidates:
-        at = presentation_ideal(presentation(lat, gmin, c), bound)
-        out.append((c, at.piece_rows != before.piece_rows))
-        before = at
+        risen = []
+        for W in gmin.flats:
+            e = _exponent(c, W)
+            if e > exponents[W]:
+                exponents[W] = e
+                risen.append((W, e))
+        out.append((c, _stack(perps, top, risen)))
     return out
 
 

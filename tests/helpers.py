@@ -8,7 +8,10 @@ rows to Fraction RREF subspaces (``fraction_linalg``) for comparison.
 generators (products of normal forms, shifted degree by degree) and
 intersect them pairwise, independently of the inverse systems the package
 uses.  ``graded_equal``, ``graded_contains`` and ``contains_polynomial``
-compare realized truncations piece by piece."""
+compare realized truncations piece by piece.  ``fraction_rows_in`` and
+``realized_jumps`` are independent routes for the essential coordinates
+and for the jump sweep, which the package computes without realizing any
+ideal."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
 from arrideals.arrangement import Arrangement, canonical_normal
-from arrideals.building import is_building_set, is_decomposition
+from arrideals.building import is_building_set, is_decomposition, minimal_building_set
 from arrideals.graded import (
     GradedIdeal,
     Polynomial,
@@ -29,6 +32,7 @@ from arrideals.graded import (
     monomials,
 )
 from arrideals.lattice import Flat, IntersectionLattice
+from arrideals.multiplier import jump_candidates, presentation, presentation_ideal
 from arrideals.linalg import (
     _first_nonzero,
     int_canonical,
@@ -39,7 +43,9 @@ from arrideals.linalg import (
 )
 
 from fraction_linalg import (
+    QMatrix,
     Subspace,
+    rref,
     span,
     span_contains,
     span_intersect,
@@ -93,6 +99,25 @@ def fraction_closure(arr: Arrangement, indices) -> tuple:
     closed = tuple(j for j, h in enumerate(hps) if span_contains(sub, h.normal))
     return (closed, sub.rank, sum(hps[j].mult for j in closed), arr.dim,
             tuple(_primitive_row(r) for r in sub.basis.entries))
+
+
+def fraction_rows_in(arr: Arrangement, W: Flat, U: Flat) -> tuple:
+    """``lattice.rows_in(W, U)`` by Fraction elimination.
+
+    Each normal u of U's closed set is solved for its coefficients c on
+    W's rows (the RREF of the columns [w_1 .. w_r | u]); the span of those
+    coefficient vectors is returned as its RREF scaled to primitive
+    integers.
+    """
+    rows = W.basis_rows
+    coords = []
+    for j in U.closed_set:
+        u = arr.hyperplanes[j].normal
+        system = rref(QMatrix.from_rows(
+            [[w[k] for w in rows] + [u[k]] for k in range(arr.dim)], len(rows) + 1))
+        assert system.pivots == tuple(range(len(rows))), "u is not in N(W)"
+        coords.append([r[-1] for r in system.basis.entries])
+    return tuple(_primitive_row(r) for r in span(coords, len(rows)).basis.entries)
 
 
 def subset_closure_flats(arr: Arrangement) -> set[tuple]:
@@ -385,6 +410,20 @@ def generator_presentation_ideal(pres, bound: int) -> GradedIdeal:
     """``presentation_ideal`` by the generator route."""
     return zassenhaus_intersect(
         [generator_power(W, e, bound) for W, e in pres.terms], bound, pres.ambient_dim)
+
+
+def realized_jumps(lat: IntersectionLattice, lam_max, bound: int):
+    """``multiplier.verify_jumps`` by realizing every candidate's ideal in
+    all variables and comparing it with the ideal at the previous candidate
+    (the unit ideal below the first)."""
+    gmin = minimal_building_set(lat)
+    before = presentation_ideal(presentation(lat, gmin, 0), bound)
+    out = []
+    for c in jump_candidates(lat, lam_max):
+        at = presentation_ideal(presentation(lat, gmin, c), bound)
+        out.append((c, at.piece_rows != before.piece_rows))
+        before = at
+    return out
 
 
 # --- comparisons of realized truncations -----------------------------------

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from arrideals import cli, graded, lattice, multiplier
-from arrideals.arrangement import parse_arrangement
+from arrideals.arrangement import braid, parse_arrangement
+from arrideals.building import BuildingSet, full_building_set, minimal_building_set
 from arrideals.errors import InvariantError
 
 
@@ -237,15 +239,24 @@ def test_degrees_below_every_exponent_are_not_width_checked(capsys, tmp_path):
 
 
 def test_oversized_degree_is_refused(capsys, tmp_path):
-    """A degree wider than graded.MAX_PIECE_WIDTH monomials ends in an error
-    before anything is allocated.  The sizes are chosen so that, without the
-    guard, the commands would still finish, only slowly."""
-    wide = tmp_path / "d8.json"
-    wide.write_text(json.dumps(
+    """A degree wider than graded.MAX_PIECE_WIDTH monomials, counted in the
+    essential variables, ends in an error before anything is allocated.
+    The sizes are chosen so that, without the guard, the commands would
+    still finish, only slowly."""
+    # one hyperplane in dimension 8 has one essential variable
+    line = tmp_path / "d8.json"
+    line.write_text(json.dumps(
         {"dim": 8, "hyperplanes": [{"normal": ["1", "-1"] + ["0"] * 6}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hilbert", str(line), "--lambda", "1", "--degree", "7"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "0 1 8 36 120 330 792 1716\n", "")
+    axes = tmp_path / "axes8.json"
+    axes.write_text(json.dumps({"dim": 8, "hyperplanes": [
+        {"normal": ["0"] * i + ["1"] + ["0"] * (7 - i)} for i in range(8)]}))
     b5 = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", b5]) == 0
-    for argv, width in ((["hilbert", str(wide), "--lambda", "1", "--degree", "7"], 3432),
+    for argv, width in ((["hilbert", str(axes), "--lambda", "1", "--degree", "7"], 3432),
                         (["member", b5, "--lambda", "1", "--poly", "x0^14"], 3060)):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
@@ -284,50 +295,111 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
     assert all(bs.flats is lat.irreducibles for lat, bs in gmin_calls)
 
 
-def test_jumps_sweep_realizes_each_ideal_once(capsys, tmp_path, monkeypatch):
-    """The ideal just below a candidate is the ideal at the previous one, so
-    a sweep realizes (and closure-checks) each distinct ideal once."""
+def record_stacking(monkeypatch):
+    """Lists that collect every GradedIdeal built (its closure check runs
+    in construction) and every (forms, exponent) term stacked."""
+    built, stacked = [], []
+    post_init = graded.GradedIdeal.__post_init__
+    add = graded._Perps.add
+
+    def recording_post_init(gi):
+        built.append(gi)
+        return post_init(gi)
+
+    def recording_add(perps, terms):
+        stacked.extend(terms)
+        return add(perps, terms)
+
+    monkeypatch.setattr(graded.GradedIdeal, "__post_init__", recording_post_init)
+    monkeypatch.setattr(graded._Perps, "add", recording_add)
+    return built, stacked
+
+
+def test_jumps_sweep_stacks_each_term_once(capsys, tmp_path, monkeypatch):
+    """The sweep builds no ideal, and a term is stacked again only when its
+    exponent rises: each (flat, exponent) pair goes in once."""
     path = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", path]) == 0
-    built = []
-    check = graded.GradedIdeal._check_multiplicative_closure
-
-    def counting_check(gi):
-        built.append(gi)
-        return check(gi)
-
-    monkeypatch.setattr(graded.GradedIdeal, "_check_multiplicative_closure",
-                        counting_check)
+    built, stacked = record_stacking(monkeypatch)
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify",
                                 "--degree", "4"])
     assert code == 0 and len(out.splitlines()) == 9
-    # the unit ideal below the lct, then one ideal per candidate: 10, where
-    # realizing both sides of every candidate would take 18
-    assert len(built) == 10
+    assert built == []
+    # at 1 the exponents are 1 (10 lines), 2 (10 planes), 4 (5 flats of
+    # rank 3) and 7 (the top flat), each reached one step at a time
+    assert len(stacked) == len(set(stacked)) == 10 + 20 + 20 + 7
 
 
-def test_verify_theorem_realizes_equal_presentations_once(capsys, tmp_path,
-                                                         monkeypatch):
-    """When the full set adds only zero exponents both presentations have the
-    same terms, so one ideal is realized and compared with itself."""
+def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
+                                                             monkeypatch):
+    """The minimal terms are stacked once, then only the full set's terms
+    on reducible flats; no ideal is built."""
     path = str(tmp_path / "b4.json")
     assert cli.main(["braid", "4", "-o", path]) == 0
-    built = []
-    check = graded.GradedIdeal._check_multiplicative_closure
-
-    def counting_check(gi):
-        built.append(gi)
-        return check(gi)
-
-    monkeypatch.setattr(graded.GradedIdeal, "_check_multiplicative_closure",
-                        counting_check)
+    lat = lattice.compute_lattice(braid(4))
+    top = lat.flats[-1]
+    built, stacked = record_stacking(monkeypatch)
     # at 1/2 every reducible flat of braid(4) has exponent 0; at 1 it has 1
-    for lam, ideals in (("1/2", 1), ("1", 2)):
-        built.clear()
-        code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", lam,
+    for lam, reducible in ((Fraction(1, 2), 0), (Fraction(1), 3)):
+        stacked.clear()
+        code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", str(lam),
                                     "--degree", "4"])
         assert code == 0 and out.splitlines()[-1] == "EQUAL up to degree 4"
-        assert len(built) == ideals
+        pres_min = multiplier.presentation(lat, minimal_building_set(lat), lam)
+        extra = [(W, e) for W, e in multiplier.presentation(
+            lat, full_building_set(lat), lam).terms if W not in lat.irreducibles]
+        assert len(extra) == reducible
+        assert stacked == [(lattice.rows_in(top, W), e)
+                           for W, e in pres_min.terms + tuple(extra)]
+    assert built == []
+
+
+@pytest.mark.parametrize("closed, first", [((0, 1, 2, 3, 4, 5), 2), ((0, 1, 3), 3)])
+def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkeypatch,
+                                                       closed, first):
+    """With an irreducible flat of braid(4) (the top flat, a triple point)
+    left out of the minimal set, the two ideals differ at λ = 5/6; the
+    command names the first degree where the realized pieces differ."""
+    path = str(tmp_path / "b4.json")
+    assert cli.main(["braid", "4", "-o", path]) == 0
+
+    def without_flat(lat):
+        return BuildingSet(tuple(W for W in lat.irreducibles
+                                 if W.closed_set != closed), "custom")
+
+    lat = lattice.compute_lattice(braid(4))
+    assert lat.flat_with_closed(closed) in lat.irreducibles
+    a = multiplier.presentation_ideal(
+        multiplier.presentation(lat, without_flat(lat), Fraction(5, 6)), 6)
+    b = multiplier.presentation_ideal(
+        multiplier.presentation(lat, full_building_set(lat), Fraction(5, 6)), 6)
+    assert first == next(d for d in range(7) if a.piece_rows[d] != b.piece_rows[d])
+    monkeypatch.setattr(cli.bmod, "minimal_building_set", without_flat)
+    code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", "5/6", "--degree", "6"])
+    assert code == 0
+    assert out.splitlines() == [
+        "minimal: " + " ".join(map(str, graded.hilbert(a))),
+        "full:    " + " ".join(map(str, graded.hilbert(b))),
+        f"DIFFER at degree {first}",
+    ]
+
+
+def test_jumps_default_degree(capsys, tmp_path):
+    """Without --degree, jumps --verify truncates where hilbert would at
+    --max: 2 plus the exponent total, capped at 10 with a note."""
+    path = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", path]) == 0
+    code, out, err = run(capsys, ["jumps", path, "--max", "1", "--verify"])
+    assert code == 0
+    assert err == "note: default degree bound 59 capped at 10; set --degree to override\n"
+    assert out.splitlines() == [
+        "2/5\tverified", "1/2\tverified", "3/5\tverified", "2/3\tverified",
+        "7/10\tnot detected up to degree 10", "4/5\tverified", "5/6\tverified",
+        "9/10\tverified", "1\tverified"]
+    # an explicit degree keeps its wording
+    code, out, err = run(capsys, ["jumps", path, "--max", "1", "--verify", "--degree", "4"])
+    assert (code, err) == (0, "")
+    assert "1\tnot detected up to degree 4" in out.splitlines()
 
 
 def test_verify_theorem(capsys, braid3_file):

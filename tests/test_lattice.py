@@ -254,3 +254,37 @@ def test_minimal_containing_examples(braid_lattices):
     got = minimal_containing(lat4, gmin.flats, c)
     assert [f.closed_set for f in got] == [(0,), (5,)]
 
+
+
+def test_rows_in_examples(braid_lattices):
+    lat = braid_lattices[3]
+    top = lat.flats[-1]
+    # the top rows are x0 - x2 and x1 - x2: x0 - x1 is their difference
+    assert top.basis_rows == ((1, 0, -1), (0, 1, -1))
+    assert lattice.rows_in(top, lat.hyperplane_flat(0)) == ((1, -1),)
+    assert lattice.rows_in(top, top) == ((1, 0), (0, 1))
+    assert lattice.rows_in(top, lat.ambient) == ()
+    # non-unit pivots: the rows 2x0 + x1 and 3x1 + x2 (after scaling)
+    arr = Arrangement.from_normals(3, [(2, 1, 0), (0, 3, 1), (2, 4, 1)])
+    lat = compute_lattice(arr)
+    top = lat.flats[-1]
+    assert top.rank == 2
+    got = [lattice.rows_in(top, lat.hyperplane_flat(j)) for j in range(3)]
+    assert got == [helpers.fraction_rows_in(arr, top, lat.hyperplane_flat(j))
+                   for j in range(3)]
+
+
+def test_rows_in_matches_fraction_route(corpus_lattices, braid_lattices):
+    """Every pair U ≤ W agrees with Fraction elimination; every other pair
+    is refused."""
+    for lat in [*corpus_lattices, braid_lattices[4]]:
+        arr = lat.arrangement
+        for W in lat.flats:
+            for U in lat.flats:
+                if set(U.closed_set) <= set(W.closed_set):
+                    got = lattice.rows_in(W, U)
+                    assert got == helpers.fraction_rows_in(arr, W, U)
+                    assert len(got) == U.rank
+                else:
+                    with pytest.raises(ValueError, match="is not inside"):
+                        lattice.rows_in(W, U)

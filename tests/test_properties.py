@@ -7,7 +7,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arrideals.arrangement import (
     Arrangement,
@@ -21,10 +21,13 @@ from arrideals.building import (
     minimal_building_set,
 )
 from arrideals.lattice import compute_lattice
+from arrideals.graded import hilbert
 from arrideals.multiplier import (
+    hilbert_function,
     jump_candidates,
     presentation,
     presentation_ideal,
+    theorem_rows,
     verify_jumps,
 )
 
@@ -150,6 +153,42 @@ def test_verify_jumps_compares_each_candidate_with_the_interval_below(arr, bound
         at = presentation_ideal(presentation(lat, gmin, c), bound)
         mid = presentation_ideal(presentation(lat, gmin, (prev + c) / 2), bound)
         assert jump == (not helpers.graded_equal(at, mid, bound))
+
+
+@st.composite
+def non_essential_arrangements(draw):
+    """An arrangement of ``arrangements`` in Q^k (k = 2 or 3, coefficients
+    in [-2, 2], multiplicities 1-3) carried into Q^dim, dim = k + 1 or
+    k + 2, by an injective integer map: the top flat has rank below dim."""
+    inner = draw(arrangements(dims=(2, 3), size=5, coef=2))
+    k = inner.dim
+    dim = draw(st.integers(k + 1, k + 2))
+    columns = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                            min_size=k, max_size=k))
+    assume(span(columns, dim).rank == k)
+    normals = [tuple(sum(a * col[j] for a, col in zip(h.normal, columns))
+                     for j in range(dim)) for h in inner.hyperplanes]
+    return Arrangement.from_normals(dim, normals, [h.mult for h in inner.hyperplanes])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(non_essential_arrangements(), st.integers(1, 6), st.integers(2, 3),
+       st.integers(1, 4))
+def test_rank_path_matches_realized_ideals(arr, p, q, bound):
+    """hilbert_function, theorem_rows and verify_jumps compute in the top
+    flat's essential coordinates and lift to all variables; each equals the
+    realized ideals in all variables."""
+    lat = compute_lattice(arr)
+    assert lat.flats[-1].rank < arr.dim
+    lam = Fraction(p, q)
+    pres_min = presentation(lat, minimal_building_set(lat), lam)
+    pres_full = presentation(lat, full_building_set(lat), lam)
+    a = hilbert(presentation_ideal(pres_min, bound))
+    b = hilbert(presentation_ideal(pres_full, bound))
+    assert hilbert_function(lat, pres_min, bound) == a
+    assert hilbert_function(lat, pres_full, bound) == b
+    assert theorem_rows(lat, pres_min, pres_full, bound) == (a, b)
+    assert verify_jumps(lat, lam, bound) == helpers.realized_jumps(lat, lam, bound)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
