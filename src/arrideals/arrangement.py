@@ -90,10 +90,6 @@ class Arrangement:
                     for n, m in zip(normals, mults))
         return cls(dim, hps)
 
-    @property
-    def is_reduced(self) -> bool:
-        return all(h.mult == 1 for h in self.hyperplanes)
-
 
 def parse_arrangement(text: str) -> Arrangement:
     """Parse the JSON arrangement format (see module docstring)."""

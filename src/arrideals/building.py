@@ -30,7 +30,6 @@ cover edges (see the lattice module).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,11 +46,6 @@ class BuildingSet:
     """A verified-by-construction family of proper flats."""
 
     flats: tuple[Flat, ...]
-    kind: str  # "minimal", "full" or "custom"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("minimal", "full", "custom"):
-            raise ValueError(f"unknown building set kind {self.kind!r}")
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -91,14 +85,6 @@ def _decomposes(target: Flat, parts: Sequence[Flat]) -> bool:
             and sum(U.rank for U in parts) == target.rank)
 
 
-def is_irreducible(lat: IntersectionLattice, flat: Flat) -> bool:
-    """Whether the flat admits only the trivial decomposition."""
-    _require_proper_flat(lat, flat, "flat")
-    irreducibles = lat.irreducibles  # in canonical order, so bisect finds the flat
-    i = bisect_left(irreducibles, flat_sort_key(flat), key=flat_sort_key)
-    return i < len(irreducibles) and irreducibles[i].closed_set == flat.closed_set
-
-
 def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat]:
     """The unique finest decomposition of ``flat`` into irreducible flats:
     the maximal irreducible flats whose closed sets lie in the flat's.
@@ -111,12 +97,12 @@ def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat
 
 def minimal_building_set(lat: IntersectionLattice) -> BuildingSet:
     """All irreducible proper flats, in canonical order (computed once per lattice)."""
-    return BuildingSet(lat.irreducibles, "minimal")
+    return BuildingSet(lat.irreducibles)
 
 
 def full_building_set(lat: IntersectionLattice) -> BuildingSet:
     """The whole proper lattice as a building set."""
-    return BuildingSet(lat.proper, "full")
+    return BuildingSet(lat.proper)
 
 
 def custom_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> BuildingSet:
@@ -128,7 +114,7 @@ def custom_building_set(lat: IntersectionLattice, flats: Sequence[Flat]) -> Buil
         raise ValueError(
             f"not a building set: fails at flat with closed set {bad.closed_set}"
         )
-    return BuildingSet(ordered, "custom")
+    return BuildingSet(ordered)
 
 
 def building_set_obstruction(lat: IntersectionLattice,

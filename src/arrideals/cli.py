@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Minimal-building-set flats with lambda >= rank/s.", lam=True)
 
     p = add("jumps", _cmd_jumps,
-            "Candidate jumping numbers m/s(W) up to a bound, optionally verified "
-            "by comparing graded ideals across each candidate.")
+            "Candidate jumping numbers m/s(W) up to a bound, optionally verified: "
+            "a candidate is a jump when some piece dimension drops there.")
     p.add_argument("--max", type=_rational, required=True, metavar="P/Q")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--degree", type=_positive_int, default=None,

@@ -138,64 +138,15 @@ class Polynomial:
                          key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return cls(nvars, tuple(ordered))
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, ())
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def homogeneous_parts(self) -> dict[int, dict[Monomial, Fraction]]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coef in self.terms:
             parts.setdefault(sum(mono), {})[mono] = coef
         return parts
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        acc = dict(self.terms)
-        for mono, coef in other.terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + coef
-        return Polynomial.from_terms(self.nvars, acc)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial.from_terms(self.nvars, acc)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, coef in self.terms:
-            factors = [
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono) if e
-            ]
-            if not factors:
-                bits.append(str(coef))
-            elif coef == 1:
-                bits.append("*".join(factors))
-            elif coef == -1:
-                bits.append("-" + "*".join(factors))
-            else:
-                bits.append(f"{coef}*" + "*".join(factors))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
 
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^])|(?P<ws>\s+)|(?P<bad>.)")
@@ -475,13 +426,25 @@ def _check_power(flat: Flat, exponent: int) -> None:
 # the square (width 3003: about 810 MB for hilbert on braid(6) at λ = 4/5).
 MAX_PIECE_WIDTH = 3003
 
+# Most monomials of all degrees up to d together: C(16, 10), the most that
+# MAX_PIECE_WIDTH admits up to the default cap (six variables, degree 10).
+# In one or two variables every degree is narrow, but the work grows with
+# the number of degrees, so the width limit alone admits minutes of work.
+MAX_TOTAL_MONOMIALS = 8008
+
 
 def _check_width(nvars: int, degree: int) -> None:
-    """Refuse degree d, and so every higher one, if C(n+d−1, d) is too wide."""
+    """Refuse degree d, and so every higher one, if C(n+d−1, d) is too wide
+    or the C(n+d, d) monomials of degrees 0..d are too many."""
     width = comb(nvars + degree - 1, degree)
     if width > MAX_PIECE_WIDTH:
         raise ValueError(f"degree {degree} in {nvars} variables has {width} "
                          f"monomials, more than the {MAX_PIECE_WIDTH} supported")
+    total = comb(nvars + degree, degree)
+    if total > MAX_TOTAL_MONOMIALS:
+        raise ValueError(f"degrees 0 to {degree} in {nvars} variable{'s' * (nvars > 1)} "
+                         f"have {total} monomials, more than the {MAX_TOTAL_MONOMIALS} "
+                         f"supported")
 
 
 def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:

@@ -145,12 +145,6 @@ class IntersectionLattice:
     def flat_with_closed(self, closed: Iterable[int]) -> Flat | None:
         return self._by_closed.get(tuple(sorted(closed)))
 
-    def hyperplane_flat(self, index: int) -> Flat:
-        f = self._by_closed.get((index,))
-        if f is None:
-            raise ValueError(f"no hyperplane with index {index}")
-        return f
-
 
 def _int_normals(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
     return tuple(primitive_vector(h.normal) for h in arr.hyperplanes)

@@ -162,7 +162,7 @@ def _lift(dims: list[int], extra: int) -> list[int]:
     """Piece dimensions of J·S from those of J, where S has ``extra`` more
     variables: degree d of J·S is the sum over k of J_k times the forms of
     degree d − k in the new variables."""
-    if not extra:
+    if not extra or not any(dims):  # no pieces below the bound: nothing to sum
         return dims
     return [sum(h * comb(extra - 1 + d - k, d - k) for k, h in enumerate(dims[:d + 1]))
             for d in range(len(dims))]

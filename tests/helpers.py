@@ -11,7 +11,8 @@ uses.  ``graded_equal``, ``graded_contains`` and ``contains_polynomial``
 compare realized truncations piece by piece.  ``fraction_rows_in`` and
 ``realized_jumps`` are independent routes for the essential coordinates
 and for the jump sweep, which the package computes without realizing any
-ideal."""
+ideal.  ``poly_add``, ``poly_mul`` and ``format_polynomial`` are the
+polynomial arithmetic and printing that only tests need."""
 
 from __future__ import annotations
 
@@ -302,6 +303,42 @@ def all_building_sets(lat: IntersectionLattice):
     return out
 
 
+# --- polynomial arithmetic and printing ------------------------------------
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    acc = dict(a.terms)
+    for mono, coef in b.terms:
+        acc[mono] = acc.get(mono, 0) + coef
+    return Polynomial.from_terms(a.nvars, acc)
+
+
+def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    acc = {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            m = tuple(x + y for x, y in zip(m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return Polynomial.from_terms(a.nvars, acc)
+
+
+def format_polynomial(poly: Polynomial) -> str:
+    """The terms in ``parse_polynomial`` syntax, e.g. "-x0^2 + 2/3*x0*x1 - 1"."""
+    bits = []
+    for mono, coef in poly.terms:
+        factors = "*".join(f"x{i}" + (f"^{e}" if e > 1 else "")
+                           for i, e in enumerate(mono) if e)
+        if not factors:
+            bits.append(str(coef))
+        elif abs(coef) == 1:
+            bits.append(("-" if coef < 0 else "") + factors)
+        else:
+            bits.append(f"{coef}*{factors}")
+    out = bits[0] if bits else "0"
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
 # --- independent graded pieces via Fraction spans --------------------------
 
 def coefficient_vector(poly: Polynomial, degree: int):
@@ -332,11 +369,11 @@ def principal_power_piece(form: Polynomial, power: int, degree: int) -> Subspace
         return span([], width)
     fk = form
     for _ in range(power - 1):
-        fk = fk * form
+        fk = poly_mul(fk, form)
     prods = []
     for mono in monomials(n, degree - power):
         m = Polynomial.from_terms(n, {mono: Fraction(1)})
-        prods.append(fk * m)
+        prods.append(poly_mul(fk, m))
     return span_of_polynomials(prods, n, degree)
 
 
@@ -456,13 +493,13 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` lies in its piece."""
     if poly.nvars != gi.nvars:
         raise ValueError("variable counts differ")
-    if poly.is_zero:
-        return True
-    if poly.degree > gi.degree_bound:
+    parts = poly.homogeneous_parts()
+    degree = max(parts, default=-1)
+    if degree > gi.degree_bound:
         raise ValueError(
-            f"polynomial degree {poly.degree} exceeds the truncation bound {gi.degree_bound}"
+            f"polynomial degree {degree} exceeds the truncation bound {gi.degree_bound}"
         )
-    for d, part in poly.homogeneous_parts().items():
+    for d, part in parts.items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(gi.nvars, d)])
         rows = gi.piece_rows[d]
         pivots = [_first_nonzero(r) for r in rows]

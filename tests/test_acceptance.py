@@ -99,10 +99,10 @@ def test_criterion_3_decomposition_cases(braid_data):
     with criterion("criterion 3: decomposition example, negative and positive"):
         lat3 = braid_data[3][0]
         top = lat3.flat_with_closed((0, 1, 2))
-        parts = [lat3.hyperplane_flat(0), lat3.hyperplane_flat(1)]
+        parts = [lat3.flat_with_closed((0,)), lat3.flat_with_closed((1,))]
         assert not is_decomposition(lat3, top, parts)
         assert (helpers.fraction_decomposition_obstruction(lat3, top, parts)
-                == lat3.hyperplane_flat(2))
+                == lat3.flat_with_closed((2,)))
 
         lat5 = braid_data[5][0]
         c = lat5.flat_with_closed((0, 1, 4, 9))  # x0=x1=x2 and x3=x4

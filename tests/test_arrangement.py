@@ -46,10 +46,9 @@ def test_simple_documents():
     )
     assert arr.dim == 2
     assert [h.normal for h in arr.hyperplanes] == [(1, 0), (0, 1)]
-    assert arr.is_reduced
+    assert [h.mult for h in arr.hyperplanes] == [1, 1]
 
     single = parse_arrangement('{"dim": 1, "hyperplanes": [{"normal": ["1"], "mult": 3}]}')
-    assert not single.is_reduced
     assert single.hyperplanes[0].mult == 3
 
 

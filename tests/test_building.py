@@ -10,7 +10,6 @@ from arrideals.building import (
     irreducible_decomposition,
     is_building_set,
     is_decomposition,
-    is_irreducible,
     minimal_building_set,
 )
 from arrideals.lattice import compute_lattice, flat_sort_key
@@ -22,7 +21,7 @@ from fraction_linalg import span
 def test_braid3_negative_example(braid_lattices):
     lat = braid_lattices[3]
     top = lat.flat_with_closed((0, 1, 2))
-    h01, h02, h12 = (lat.hyperplane_flat(i) for i in range(3))
+    h01, h02, h12 = (lat.flat_with_closed((i,)) for i in range(3))
     assert not is_decomposition(lat, top, [h01, h02])
     assert helpers.fraction_decomposition_obstruction(lat, top, [h01, h02]) == h12
 
@@ -47,10 +46,11 @@ def test_parts_must_contain_the_target():
     even when every sum B + U_i passes (here U + C is the whole space)."""
     lat = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     line = lat.flat_with_closed((0, 1))
-    plane = lat.hyperplane_flat(2)
+    plane = lat.flat_with_closed((2,))
     assert helpers.fraction_decomposition_obstruction(lat, line, [line, plane]) is None
     assert not is_decomposition(lat, line, [line, plane])
-    assert is_decomposition(lat, line, [lat.hyperplane_flat(0), lat.hyperplane_flat(1)])
+    assert is_decomposition(lat, line,
+                            [lat.flat_with_closed((0,)), lat.flat_with_closed((1,))])
 
 
 def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
@@ -96,7 +96,7 @@ def test_irreducible_single_blocks(braid_lattices):
             (tuple(range(n)),), pair_index
         )
         diag = lat.flat_with_closed(full_block)
-        assert is_irreducible(lat, diag)
+        assert diag in lat.irreducibles
         assert irreducible_decomposition(lat, diag) == [diag]
 
 
@@ -104,7 +104,7 @@ def test_coordinate_axes_origin_decomposes():
     axes = Arrangement.from_normals(2, [(1, 0), (0, 1)])
     lat = compute_lattice(axes)
     origin = lat.flat_with_closed((0, 1))
-    assert not is_irreducible(lat, origin)
+    assert origin not in lat.irreducibles
     parts = irreducible_decomposition(lat, origin)
     assert [f.closed_set for f in parts] == [(0,), (1,)]
 
@@ -112,15 +112,13 @@ def test_coordinate_axes_origin_decomposes():
 def test_is_irreducible_rejects_foreign_flats(braid_lattices):
     lat = braid_lattices[3]
     with pytest.raises(ValueError, match="ambient"):
-        is_irreducible(lat, lat.ambient)
+        irreducible_decomposition(lat, lat.ambient)
     with pytest.raises(ValueError, match="not a flat of this lattice"):
-        is_irreducible(lat, braid_lattices[4].flats[-1])
+        irreducible_decomposition(lat, braid_lattices[4].flats[-1])
     # same closed set, rank, multiplicity and dimension; another normal line
     axes = compute_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1)]))
     foreign = compute_lattice(
-        Arrangement.from_normals(2, [(1, 1), (1, -1)])).hyperplane_flat(0)
-    with pytest.raises(ValueError, match="not a flat of this lattice"):
-        is_irreducible(axes, foreign)
+        Arrangement.from_normals(2, [(1, 1), (1, -1)])).flat_with_closed((0,))
     with pytest.raises(ValueError, match="not a flat of this lattice"):
         irreducible_decomposition(axes, foreign)
 
@@ -153,7 +151,7 @@ def test_top_flat_irreducibility(arr, parts):
     lat = compute_lattice(arr)
     top = lat.flats[-1]
     assert top.closed_set == tuple(range(len(arr.hyperplanes)))
-    assert is_irreducible(lat, top) == (len(parts) == 1)
+    assert (top in lat.irreducibles) == (len(parts) == 1)
     got = irreducible_decomposition(lat, top)
     assert [U.closed_set for U in got] == parts
     finest = max(helpers.brute_force_decompositions(lat, top), key=len)
@@ -184,7 +182,7 @@ def test_gmin_is_modular_partitions():
 
 def test_building_set_basics(braid_lattices):
     lat = braid_lattices[3]
-    hps = [lat.hyperplane_flat(i) for i in range(3)]
+    hps = [lat.flat_with_closed((i,)) for i in range(3)]
     assert not is_building_set(lat, hps)
     assert building_set_obstruction(lat, hps) == lat.flat_with_closed((0, 1, 2))
     assert is_building_set(lat, minimal_building_set(lat).flats)
@@ -215,15 +213,13 @@ def test_building_set_obstruction_matches_fraction_definition(corpus_lattices):
 def test_custom_building_set(braid_lattices):
     lat = braid_lattices[3]
     bs = custom_building_set(lat, lat.proper)
-    assert bs.kind == "custom"
+    assert bs.flats == lat.proper
     with pytest.raises(ValueError, match="not a building set"):
-        custom_building_set(lat, [lat.hyperplane_flat(i) for i in range(3)])
+        custom_building_set(lat, [lat.flat_with_closed((i,)) for i in range(3)])
 
 
 def test_kinds():
     lat = compute_lattice(braid(3))
-    assert minimal_building_set(lat).kind == "minimal"
-    assert full_building_set(lat).kind == "full"
     assert len(full_building_set(lat)) == len(lat.proper)
 
 
@@ -249,7 +245,7 @@ def test_brute_force_agreement_small():
             finest = [p for p in passing if len(p) == best]
             assert len(finest) == 1
             assert set(finest[0]) == set(got)
-            assert is_irreducible(lat, c) == (passing == [(c,)])
+            assert (c in lat.irreducibles) == (passing == [(c,)])
 
 
 def test_enumerated_building_sets_contain_gmin():

@@ -122,6 +122,58 @@ def test_lattice_output_digests(capsys, tmp_path, name, flats, json_sha256, rows
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == building_sha256
 
+
+# one fixed non-reduced arrangement in Q^3: x0 (s 2), x1, x2 (s 3), x0 + x1, x0 - 2 x2 (s 2)
+_NONREDUCED_DOC = {"dim": 3, "hyperplanes": [
+    {"normal": ["1", "0", "0"], "mult": 2},
+    {"normal": ["0", "1", "0"]},
+    {"normal": ["0", "0", "1"], "mult": 3},
+    {"normal": ["1", "1", "0"]},
+    {"normal": ["1", "0", "-2"], "mult": 2},
+]}
+
+# the commands whose output no other test pins byte for byte; "member" asks
+# once for a polynomial in the ideal at 1/2 and once for one outside it
+_GOLDEN_COMMANDS = (
+    ("mi", "--lambda", "1/2", "--json"),
+    ("mi", "--lambda", "3/2", "--json", "--set", "full"),
+    ("support", "--lambda", "1/2"),
+    ("resolution",),
+    ("jumps", "--max", "1", "--verify"),
+    ("hilbert", "--lambda", "4/5"),
+    ("verify-theorem", "--lambda", "4/5"),
+    ("member", "--lambda", "1/2", "--poly", "{true}"),
+    ("member", "--lambda", "1/2", "--poly", "x0*x2"),
+)
+
+
+@pytest.mark.parametrize("name,member_true,sha256", [
+    ("braid5", "x0*x2 - x0*x3 - x1*x2 + x1*x3",
+     "fa730257174c9850060c9d6897630e9201c7fdf3c78cd3626e6c1a32431511ef"),
+    ("nonreduced", "x0^2*x2 - 2*x0*x2^2",
+     "f7e815587d5483e5384c10c5030f6f6d7d7ee1c13a55583097a1f1bf91f1047e"),
+])
+def test_command_output_digests(capsys, tmp_path, name, member_true, sha256):
+    """Golden sha256 digest of the stdout and stderr of every command in
+    ``_GOLDEN_COMMANDS``, in order, on braid(5) and on a fixed non-reduced
+    arrangement: any change to the presentation or the graded engine must
+    leave all of them byte-identical."""
+    path = tmp_path / f"{name}.json"
+    if name == "braid5":
+        assert cli.main(["braid", "5", "-o", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(_NONREDUCED_DOC))
+    transcript = []
+    for command, *options in _GOLDEN_COMMANDS:
+        argv = [command, str(path)] + [o.format(true=member_true) for o in options]
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+        transcript.append(f"$ {' '.join(argv[:1] + argv[2:])}\n{out}{err}")
+    assert transcript[-2].endswith("\ntrue\n") and transcript[-1].endswith("\nfalse\n")
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == sha256, "".join(transcript)
+
+
 def test_building_listing_and_verify(capsys, braid3_file):
     code, out, _ = run(capsys, ["building", braid3_file])
     assert code == 0
@@ -236,6 +288,15 @@ def test_degrees_below_every_exponent_are_not_width_checked(capsys, tmp_path):
     assert (code, out.splitlines()[-1], err) == (0, "EQUAL up to degree 10",
                                                  note.format(2265))
     assert graded.MAX_PIECE_WIDTH < 8008
+    # one hyperplane in Q^3 at degree 99999, below the exponent 100000:
+    # no piece is built, and the zeros are not summed per degree either
+    line = tmp_path / "line3.json"
+    line.write_text(json.dumps({"dim": 3, "hyperplanes": [{"normal": ["1", "0", "0"]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hilbert", str(line), "--lambda", "100000",
+                                  "--degree", "99999"])
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, " ".join(["0"] * 100000) + "\n", "")
 
 
 def test_oversized_degree_is_refused(capsys, tmp_path):
@@ -264,6 +325,33 @@ def test_oversized_degree_is_refused(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and f"{width} monomials" in err
         assert width > graded.MAX_PIECE_WIDTH
+
+
+@pytest.mark.parametrize("doc,argv,total", [
+    ("line3", ["hilbert", "--lambda", "1", "--degree", "100000"], 100001),
+    ("line3", ["jumps", "--max", "1", "--verify", "--degree", "100000"], 100001),
+    ("point", ["verify-theorem", "--lambda", "1", "--degree", "10000000"], 10000001),
+    ("braid3", ["hilbert", "--lambda", "1", "--degree", "1000"], 501501),
+    ("point", ["member", "--lambda", "1", "--poly", "x0^3000000"], 3000001),
+])
+def test_high_degree_in_few_variables_is_refused(capsys, tmp_path, braid3_file,
+                                                 doc, argv, total):
+    """With one or two essential variables every degree is narrow, so the
+    width limit alone admits degrees that would run for minutes; the
+    monomials of all degrees up to the bound are counted too."""
+    docs = {"line3": {"dim": 3, "hyperplanes": [{"normal": ["1", "0", "0"]}]},
+            "point": {"dim": 1, "hyperplanes": [{"normal": ["1"], "mult": 2}]}}
+    path = braid3_file
+    if doc in docs:
+        path = str(tmp_path / f"{doc}.json")
+        with open(path, "w") as fh:
+            json.dump(docs[doc], fh)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"have {total} monomials" in err
+    assert total > graded.MAX_TOTAL_MONOMIALS
 
 
 def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
@@ -364,8 +452,7 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
     assert cli.main(["braid", "4", "-o", path]) == 0
 
     def without_flat(lat):
-        return BuildingSet(tuple(W for W in lat.irreducibles
-                                 if W.closed_set != closed), "custom")
+        return BuildingSet(tuple(W for W in lat.irreducibles if W.closed_set != closed))
 
     lat = lattice.compute_lattice(braid(4))
     assert lat.flat_with_closed(closed) in lat.irreducibles

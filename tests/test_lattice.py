@@ -70,7 +70,7 @@ def test_canonical_order_and_hyperplane_flats(corpus_lattices):
         assert keys == sorted(keys)
         assert lat.flats[0].rank == 0
         for i in range(len(lat.arrangement.hyperplanes)):
-            assert lat.hyperplane_flat(i).rank == 1
+            assert lat.flat_with_closed((i,)).rank == 1
 
 
 def test_rank_mult_bounds(corpus_lattices):
@@ -229,7 +229,7 @@ def test_normal_space_consistency(corpus_lattices, braid_lattices):
     lat = braid_lattices[3]
     spaces = {helpers.normal_space(f): f for f in lat.flats}
     assert spaces[span([], 3)] == lat.ambient
-    assert spaces[span([[1, -1, 0]], 3)] == lat.hyperplane_flat(0)
+    assert spaces[span([[1, -1, 0]], 3)] == lat.flat_with_closed((0,))
     # x0 - x1 and x0 - x2 span the triple point's normal space
     assert spaces[span([[1, -1, 0], [1, 0, -1]], 3)].closed_set == (0, 1, 2)
     # a line that is not a flat
@@ -240,7 +240,7 @@ def test_minimal_containing_examples(braid_lattices):
     lat = braid_lattices[3]
     top = lat.flat_with_closed((0, 1, 2))
     assert minimal_containing(lat, [top], top) == [top]
-    hps = [lat.hyperplane_flat(i) for i in range(3)]
+    hps = [lat.flat_with_closed((i,)) for i in range(3)]
     assert minimal_containing(lat, hps, top) == hps
     with pytest.raises(ValueError):
         minimal_containing(lat, hps, lat.ambient)
@@ -261,7 +261,7 @@ def test_rows_in_examples(braid_lattices):
     top = lat.flats[-1]
     # the top rows are x0 - x2 and x1 - x2: x0 - x1 is their difference
     assert top.basis_rows == ((1, 0, -1), (0, 1, -1))
-    assert lattice.rows_in(top, lat.hyperplane_flat(0)) == ((1, -1),)
+    assert lattice.rows_in(top, lat.flat_with_closed((0,))) == ((1, -1),)
     assert lattice.rows_in(top, top) == ((1, 0), (0, 1))
     assert lattice.rows_in(top, lat.ambient) == ()
     # non-unit pivots: the rows 2x0 + x1 and 3x1 + x2 (after scaling)
@@ -269,8 +269,8 @@ def test_rows_in_examples(braid_lattices):
     lat = compute_lattice(arr)
     top = lat.flats[-1]
     assert top.rank == 2
-    got = [lattice.rows_in(top, lat.hyperplane_flat(j)) for j in range(3)]
-    assert got == [helpers.fraction_rows_in(arr, top, lat.hyperplane_flat(j))
+    got = [lattice.rows_in(top, lat.flat_with_closed((j,))) for j in range(3)]
+    assert got == [helpers.fraction_rows_in(arr, top, lat.flat_with_closed((j,)))
                    for j in range(3)]
 
 

@@ -208,7 +208,7 @@ def test_all_building_sets_present_equal_ideals():
         for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(1)):
             reference = None
             for flats in sets:
-                bs = BuildingSet(tuple(flats), "custom")
+                bs = BuildingSet(tuple(flats))
                 gi = presentation_ideal(presentation(lat, bs, lam), 4)
                 if reference is None:
                     reference = gi
@@ -358,12 +358,12 @@ def test_presentation_ideal_matches_generator_route(braid_lattices):
     cases = [(braid_lattices[n], 5) for n in (3, 4, 5)] + [(braid_lattices[6], 4)]
     cases += [(compute_lattice(arr), 5) for arr in dim4_arrangements()]
     for lat, bound in cases:
-        for bs in (minimal_building_set(lat), full_building_set(lat)):
+        for name, bs in (("min", minimal_building_set(lat)), ("full", full_building_set(lat))):
             for lam in LAMBDAS:
                 pres = presentation(lat, bs, lam)
                 oracle = helpers.generator_presentation_ideal(pres, bound)
                 got = presentation_ideal(pres, bound)
-                assert got.piece_rows == oracle.piece_rows, (lat.arrangement.dim, bs.kind, lam)
+                assert got.piece_rows == oracle.piece_rows, (lat.arrangement.dim, name, lam)
 
 
 def test_membership_matches_generator_route(braid_lattices):
@@ -384,7 +384,7 @@ def test_membership_matches_generator_route(braid_lattices):
         def product(k):
             poly = Polynomial.from_terms(n, {(0,) * n: Fraction(rng.randint(1, 7), 5)})
             for _ in range(k):
-                poly = poly * rng.choice(forms)
+                poly = helpers.poly_mul(poly, rng.choice(forms))
             return poly
 
         for lam in LAMBDAS:
@@ -392,7 +392,7 @@ def test_membership_matches_generator_route(braid_lattices):
             oracle = helpers.generator_presentation_ideal(pres, 6)
             for _ in range(4):
                 k = rng.randint(2, 6)
-                polys = [product(k), product(k) + product(rng.randint(1, k - 1))]
+                polys = [product(k), helpers.poly_add(product(k), product(rng.randint(1, k - 1)))]
                 for poly in polys:
                     got = membership(arr, pres, poly)
                     assert got == contains_polynomial(oracle, poly)
