@@ -193,7 +193,6 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
             raise PolynomialParseError(f"expected a term at position {at}")
         coef = Fraction(sign)
         expo = [0] * nvars
-        saw_factor = False
         if kind == "num":
             take()
             if "/" in value and int(value.split("/")[1]) == 0:
@@ -205,12 +204,10 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 # bare constant term
                 acc[tuple(expo)] = acc.get(tuple(expo), Fraction(0)) + coef
                 return
-        while True:
+        while True:  # at the first factor or after a "*": a variable must follow
             kind, value, at = peek()
             if kind != "var":
-                if not saw_factor:
-                    raise PolynomialParseError(f"expected a variable at position {at}")
-                break
+                raise PolynomialParseError(f"expected a variable at position {at}")
             take()
             index = int(value[1:])
             if index >= nvars:
@@ -227,11 +224,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 take()
                 power = int(value)
             expo[index] += power
-            saw_factor = True
-            if peek()[:2] == ("op", "*"):
-                take()
-                continue
-            break
+            if peek()[:2] != ("op", "*"):
+                break
+            take()
         mono = tuple(expo)
         acc[mono] = acc.get(mono, Fraction(0)) + coef
 
@@ -313,6 +308,8 @@ def _products(forms: Sequence[Sequence[int]], nvars: int,
     """Every product of k of the linear forms, one per multiset of forms."""
     level = [(0, {(0,) * nvars: 1})]
     for _ in range(k):
+        if not level:  # no forms: no product of positive degree
+            break
         level = [(i, _times_form(poly, forms[i]))
                  for start, poly in level for i in range(start, len(forms))]
     return [poly for _, poly in level]
@@ -361,36 +358,46 @@ class _Perps:
 
     A power I^e has no piece below degree e, so every degree below the
     largest exponent added, ``low``, is the whole space and takes no rows.
-    A degree whose rank reaches its width takes no more rows.
+    A degree whose rank reaches its width takes no more rows.  Nothing is
+    allocated until ``add`` first leaves ``low`` at or below the bound;
+    only then does the width guard run, so a bound below every exponent
+    is neither refused nor built.
     """
 
     def __init__(self, nvars: int, bound: int) -> None:
+        if bound < 0:
+            raise ValueError(f"degree bound must be >= 0, got {bound}")
         self.nvars = nvars
-        self.widths = [comb(nvars + d - 1, d) for d in range(bound + 1)]
-        self.echelons = [([], []) for _ in self.widths]
+        self.bound = bound
+        self.widths: list[int] = []
+        self.echelons: list[tuple[list, list]] = []
         self.low = 0
 
-    def add(self, terms: Sequence[tuple[IntRows, int]]) -> bool:
+    def add(self, terms: Sequence[tuple[IntRows, int]]) -> None:
         """Stack the inverse systems of the powers I^e, one per (forms, e)
-        with canonical forms, in order; whether the span grew in some degree."""
-        top = max((e for _, e in terms), default=0)
-        grew = any(len(rows) < width for (rows, _), width in
-                   zip(self.echelons[self.low:top], self.widths[self.low:top]))
-        self.low = max(self.low, top)
-        for d in range(self.low, len(self.widths)):
+        with canonical forms, in order."""
+        self.low = max(self.low, max((e for _, e in terms), default=0))
+        if self.low > self.bound:
+            return
+        if not self.widths:
+            _check_width(self.nvars, self.bound)
+            self.widths = [comb(self.nvars + d - 1, d) for d in range(self.bound + 1)]
+            self.echelons = [([], []) for _ in self.widths]
+        for d in range(self.low, self.bound + 1):
             rows, pivots = self.echelons[d]
             width = self.widths[d]
             for forms, e in terms:
                 if len(rows) == width:
                     break
                 for g in _inverse_system(forms, self.nvars, e, d):
-                    grew = int_insert(rows, pivots, g) or grew
+                    int_insert(rows, pivots, g)
                     if len(rows) == width:
                         break
-        return grew
 
     def dims(self) -> list[int]:
         """Dimension of each piece of the intersection: width − rank."""
+        if self.low > self.bound:
+            return [0] * (self.bound + 1)
         return [0 if d < self.low else width - len(rows)
                 for d, ((rows, _), width) in enumerate(zip(self.echelons, self.widths))]
 
@@ -404,13 +411,10 @@ def _realize(terms: tuple[tuple[IntRows, int], ...], nvars: int,
     """
     perps = _Perps(nvars, bound)
     perps.add(terms)
-    pieces: list[IntRows] = []
-    for d, ((rows, pivots), width) in enumerate(zip(perps.echelons, perps.widths)):
-        if d < perps.low:
-            pieces.append(())
-            continue
-        kernel = int_kernel(int_canonical(rows, pivots), width)
-        pieces.append(int_canonical(*int_span(kernel, width)))
+    pieces: list[IntRows] = [()] * min(perps.low, bound + 1)
+    for d in range(perps.low, bound + 1):
+        kernel = int_kernel(int_canonical(*perps.echelons[d]), perps.widths[d])
+        pieces.append(int_canonical(*int_span(kernel, perps.widths[d])))
     return GradedIdeal(nvars, bound, tuple(pieces))
 
 
@@ -454,8 +458,6 @@ def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
     everything vanishing to order ≥ e along W.
     """
     _check_power(flat, exponent)
-    if bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {bound}")
     return _power_of_forms(flat.basis_rows, flat.ambient_dim, exponent, bound)
 
 
@@ -475,10 +477,6 @@ def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
         _check_power(flat, e)
         if flat.ambient_dim != nvars:
             raise ValueError("variable counts differ")
-    if bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {bound}")
-    if bound >= max((e for _, e in terms), default=0):  # else every piece is 0
-        _check_width(nvars, bound)
     return _realize(tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
 
 

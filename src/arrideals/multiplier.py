@@ -30,13 +30,16 @@ module's ``_Perps``), building no ideal:
   k ≤ d of (J_ess)_k times the forms of degree d − k in z:
   H(d) = Σ_(k≤d) H_ess(k)·C(n−r−1+d−k, d−k), and two such ideals agree up
   to degree D iff their essential parts do.  Pieces are computed in r
-  variables and lifted; the width guard measures r variables.
+  variables and lifted by n − r running sums (each new variable
+  multiplies the Hilbert series by 1/(1 − t)); the width guard measures r
+  variables.
 - Jumps.  For c ≥ c′ every exponent at c is at least the one at c′, so
   J(c) ⊆ J(c′), and the perps of J(c) contain those of J(c′).  Two ideals
   with J ⊆ J′ agree in degree d iff their perps there have equal rank.  So
   one ascending pass stacks a term again only when its exponent rises
   (the inverse system of I^e lies in that of I^(e+1)), and a candidate
-  shrinks the ideal up to degree D iff the span grew in some degree ≤ D.
+  shrinks the ideal up to degree D iff a piece dimension in some degree
+  ≤ D drops below the previous candidate's.
 - The theorem rows.  A building set G contains the minimal one, and both
   presentations use the same exponent for a flat, so the terms over G are
   those over gmin plus more: I_G ⊆ I_gmin.  The gmin terms are stacked
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
 from typing import NamedTuple
 
 from .arrangement import Arrangement
@@ -56,7 +59,6 @@ from .building import BuildingSet, minimal_building_set
 from .graded import (
     GradedIdeal,
     Polynomial,
-    _check_width,
     _Perps,
     intersect_powers,
     power_contains,
@@ -152,34 +154,24 @@ def jump_candidates(lat: IntersectionLattice, lam_max) -> list[Fraction]:
     return sorted(out)
 
 
-def _stack(perps: _Perps, top: Flat, terms) -> bool:
-    """Stack the (W, e) terms in the essential coordinates of ``top``;
-    whether the span grew in some degree."""
-    return perps.add([(rows_in(top, W), e) for W, e in terms])
-
-
 def _lift(dims: list[int], extra: int) -> list[int]:
     """Piece dimensions of J·S from those of J, where S has ``extra`` more
-    variables: degree d of J·S is the sum over k of J_k times the forms of
-    degree d − k in the new variables."""
-    if not extra or not any(dims):  # no pieces below the bound: nothing to sum
-        return dims
-    return [sum(h * comb(extra - 1 + d - k, d - k) for k, h in enumerate(dims[:d + 1]))
-            for d in range(len(dims))]
+    variables: each new variable multiplies the Hilbert series by
+    1/(1 − t), a running sum."""
+    for _ in range(extra):
+        dims = list(accumulate(dims))
+    return dims
 
 
-def _stacked(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
-             bound: int) -> tuple[Flat, _Perps]:
-    """The top flat, and the presentation's terms stacked in its essential
-    coordinates up to ``bound``, after the width guard."""
-    if bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {bound}")
+def _stacked_dims(lat: IntersectionLattice, bound: int, *batches):
+    """Stack each batch of (W, e) terms in turn, in the essential
+    coordinates of the top flat up to ``bound``; the lifted piece
+    dimensions after each batch."""
     top = lat.flats[-1]
-    if bound >= max((e for _, e in pres.terms), default=0):  # else every piece is 0
-        _check_width(top.rank, bound)
     perps = _Perps(top.rank, bound)
-    _stack(perps, top, pres.terms)
-    return top, perps
+    for terms in batches:
+        perps.add([(rows_in(top, W), e) for W, e in terms])
+        yield _lift(perps.dims(), lat.arrangement.dim - top.rank)
 
 
 def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
@@ -189,8 +181,7 @@ def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation
     The same numbers as ``hilbert(presentation_ideal(pres, bound))``, read
     off ranks in the top flat's essential coordinates (module docstring).
     """
-    top, perps = _stacked(lat, pres, bound)
-    return _lift(perps.dims(), pres.ambient_dim - top.rank)
+    return next(_stacked_dims(lat, bound, pres.terms))
 
 
 def theorem_rows(lat: IntersectionLattice, pres_min: MultiplierIdealPresentation,
@@ -203,12 +194,9 @@ def theorem_rows(lat: IntersectionLattice, pres_min: MultiplierIdealPresentation
     one degree are equal exactly when their dimensions are.  The terms of
     the first are stacked once, then only the second's other terms.
     """
-    top, perps = _stacked(lat, pres_min, bound)
-    minimal = perps.dims()
     seen = {W for W, _ in pres_min.terms}
-    _stack(perps, top, [(W, e) for W, e in pres_full.terms if W not in seen])
-    extra = pres_min.ambient_dim - top.rank
-    return _lift(minimal, extra), _lift(perps.dims(), extra)
+    return tuple(_stacked_dims(lat, bound, pres_min.terms,
+                               [(W, e) for W, e in pres_full.terms if W not in seen]))
 
 
 def verify_jumps(lat: IntersectionLattice, lam_max,
@@ -216,8 +204,8 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     """Each candidate up to ``lam_max`` and whether the ideal shrinks there.
 
     One ascending pass stacks each term again when its exponent rises; a
-    candidate shrinks the ideal iff the span grew (module docstring).  A
-    False answer certifies nothing beyond degree ``bound``.
+    candidate shrinks the ideal iff a piece dimension drops (module
+    docstring).  A False answer certifies nothing beyond degree ``bound``.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
@@ -225,19 +213,22 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     if not candidates:
         return []
     top = lat.flats[-1]
-    _check_width(top.rank, bound)
-    gmin = minimal_building_set(lat)
     perps = _Perps(top.rank, bound)
-    exponents = dict.fromkeys(gmin.flats, 0)
+    perps.add([])  # the unit ideal below the first candidate
+    before = perps.dims()
+    exponents = dict.fromkeys(minimal_building_set(lat).flats, 0)
     out = []
     for c in candidates:
         risen = []
-        for W in gmin.flats:
+        for W in exponents:
             e = _exponent(c, W)
             if e > exponents[W]:
                 exponents[W] = e
-                risen.append((W, e))
-        out.append((c, _stack(perps, top, risen)))
+                risen.append((rows_in(top, W), e))
+        perps.add(risen)
+        after = perps.dims()
+        out.append((c, after != before))
+        before = after
     return out
 
 

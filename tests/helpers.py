@@ -463,6 +463,15 @@ def realized_jumps(lat: IntersectionLattice, lam_max, bound: int):
     return out
 
 
+def lift_closed_form(dims, extra: int) -> list[int]:
+    """``multiplier._lift`` by its closed form: the degree-d piece of J·S,
+    S with ``extra`` more variables, is Σ_(k≤d) H(k)·C(extra−1+d−k, d−k)."""
+    if not extra:
+        return list(dims)
+    return [sum(h * comb(extra - 1 + d - k, d - k) for k, h in enumerate(dims[:d + 1]))
+            for d in range(len(dims))]
+
+
 # --- comparisons of realized truncations -----------------------------------
 
 def graded_equal(a: GradedIdeal, b: GradedIdeal, bound: int) -> bool:

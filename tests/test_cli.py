@@ -396,7 +396,7 @@ def record_stacking(monkeypatch):
 
     def recording_add(perps, terms):
         stacked.extend(terms)
-        return add(perps, terms)
+        add(perps, terms)
 
     monkeypatch.setattr(graded.GradedIdeal, "__post_init__", recording_post_init)
     monkeypatch.setattr(graded._Perps, "add", recording_add)

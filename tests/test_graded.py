@@ -1,9 +1,12 @@
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from arrideals import graded
 from arrideals.arrangement import Arrangement, braid
+from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import (
     GradedIdeal,
@@ -21,7 +24,7 @@ from arrideals.graded import (
     power_contains,
 )
 from arrideals.lattice import closure, compute_lattice
-from arrideals.multiplier import DEGREE_CAP
+from arrideals.multiplier import DEGREE_CAP, hilbert_function, presentation
 
 import helpers
 from helpers import contains_polynomial, graded_contains, graded_equal
@@ -54,6 +57,67 @@ def test_width_guard_admits_every_degree_up_to_the_cap():
     with pytest.raises(ValueError, match="8009 monomials"):
         _check_width(1, 8008)
     _check_width(1, 8007)
+
+
+def test_perps_build_no_degree_below_the_exponent():
+    """A _Perps whose exponent is above its bound allocates no degree and
+    refuses nothing, however wide the bound; the width guard runs when a
+    degree is first built, and a negative bound is refused at once."""
+    perps = graded._Perps(1, 10**6)
+    perps.add([(((1,),), 10**7)])
+    assert perps.widths == perps.echelons == []
+    assert perps.dims() == [0] * (10**6 + 1)
+    wide = graded._Perps(8, 100)  # degree 100 in 8 variables: far over the limit
+    wide.add([(((1,) + (0,) * 7,), 101)])
+    wide.add([])
+    assert wide.widths == [] and wide.dims() == [0] * 101
+    with pytest.raises(ValueError, match="monomials"):
+        graded._Perps(8, 100).add([(((1,) + (0,) * 7,), 100)])
+    with pytest.raises(ValueError, match="monomials"):
+        graded._Perps(8, 100).add([])  # the unit ideal builds degree 0 on
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        graded._Perps(1, -1)
+    unit = graded._Perps(2, 3)
+    unit.add([])
+    assert unit.dims() == [1, 2, 3, 4]
+
+
+def test_products_stop_when_no_form_is_left(monkeypatch):
+    """With one essential variable the flat has no points, so there is no
+    product of positive degree: no form is multiplied, and _products
+    stops at once instead of passing k times over an empty list."""
+    calls = []
+    times_form = graded._times_form
+
+    def counting_times_form(poly, form):
+        calls.append(form)
+        return times_form(poly, form)
+
+    monkeypatch.setattr(graded, "_times_form", counting_times_form)
+    graded._inverse_system.cache_clear()
+    line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
+    pres = presentation(line, minimal_building_set(line), 1)
+    assert hilbert_function(line, pres, 40) == [comb(d + 2, 2) - comb(d + 1, 1)
+                                                for d in range(41)]
+    assert calls == []
+    lines = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not graded._products.__code__:
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        products = graded._products((), 1, 1000)
+    finally:
+        sys.settrace(previous)
+    # one pass per k would trace at least 2000 lines
+    assert products == [] and len(lines) < 100
+    assert graded._products((), 1, 0) == [{(0,): 1}]
 
 
 def test_power_of_origin():
@@ -338,6 +402,11 @@ def test_polynomial_parse_errors():
         parse_polynomial("", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x0^", 2)
+    # a "*" after a factor must be followed by a variable
+    for text, at in (("x0*", 3), ("x0 * + x1", 5), ("2*x0*", 5)):
+        with pytest.raises(PolynomialParseError,
+                           match=f"expected a variable at position {at}$"):
+            parse_polynomial(text, 2)
 
 
 def test_parse_constants_and_signs():

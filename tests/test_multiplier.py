@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from arrideals import multiplier
 from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial, hilbert, parse_polynomial
@@ -398,3 +399,14 @@ def test_membership_matches_generator_route(braid_lattices):
                     assert got == contains_polynomial(oracle, poly)
                     answers.add((got, len(poly.homogeneous_parts()) > 1))
     assert answers == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_lift_matches_closed_form():
+    """The running sums of multiplier._lift equal the binomial closed form
+    on seeded random dimension lists, zeros included."""
+    rng = random.Random(20261019)
+    for extra in range(6):
+        for length in (1, 2, 7, 30):
+            for _ in range(5):
+                dims = [rng.choice((0, 0, rng.randint(0, 50))) for _ in range(length)]
+                assert multiplier._lift(dims, extra) == helpers.lift_closed_form(dims, extra)
