@@ -2,8 +2,9 @@
 
 Compute intersection lattices, building sets, multiplier-ideal
 presentations, log canonical thresholds and jumping numbers, all in exact
-rational arithmetic, and certify the ideal identities degree by degree
-with an independent graded-linear-algebra engine.
+rational arithmetic, and read the ideals' Hilbert functions, membership
+and building-set independence degree by degree from the inverse systems
+of the presented powers.
 
 The package namespace holds the names the README's library example uses;
 everything else is imported from its submodule (``arrideals.lattice``,
@@ -12,18 +13,16 @@ everything else is imported from its submodule (``arrideals.lattice``,
 
 from .arrangement import braid
 from .building import minimal_building_set
-from .graded import hilbert
 from .lattice import compute_lattice
-from .multiplier import lct, presentation, presentation_ideal
+from .multiplier import hilbert_function, lct, presentation
 
 __all__ = [
     "braid",
     "compute_lattice",
     "minimal_building_set",
     "presentation",
-    "presentation_ideal",
     "lct",
-    "hilbert",
+    "hilbert_function",
 ]
 
 __version__ = "0.1.0"

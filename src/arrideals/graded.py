@@ -1,38 +1,29 @@
-"""Homogeneous ideals represented degree by degree.
-
-A graded ideal is truncated at a degree bound D: for each degree d ≤ D it
-stores the subspace of the coefficient space of degree-d monomials spanned
-by the ideal's degree-d elements.  Equality of two such truncations is a
-partial certificate, "equal up to degree D", and that is exactly what it
-is called everywhere.  Monomials of one degree are ordered graded-
-lexicographically (largest exponent vector first), which fixes all bases.
-
-Pieces are computed and stored as canonical primitive-integer row bases
-(see linalg), so equal subspaces have equal rows whatever route built them.
+"""Homogeneous ideals read degree by degree through inverse systems.
 
 Every ideal here is an intersection of powers I_W^e of ideals of linear
-flats W, and each piece is built from inverse systems.  The apolarity
-pairing of x^a with y^b (y_i acting as ∂/∂x_i) is a! = a_0!·a_1!··· when
-a = b and 0 otherwise.  For a linear flat, the perp of (I_W^e)_d under it
-is Sym^(d−e+1)(W)·S_(e−1), the degree-(d−e+1) forms in the points of W
-times all forms of degree e − 1 (Emsalem–Iarrobino, "Inverse system of a
-symbolic power I", J. Algebra 1995).  With every coefficient of y^a of
-those forms multiplied by a!, the pairing is the plain dot product of
-coefficient vectors.  So the degree-d piece of an intersection is one
-kernel: the vectors orthogonal to the stacked inverse systems of all its
-terms, and a polynomial is in the intersection when every homogeneous
-component is orthogonal to them, with no piece built at all.
+flats W, read only in degrees d ≤ D for a degree bound D.  Agreement of
+two such readings is a partial certificate, "equal up to degree D", and
+that is exactly what it is called everywhere.  Monomials of one degree are
+ordered graded-lexicographically (largest exponent vector first), which
+fixes every coefficient vector.
+
+The apolarity pairing of x^a with y^b (y_i acting as ∂/∂x_i) is
+a! = a_0!·a_1!··· when a = b and 0 otherwise.  For a linear flat, the
+perp of (I_W^e)_d under it is Sym^(d−e+1)(W)·S_(e−1), the degree-(d−e+1)
+forms in the points of W times all forms of degree e − 1 (Emsalem–
+Iarrobino, "Inverse system of a symbolic power I", J. Algebra 1995).  With
+every coefficient of y^a of those forms multiplied by a!, the pairing is
+the plain dot product of coefficient vectors.  So the perp of the degree-d
+piece of an intersection is spanned by the stacked inverse systems of all
+its terms: the piece has dimension width − rank, and a polynomial is in
+the intersection when every homogeneous component is orthogonal to them.
+No piece is ever built.
 
 The stacked inverse systems live in one object, ``_Perps``: per degree an
-echelon list, to which terms are added in order.  Its ranks alone give
-the piece dimensions, width − rank, with no kernel, canonical form or
-closure check; the multiplier module's rank path reads nothing else.
-``_realize`` stacks its terms through ``_Perps`` as well, each degree in
-the order given, and then takes each degree's kernel.
-
-Every realized ideal is checked once for multiplicative closure: each
-piece times each variable must land in the next piece.  Coefficients are
-rational, which is faithful for every identity handled here since all
+echelon list, to which terms are added in order.  The multiplier module
+reads piece dimensions off its ranks; ``power_contains`` pairs each
+component of a polynomial with one power's inverse system.  Coefficients
+are rational, which is faithful for every identity handled here since all
 inputs are rational.
 """
 
@@ -46,15 +37,11 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Mapping, Sequence
 
-from .errors import InvariantError
 from .lattice import Flat
 from .linalg import (
     _first_nonzero,
-    int_canonical,
-    int_contains,
     int_insert,
     int_kernel,
-    int_span,
     primitive_vector,
     to_fraction,
 )
@@ -86,26 +73,6 @@ def monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
 @lru_cache(maxsize=None)
 def monomial_index(nvars: int, degree: int) -> dict[Monomial, int]:
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
-
-
-@lru_cache(maxsize=None)
-def _shift_table(nvars: int, degree: int, var: int) -> tuple[int, ...]:
-    """Position map for multiplying degree-d monomials by x_var."""
-    idx = monomial_index(nvars, degree + 1)
-    out = []
-    for m in monomials(nvars, degree):
-        shifted = list(m)
-        shifted[var] += 1
-        out.append(idx[tuple(shifted)])
-    return tuple(out)
-
-
-def _shift_row(row: Sequence[int], table: Sequence[int], width: int) -> list[int]:
-    out = [0] * width
-    for a, pos in zip(row, table):
-        if a:
-            out[pos] = a
-    return out
 
 
 class PolynomialParseError(ValueError):
@@ -246,51 +213,6 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
-    """Degreewise truncation of a homogeneous ideal up to ``degree_bound``.
-
-    ``piece_rows[d]`` is the canonical integer basis of the degree-d piece in
-    the coefficient space of degree-d monomials.  Construction verifies
-    multiplicative closure.
-    """
-
-    nvars: int
-    degree_bound: int
-    piece_rows: tuple[IntRows, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.piece_rows) != self.degree_bound + 1:
-            raise InvariantError("piece count does not match the degree bound")
-        for d, rows in enumerate(self.piece_rows):
-            space = comb(self.nvars + d - 1, d)
-            if not 0 <= len(rows) <= space:
-                raise InvariantError(f"degree-{d} piece has impossible dimension")
-            for r in rows:
-                if len(r) != space:
-                    raise InvariantError(f"degree-{d} piece has wrong width")
-        self._check_multiplicative_closure()
-
-    def _check_multiplicative_closure(self) -> None:
-        for d in range(self.degree_bound):
-            nxt = self.piece_rows[d + 1]
-            pivots = [_first_nonzero(r) for r in nxt]
-            width = comb(self.nvars + d, d + 1)
-            for var in range(self.nvars):
-                table = _shift_table(self.nvars, d, var)
-                for row in self.piece_rows[d]:
-                    shifted = _shift_row(row, table, width)
-                    if not int_contains(nxt, pivots, shifted):
-                        raise InvariantError(
-                            f"degree-{d} piece times x{var} leaves the degree-{d + 1} piece"
-                        )
-
-
-def hilbert(gi: GradedIdeal) -> list[int]:
-    """Dimension of each piece, degrees 0..degree_bound."""
-    return [len(rows) for rows in gi.piece_rows]
-
-
 def _times_form(poly: dict[Monomial, int], form: Sequence[int]) -> dict[Monomial, int]:
     out: dict[Monomial, int] = {}
     for mono, coef in poly.items():
@@ -333,6 +255,8 @@ def _inverse_system(forms: IntRows, nvars: int, exponent: int,
     carry the a! weight, so f lies in (I^e)_d iff f·g = 0 for every row g.
     """
     points = int_kernel(forms, nvars)
+    if not points and degree >= exponent:  # each row has a point factor
+        return ()
     pivots = [_first_nonzero(f) for f in forms]
     idx = monomial_index(nvars, degree)
     weights = _factorial_weights(nvars, degree)
@@ -402,29 +326,6 @@ class _Perps:
                 for d, ((rows, _), width) in enumerate(zip(self.echelons, self.widths))]
 
 
-def _realize(terms: tuple[tuple[IntRows, int], ...], nvars: int,
-             bound: int) -> GradedIdeal:
-    """Truncation of the intersection of the powers I^e, one per (forms, e).
-
-    Each degree-d piece is one kernel: the vectors orthogonal to the stacked
-    inverse systems of all terms.  No terms give the unit ideal.
-    """
-    perps = _Perps(nvars, bound)
-    perps.add(terms)
-    pieces: list[IntRows] = [()] * min(perps.low, bound + 1)
-    for d in range(perps.low, bound + 1):
-        kernel = int_kernel(int_canonical(*perps.echelons[d]), perps.widths[d])
-        pieces.append(int_canonical(*int_span(kernel, perps.widths[d])))
-    return GradedIdeal(nvars, bound, tuple(pieces))
-
-
-def _check_power(flat: Flat, exponent: int) -> None:
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    if flat.rank == 0:
-        raise ValueError("the ambient space has no proper ideal")
-
-
 # Most monomials of one degree a piece or membership test may span: C(15, 10),
 # every degree up to the default cap 10 in six variables.  Memory grows with
 # the square (width 3003: about 810 MB for hilbert on braid(6) at λ = 4/5).
@@ -451,35 +352,6 @@ def _check_width(nvars: int, degree: int) -> None:
                          f"supported")
 
 
-def graded_power(flat: Flat, exponent: int, bound: int) -> GradedIdeal:
-    """Truncation of I_W^e for the ideal of a linear flat W.
-
-    For a linear flat the ordinary and symbolic powers agree: I_W^e is
-    everything vanishing to order ≥ e along W.
-    """
-    _check_power(flat, exponent)
-    return _power_of_forms(flat.basis_rows, flat.ambient_dim, exponent, bound)
-
-
-@lru_cache(maxsize=None)
-def _power_of_forms(forms: IntRows, nvars: int, exponent: int,
-                    bound: int) -> GradedIdeal:
-    return _realize(((forms, exponent),), nvars, bound)
-
-
-def intersect_powers(terms: Sequence[tuple[Flat, int]], nvars: int,
-                     bound: int) -> GradedIdeal:
-    """Truncation of the intersection of I_W^e over the (W, e) terms.
-
-    The empty intersection is the unit ideal.
-    """
-    for flat, e in terms:
-        _check_power(flat, e)
-        if flat.ambient_dim != nvars:
-            raise ValueError("variable counts differ")
-    return _realize(tuple((flat.basis_rows, e) for flat, e in terms), nvars, bound)
-
-
 def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
     """Whether ``poly`` lies in I_W^e, without realizing the ideal.
 
@@ -487,7 +359,10 @@ def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
     inverse system of (I_W^e)_d; a nonzero component of degree below e
     cannot lie in the ideal.
     """
-    _check_power(flat, exponent)
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    if flat.rank == 0:
+        raise ValueError("the ambient space has no proper ideal")
     if poly.nvars != flat.ambient_dim:
         raise ValueError("variable counts differ")
     parts = poly.homogeneous_parts()

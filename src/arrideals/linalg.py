@@ -176,22 +176,3 @@ def int_kernel(canonical: Sequence[Sequence[int]], width: int) -> list[list[int]
         out.append(v)
     return out
 
-
-def int_intersect(a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]],
-                  width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the intersection of two integer row spaces."""
-    rows: list = []
-    pivots: list = []
-    zero = (0,) * width
-    for r in a_rows:
-        int_insert(rows, pivots, tuple(r) + tuple(r))
-    for r in b_rows:
-        int_insert(rows, pivots, tuple(r) + zero)
-    inner = []
-    inner_pivots = []
-    for row, p in zip(rows, pivots):
-        if p >= width:
-            inner.append(row[width:])
-            inner_pivots.append(p - width)
-    return int_canonical(inner, inner_pivots)
-

@@ -51,18 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .building import BuildingSet, minimal_building_set
-from .graded import (
-    GradedIdeal,
-    Polynomial,
-    _Perps,
-    intersect_powers,
-    power_contains,
-)
+from .graded import Polynomial, _Perps, power_contains
 from .lattice import Flat, IntersectionLattice, rows_in
 
 
@@ -102,11 +96,6 @@ def presentation(lat: IntersectionLattice, building: BuildingSet,
         if e >= 1:
             terms.append((W, e))
     return MultiplierIdealPresentation(lam, lat.arrangement.dim, tuple(terms))
-
-
-def presentation_ideal(pres: MultiplierIdealPresentation, bound: int) -> GradedIdeal:
-    """Degreewise realization of the intersected ideal, up to ``bound``."""
-    return intersect_powers(pres.terms, pres.ambient_dim, bound)
 
 
 DEGREE_CAP = 10
@@ -176,11 +165,9 @@ def _stacked_dims(lat: IntersectionLattice, bound: int, *batches):
 
 def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
                      bound: int) -> list[int]:
-    """Dimension of each piece of the presented ideal, degrees 0..bound.
-
-    The same numbers as ``hilbert(presentation_ideal(pres, bound))``, read
-    off ranks in the top flat's essential coordinates (module docstring).
-    """
+    """Dimension of each piece of the presented ideal, degrees 0..bound,
+    read off ranks in the top flat's essential coordinates (module
+    docstring)."""
     return next(_stacked_dims(lat, bound, pres.terms))
 
 
@@ -212,24 +199,19 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     candidates = jump_candidates(lat, lam_max)
     if not candidates:
         return []
-    top = lat.flats[-1]
-    perps = _Perps(top.rank, bound)
-    perps.add([])  # the unit ideal below the first candidate
-    before = perps.dims()
     exponents = dict.fromkeys(minimal_building_set(lat).flats, 0)
-    out = []
+    risen = []
     for c in candidates:
-        risen = []
-        for W in exponents:
+        batch = []
+        for W, old in exponents.items():
             e = _exponent(c, W)
-            if e > exponents[W]:
+            if e > old:
                 exponents[W] = e
-                risen.append((rows_in(top, W), e))
-        perps.add(risen)
-        after = perps.dims()
-        out.append((c, after != before))
-        before = after
-    return out
+                batch.append((W, e))
+        risen.append(batch)
+    # the first batch is empty: the unit ideal below the first candidate
+    steps = pairwise(_stacked_dims(lat, bound, [], *risen))
+    return [(c, before != after) for c, (before, after) in zip(candidates, steps)]
 
 
 def membership(arr: Arrangement, pres: MultiplierIdealPresentation,

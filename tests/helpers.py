@@ -4,19 +4,24 @@ the generator route for graded ideals.
 
 ``normal_space`` and ``pieces`` convert the package's canonical integer
 rows to Fraction RREF subspaces (``fraction_linalg``) for comparison.
-``generator_power`` and ``zassenhaus_intersect`` build pieces from
-generators (products of normal forms, shifted degree by degree) and
-intersect them pairwise, independently of the inverse systems the package
-uses.  ``graded_equal``, ``graded_contains`` and ``contains_polynomial``
-compare realized truncations piece by piece.  ``fraction_rows_in`` and
-``realized_jumps`` are independent routes for the essential coordinates
-and for the jump sweep, which the package computes without realizing any
-ideal.  ``poly_add``, ``poly_mul`` and ``format_polynomial`` are the
-polynomial arithmetic and printing that only tests need."""
+The package reads ideals through inverse systems and never builds a
+piece; the tests build them here.  A ``GradedIdeal`` holds the canonical
+rows of each piece up to a degree bound and checks multiplicative closure
+when built.  ``generator_power`` and ``zassenhaus_intersect`` build pieces
+from generators (products of normal forms, shifted degree by degree) and
+intersect them pairwise with ``int_intersect``, sharing no code with the
+package's inverse systems; ``generator_presentation_ideal`` realizes a
+presentation that way.  ``graded_equal``, ``graded_contains`` and
+``contains_polynomial`` compare realized truncations piece by piece.
+``fraction_rows_in`` and ``realized_jumps`` are independent routes for the
+essential coordinates and for the jump sweep.  ``poly_add``, ``poly_mul``
+and ``format_polynomial`` are the polynomial arithmetic and printing that
+only tests need."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -24,22 +29,15 @@ from math import comb, gcd, lcm
 
 from arrideals.arrangement import Arrangement, canonical_normal
 from arrideals.building import is_building_set, is_decomposition, minimal_building_set
-from arrideals.graded import (
-    GradedIdeal,
-    Polynomial,
-    _shift_row,
-    _shift_table,
-    monomial_index,
-    monomials,
-)
+from arrideals.errors import InvariantError
+from arrideals.graded import Polynomial, monomial_index, monomials
 from arrideals.lattice import Flat, IntersectionLattice
-from arrideals.multiplier import jump_candidates, presentation, presentation_ideal
+from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
     _first_nonzero,
     int_canonical,
     int_contains,
     int_insert,
-    int_intersect,
     primitive_vector,
 )
 
@@ -377,6 +375,97 @@ def principal_power_piece(form: Polynomial, power: int, degree: int) -> Subspace
     return span_of_polynomials(prods, n, degree)
 
 
+# --- realized truncations ---------------------------------------------------
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class GradedIdeal:
+    """Degreewise truncation of a homogeneous ideal up to ``degree_bound``.
+
+    ``piece_rows[d]`` is the canonical integer basis of the degree-d piece in
+    the coefficient space of degree-d monomials.  Construction verifies
+    multiplicative closure: each piece times each variable must land in the
+    next piece.
+    """
+
+    nvars: int
+    degree_bound: int
+    piece_rows: tuple[IntRows, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.piece_rows) != self.degree_bound + 1:
+            raise InvariantError("piece count does not match the degree bound")
+        for d, rows in enumerate(self.piece_rows):
+            space = comb(self.nvars + d - 1, d)
+            if not 0 <= len(rows) <= space:
+                raise InvariantError(f"degree-{d} piece has impossible dimension")
+            for r in rows:
+                if len(r) != space:
+                    raise InvariantError(f"degree-{d} piece has wrong width")
+        self._check_multiplicative_closure()
+
+    def _check_multiplicative_closure(self) -> None:
+        for d in range(self.degree_bound):
+            nxt = self.piece_rows[d + 1]
+            pivots = [_first_nonzero(r) for r in nxt]
+            width = comb(self.nvars + d, d + 1)
+            for var in range(self.nvars):
+                table = _shift_table(self.nvars, d, var)
+                for row in self.piece_rows[d]:
+                    shifted = _shift_row(row, table, width)
+                    if not int_contains(nxt, pivots, shifted):
+                        raise InvariantError(
+                            f"degree-{d} piece times x{var} leaves the degree-{d + 1} piece"
+                        )
+
+
+def piece_dims(gi: GradedIdeal) -> list[int]:
+    """Dimension of each piece, degrees 0..degree_bound."""
+    return [len(rows) for rows in gi.piece_rows]
+
+
+@lru_cache(maxsize=None)
+def _shift_table(nvars: int, degree: int, var: int) -> tuple[int, ...]:
+    """Position map for multiplying degree-d monomials by x_var."""
+    idx = monomial_index(nvars, degree + 1)
+    out = []
+    for m in monomials(nvars, degree):
+        shifted = list(m)
+        shifted[var] += 1
+        out.append(idx[tuple(shifted)])
+    return tuple(out)
+
+
+def _shift_row(row, table, width: int) -> list[int]:
+    out = [0] * width
+    for a, pos in zip(row, table):
+        if a:
+            out[pos] = a
+    return out
+
+
+def int_intersect(a_rows, b_rows, width: int) -> IntRows:
+    """Canonical basis of the intersection of two integer row spaces
+    (Zassenhaus: echelon the rows (a | a) and (b | 0); the rows with their
+    pivot in the right half span the intersection)."""
+    rows: list = []
+    pivots: list = []
+    zero = (0,) * width
+    for r in a_rows:
+        int_insert(rows, pivots, tuple(r) + tuple(r))
+    for r in b_rows:
+        int_insert(rows, pivots, tuple(r) + zero)
+    inner = []
+    inner_pivots = []
+    for row, p in zip(rows, pivots):
+        if p >= width:
+            inner.append(row[width:])
+            inner_pivots.append(p - width)
+    return int_canonical(inner, inner_pivots)
+
+
 # --- graded ideals from generators ------------------------------------------
 
 def identity_rows(width: int):
@@ -444,7 +533,8 @@ def zassenhaus_intersect(ideals, bound: int, nvars: int) -> GradedIdeal:
 
 
 def generator_presentation_ideal(pres, bound: int) -> GradedIdeal:
-    """``presentation_ideal`` by the generator route."""
+    """The truncation of a presentation's ideal: the generator-built
+    powers of its terms, intersected degree by degree."""
     return zassenhaus_intersect(
         [generator_power(W, e, bound) for W, e in pres.terms], bound, pres.ambient_dim)
 
@@ -454,10 +544,10 @@ def realized_jumps(lat: IntersectionLattice, lam_max, bound: int):
     all variables and comparing it with the ideal at the previous candidate
     (the unit ideal below the first)."""
     gmin = minimal_building_set(lat)
-    before = presentation_ideal(presentation(lat, gmin, 0), bound)
+    before = generator_presentation_ideal(presentation(lat, gmin, 0), bound)
     out = []
     for c in jump_candidates(lat, lam_max):
-        at = presentation_ideal(presentation(lat, gmin, c), bound)
+        at = generator_presentation_ideal(presentation(lat, gmin, c), bound)
         out.append((c, at.piece_rows != before.piece_rows))
         before = at
     return out

@@ -9,15 +9,11 @@ from arrideals.arrangement import Arrangement, braid
 from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import (
-    GradedIdeal,
     MAX_PIECE_WIDTH,
     MAX_TOTAL_MONOMIALS,
     Polynomial,
     PolynomialParseError,
     _check_width,
-    graded_power,
-    hilbert,
-    intersect_powers,
     monomial_index,
     monomials,
     parse_polynomial,
@@ -27,12 +23,37 @@ from arrideals.lattice import closure, compute_lattice
 from arrideals.multiplier import DEGREE_CAP, hilbert_function, presentation
 
 import helpers
-from helpers import contains_polynomial, graded_contains, graded_equal
+from helpers import (
+    GradedIdeal,
+    contains_polynomial,
+    generator_power,
+    graded_contains,
+    graded_equal,
+    piece_dims,
+    zassenhaus_intersect,
+)
 
 
 def axes(n):
     normals = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     return Arrangement.from_normals(n, normals)
+
+
+def stacked_dims(terms, nvars, bound):
+    """Piece dimensions of the intersection of the powers I_W^e, one per
+    (W, e), from the ranks of their stacked inverse systems."""
+    perps = graded._Perps(nvars, bound)
+    perps.add([(W.basis_rows, e) for W, e in terms])
+    return perps.dims()
+
+
+def power_dims(flat, exponent, bound):
+    return stacked_dims([(flat, exponent)], flat.ambient_dim, bound)
+
+
+def generator_intersection(terms, nvars, bound):
+    return zassenhaus_intersect([generator_power(W, e, bound) for W, e in terms],
+                                bound, nvars)
 
 
 def test_monomial_order():
@@ -84,8 +105,10 @@ def test_perps_build_no_degree_below_the_exponent():
 
 def test_products_stop_when_no_form_is_left(monkeypatch):
     """With one essential variable the flat has no points, so there is no
-    product of positive degree: no form is multiplied, and _products
-    stops at once instead of passing k times over an empty list."""
+    product of positive degree: no form is multiplied, no degree at or
+    above the exponent gets a row or builds its monomial index and
+    factorial weights, and _products stops at once instead of passing k
+    times over an empty list."""
     calls = []
     times_form = graded._times_form
 
@@ -94,12 +117,16 @@ def test_products_stop_when_no_form_is_left(monkeypatch):
         return times_form(poly, form)
 
     monkeypatch.setattr(graded, "_times_form", counting_times_form)
-    graded._inverse_system.cache_clear()
+    for cached in (graded._inverse_system, graded._factorial_weights,
+                   graded.monomial_index):
+        cached.cache_clear()
     line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
     pres = presentation(line, minimal_building_set(line), 1)
     assert hilbert_function(line, pres, 40) == [comb(d + 2, 2) - comb(d + 1, 1)
                                                 for d in range(41)]
     assert calls == []
+    assert graded._factorial_weights.cache_info().misses == 0
+    assert graded.monomial_index.cache_info().misses == 0
     lines = []
 
     def trace(frame, event, arg):
@@ -123,113 +150,114 @@ def test_products_stop_when_no_form_is_left(monkeypatch):
 def test_power_of_origin():
     lat = compute_lattice(axes(2))
     origin = lat.flat_with_closed((0, 1))
-    assert hilbert(graded_power(origin, 2, 2)) == [0, 0, 3]
-    assert hilbert(graded_power(origin, 1, 3)) == [0, 2, 3, 4]
+    assert power_dims(origin, 2, 2) == [0, 0, 3]
+    assert power_dims(origin, 1, 3) == [0, 2, 3, 4]
 
 
 def test_power_of_hyperplane():
     lat = compute_lattice(axes(2))
     h = lat.flat_with_closed((0,))
-    assert hilbert(graded_power(h, 1, 2)) == [0, 1, 2]
+    assert power_dims(h, 1, 2) == [0, 1, 2]
 
 
 def test_power_of_braid_diagonal():
     lat = compute_lattice(braid(3))
     top = lat.flat_with_closed((0, 1, 2))
-    gi = graded_power(top, 1, 2)
-    assert hilbert(gi) == [0, 2, 5]
-    assert contains_polynomial(gi, parse_polynomial("x0 - x1", 3))
-    assert contains_polynomial(gi, parse_polynomial("x1 - x2", 3))
-    assert not contains_polynomial(gi, parse_polynomial("x0", 3))
+    assert power_dims(top, 1, 2) == [0, 2, 5]
+    for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
+        poly = parse_polynomial(text, 3)
+        assert power_contains(top, 1, poly) == inside
+        assert contains_polynomial(generator_power(top, 1, 2), poly) == inside
     # the integer pieces are canonical: they convert to genuine RREF subspaces
-    sq = graded_power(top, 2, 4)
+    sq = generator_power(top, 2, 4)
     for d, piece in enumerate(helpers.pieces(sq)):
         assert piece.ambient_dim == comb(3 + d - 1, d)
-        assert piece.rank == hilbert(sq)[d]
+        assert piece.rank == power_dims(top, 2, 4)[d]
 
 
 def test_power_errors():
+    """power_contains refuses what is no power of a proper flat ideal, and
+    a polynomial in other variables."""
     lat = compute_lattice(axes(2))
-    with pytest.raises(ValueError):
-        graded_power(lat.flat_with_closed((0,)), 0, 2)
-    with pytest.raises(ValueError):
-        graded_power(lat.ambient, 1, 2)
+    x = lat.flat_with_closed((0,))
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        power_contains(x, 0, parse_polynomial("x0", 2))
+    with pytest.raises(ValueError, match="no proper ideal"):
+        power_contains(lat.ambient, 1, parse_polynomial("x0", 2))
+    with pytest.raises(ValueError, match="variable counts differ"):
+        power_contains(x, 1, parse_polynomial("x0", 3))
 
 
 def test_intersect_examples():
+    """Stacked dimensions of intersections against the generator route."""
     lat = compute_lattice(axes(2))
     x, y = lat.flat_with_closed((0,)), lat.flat_with_closed((1,))
-    gx = graded_power(x, 1, 2)
-    assert hilbert(intersect_powers([(x, 1), (y, 1)], 2, 2)) == [0, 0, 1]
-    assert graded_equal(intersect_powers([(x, 1)], 2, 2), gx, 2)
+    assert stacked_dims([(x, 1), (y, 1)], 2, 2) == [0, 0, 1]
+    assert piece_dims(generator_intersection([(x, 1), (y, 1)], 2, 2)) == [0, 0, 1]
+    assert stacked_dims([(x, 1)], 2, 2) == piece_dims(generator_power(x, 1, 2))
 
     b3 = compute_lattice(braid(3))
     planes = [(b3.flat_with_closed((i,)), 1) for i in range(3)]
-    got = intersect_powers(planes, 3, 3)
-    assert hilbert(got) == [0, 0, 0, 1]
-    oracle = helpers.zassenhaus_intersect(
-        [helpers.generator_power(W, e, 3) for W, e in planes], 3, 3)
-    assert got.piece_rows == oracle.piece_rows
+    assert stacked_dims(planes, 3, 3) == [0, 0, 0, 1]
+    assert piece_dims(generator_intersection(planes, 3, 3)) == [0, 0, 0, 1]
 
-    empty = intersect_powers([], 2, 2)
+    empty = generator_intersection([], 2, 2)
     assert empty.piece_rows == tuple(
         helpers.identity_rows(comb(2 + d - 1, d)) for d in range(3))
-    with pytest.raises(ValueError):
-        intersect_powers([(x, 1)], 3, 2)
-    with pytest.raises(ValueError):
-        intersect_powers([(x, 0)], 2, 2)
-    with pytest.raises(ValueError):
-        intersect_powers([(lat.ambient, 1)], 2, 2)
 
 
 def test_unit_ideal_dims():
-    assert hilbert(intersect_powers([], 2, 2)) == [1, 2, 3]
-    assert hilbert(intersect_powers([], 3, 3)) == [1, 3, 6, 10]
+    assert stacked_dims([], 2, 2) == [1, 2, 3]
+    assert stacked_dims([], 3, 3) == [1, 3, 6, 10]
 
 
 def test_intersect_algebra():
+    """Stacking is independent of the order of the terms, agrees with
+    intersecting step by step on the generator route, and a repeated term
+    changes nothing."""
     lat = compute_lattice(braid(3))
     a = (lat.flat_with_closed((0,)), 1)
     b = (lat.flat_with_closed((1,)), 2)
     c = (lat.flat_with_closed((0, 1, 2)), 1)
-    assert graded_equal(intersect_powers([a, b], 3, 3), intersect_powers([b, a], 3, 3), 3)
-    assert graded_equal(
-        intersect_powers([a, b, c], 3, 3),
-        helpers.zassenhaus_intersect(
-            [intersect_powers([a, b], 3, 3), graded_power(*c, 3)], 3, 3),
-        3,
-    )
-    assert graded_equal(intersect_powers([a, a], 3, 3), graded_power(*a, 3), 3)
+    assert stacked_dims([a, b], 3, 3) == stacked_dims([b, a], 3, 3)
+    nested = zassenhaus_intersect(
+        [generator_intersection([a, b], 3, 3), generator_power(*c, 3)], 3, 3)
+    assert graded_equal(generator_intersection([a, b, c], 3, 3), nested, 3)
+    assert stacked_dims([a, b, c], 3, 3) == piece_dims(nested)
+    assert stacked_dims([a, a], 3, 3) == power_dims(*a, 3)
 
 
 def test_graded_equal_and_contains():
     lat = compute_lattice(axes(2))
-    gx = graded_power(lat.flat_with_closed((0,)), 1, 2)
-    gy = graded_power(lat.flat_with_closed((1,)), 1, 2)
+    x, y = lat.flat_with_closed((0,)), lat.flat_with_closed((1,))
+    gx = generator_power(x, 1, 2)
+    gy = generator_power(y, 1, 2)
     assert graded_equal(gx, gx, 2)
     assert not graded_equal(gx, gy, 1)
-    both = intersect_powers([(lat.flat_with_closed((0,)), 1),
-                             (lat.flat_with_closed((1,)), 1)], 2, 2)
+    both = generator_intersection([(x, 1), (y, 1)], 2, 2)
     assert graded_contains(gx, both, 2)
     assert not graded_contains(both, gx, 2)
     with pytest.raises(ValueError):
-        graded_equal(gx, intersect_powers([], 3, 2), 2)
+        graded_equal(gx, generator_intersection([], 3, 2), 2)
     with pytest.raises(ValueError):
         graded_equal(gx, gy, 5)
 
 
 def test_power_antitone_in_exponent():
+    """I^e2 ⊆ I^e1 for e2 > e1: stacking both powers gives the smaller
+    one, whose pieces are strictly smaller somewhere up to degree 4."""
     lat = compute_lattice(braid(3))
     top = lat.flat_with_closed((0, 1, 2))
     for e1, e2 in [(1, 2), (2, 3), (1, 3)]:
-        big = graded_power(top, e1, 4)
-        small = graded_power(top, e2, 4)
-        assert graded_contains(big, small, 4)
-        assert not graded_contains(small, big, 4)
+        big, small = power_dims(top, e1, 4), power_dims(top, e2, 4)
+        assert stacked_dims([(top, e1), (top, e2)], 3, 4) == small
+        assert all(s <= b for s, b in zip(small, big)) and small != big
+        assert graded_contains(generator_power(top, e1, 4), generator_power(top, e2, 4), 4)
 
 
 def test_coordinate_subspace_closed_form():
-    """Triple route: combinatorial count, graded engine, Fraction spans."""
+    """Triple route: combinatorial count, stacked ranks, and the generator
+    route against Fraction spans."""
 
     def count(nv, deg):
         if nv == 0:
@@ -241,13 +269,14 @@ def test_coordinate_subspace_closed_form():
         for k in range(1, n + 1):
             flat = closure(axes(n), set(range(k)))
             for e in (1, 2, 3):
-                gi = graded_power(flat, e, 6)
+                gi = generator_power(flat, e, 6)
+                got = power_dims(flat, e, 6)
                 for d in range(7):
                     expected = sum(
                         count(k, j) * count(n - k, d - j)
                         for j in range(e, d + 1)
                     )
-                    assert hilbert(gi)[d] == expected
+                    assert got[d] == expected
                     if d <= 4:  # Fraction-arithmetic route
                         gens = [
                             Polynomial.from_terms(
@@ -276,7 +305,8 @@ def test_coordinate_subspace_closed_form():
 
 
 def test_power_pieces_match_fraction_route_on_random_flats():
-    """graded_power against explicit products spanned with Fraction RREF."""
+    """Generator-built pieces, and stacked dimensions, against explicit
+    products spanned with Fraction RREF."""
     import random
 
     rng = random.Random(21)
@@ -289,7 +319,8 @@ def test_power_pieces_match_fraction_route_on_random_flats():
             flat = rng.choice(flats)
             e = rng.randint(1, 2)
             bound = 4
-            gi = graded_power(flat, e, bound)
+            gi = generator_power(flat, e, bound)
+            got = power_dims(flat, e, bound)
             gens = [
                 Polynomial.from_terms(
                     n, {tuple(1 if t == i else 0 for t in range(n)): Fraction(c)
@@ -302,13 +333,14 @@ def test_power_pieces_match_fraction_route_on_random_flats():
                 prods = [helpers.poly_mul(p, g) for p in prods for g in gens]
             for d in range(bound + 1):
                 if d < e:
-                    assert hilbert(gi)[d] == 0
+                    assert got[d] == len(gi.piece_rows[d]) == 0
                     continue
                 vecs = []
                 for m in monomials(n, d - e):
                     mono = Polynomial.from_terms(n, {m: Fraction(1)})
                     vecs.extend(helpers.poly_mul(p, mono) for p in prods)
-                assert helpers.pieces(gi)[d] == helpers.span_of_polynomials(vecs, n, d)
+                sub = helpers.span_of_polynomials(vecs, n, d)
+                assert helpers.pieces(gi)[d] == sub and got[d] == sub.rank
 
 
 def test_power_dimension_closed_form(corpus_lattices):
@@ -340,7 +372,7 @@ def test_power_dimension_closed_form(corpus_lattices):
                     forms(n, d) - sum(forms(r, k) * forms(n - r, d - k) for k in range(e))
                     for d in range(bound + 1)
                 ]
-                assert hilbert(graded_power(flat, e, bound)) == expected, (n, r, e)
+                assert power_dims(flat, e, bound) == expected, (n, r, e)
     assert non_unit >= 10 and full_rank >= 5
 
 
@@ -353,7 +385,7 @@ def test_power_contains_matches_pieces():
     for flat in (lat.flat_with_closed((0,)), lat.flat_with_closed((0, 1, 3)),
                  lat.flat_with_closed(tuple(range(6)))):
         for e in (1, 2, 3):
-            gi = helpers.generator_power(flat, e, 5)
+            gi = generator_power(flat, e, 5)
             for _ in range(6):
                 d = rng.randint(e, 5)
                 rows = gi.piece_rows[d]
@@ -364,15 +396,11 @@ def test_power_contains_matches_pieces():
                     poly = Polynomial.from_terms(4, terms)
                     assert power_contains(flat, e, poly) == expect
                     assert contains_polynomial(gi, poly) == expect
-    with pytest.raises(ValueError):
-        power_contains(lat.ambient, 1, parse_polynomial("x0", 4))
-    with pytest.raises(ValueError):
-        power_contains(lat.flat_with_closed((0,)), 1, parse_polynomial("x0", 3))
 
 
 def test_multiplicative_closure_is_validated():
     lat = compute_lattice(axes(2))
-    gx = graded_power(lat.flat_with_closed((0,)), 1, 2)
+    gx = generator_power(lat.flat_with_closed((0,)), 1, 2)
     # a piece list that is not closed under multiplication: (x) in degree 1
     # but zero in degree 2
     with pytest.raises(InvariantError):
@@ -436,7 +464,7 @@ def test_polynomial_print_parse_round_trip():
 
 def test_contains_polynomial_bounds():
     lat = compute_lattice(axes(2))
-    gx = graded_power(lat.flat_with_closed((0,)), 1, 2)
+    gx = generator_power(lat.flat_with_closed((0,)), 1, 2)
     assert contains_polynomial(gx, Polynomial.from_terms(2, {}))
     with pytest.raises(ValueError):
         contains_polynomial(gx, parse_polynomial("x0^5", 2))

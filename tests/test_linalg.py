@@ -8,7 +8,6 @@ import pytest
 from arrideals.linalg import (
     int_canonical,
     int_insert,
-    int_intersect,
     int_residual,
     int_span,
     primitive_vector,
@@ -24,6 +23,7 @@ from fraction_linalg import (
     span_sum,
     subspace_from_int_rows,
 )
+from helpers import int_intersect
 
 
 def fr(rows):
@@ -174,6 +174,8 @@ def test_int_layer_agrees_with_fraction_layer():
 
 
 def test_int_intersect_agrees_with_fraction_layer():
+    """The generator route's Zassenhaus intersection (test helper) against
+    the Fraction layer."""
     rng = random.Random(10)
     for _ in range(100):
         dim = rng.randint(1, 5)

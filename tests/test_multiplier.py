@@ -6,15 +6,15 @@ import pytest
 from arrideals import multiplier
 from arrideals.arrangement import Arrangement, braid, canonical_normal
 from arrideals.building import full_building_set, minimal_building_set
-from arrideals.graded import Polynomial, hilbert, parse_polynomial
+from arrideals.graded import Polynomial, parse_polynomial
 from arrideals.lattice import compute_lattice
 from arrideals.multiplier import (
     DEGREE_CAP,
+    hilbert_function,
     jump_candidates,
     lct,
     membership,
     presentation,
-    presentation_ideal,
     resolution_table,
     support,
     uncapped_degree_bound,
@@ -22,11 +22,22 @@ from arrideals.multiplier import (
 )
 
 import helpers
-from helpers import contains_polynomial, graded_contains, graded_equal
+from helpers import (
+    contains_polynomial,
+    generator_presentation_ideal,
+    graded_contains,
+    graded_equal,
+    piece_dims,
+)
 
 
 def single_hyperplane(mult):
     return compute_lattice(Arrangement.from_normals(1, [(1,)], [mult]))
+
+
+def realized(lat, building, lam, bound):
+    """The presented ideal at λ, realized by the generator route."""
+    return generator_presentation_ideal(presentation(lat, building, lam), bound)
 
 
 def test_presentation_examples(braid_lattices):
@@ -91,14 +102,18 @@ def test_jump_candidates(braid_lattices):
         jump_candidates(braid_lattices[3], 0)
 
 
-def test_verify_jump(braid_lattices):
+def test_verify_jump(braid_lattices, monkeypatch):
     lat = braid_lattices[3]
     assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(2, 3), True)]
-    # no candidate up to 1/2: the ideal there is the unit ideal below the lct
-    assert verify_jumps(lat, Fraction(1, 2), 4) == []
+    # no candidate up to 1/2: the ideal there is the unit ideal below the
+    # lct, and no stack is made
+    made = []
+    perps = multiplier._Perps
+    monkeypatch.setattr(multiplier, "_Perps", lambda *a: made.append(a) or perps(*a))
+    assert verify_jumps(lat, Fraction(1, 2), 4) == [] and made == []
+    assert verify_jumps(lat, 1, 4) and made == [(2, 4)]
     gmin = minimal_building_set(lat)
-    assert graded_equal(presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 4),
-                        presentation_ideal(presentation(lat, gmin, 0), 4), 4)
+    assert graded_equal(realized(lat, gmin, Fraction(1, 2), 4), realized(lat, gmin, 0, 4), 4)
     assert verify_jumps(single_hyperplane(1), 1, 2) == [(Fraction(1), True)]
     # J(λ) = f·J(λ − 1) for λ ≥ 1 (Skoda), and 1/3 is no jump, so 4/3 is none
     assert verify_jumps(lat, 2, 4) == [
@@ -186,8 +201,8 @@ def test_building_set_independence_corpus(corpus_lattices):
         gmin = minimal_building_set(lat)
         full = full_building_set(lat)
         for lam in (Fraction(1, 2), Fraction(1)):
-            a = presentation_ideal(presentation(lat, gmin, lam), 3)
-            b = presentation_ideal(presentation(lat, full, lam), 3)
+            a = realized(lat, gmin, lam, 3)
+            b = realized(lat, full, lam, 3)
             assert graded_equal(a, b, 3)
 
 
@@ -210,7 +225,7 @@ def test_all_building_sets_present_equal_ideals():
             reference = None
             for flats in sets:
                 bs = BuildingSet(tuple(flats))
-                gi = presentation_ideal(presentation(lat, bs, lam), 4)
+                gi = realized(lat, bs, lam, 4)
                 if reference is None:
                     reference = gi
                 else:
@@ -231,7 +246,7 @@ def test_jump_structure_on_corpus(corpus_lattices):
                 == presentation(lat, gmin, a).terms
             )
         ideals = {
-            lam: presentation_ideal(presentation(lat, gmin, lam), 3)
+            lam: realized(lat, gmin, lam, 3)
             for lam in grid
         }
         answers = verify_jumps(lat, 1, 3)
@@ -251,18 +266,19 @@ def test_braid4_jumps_all_verify(braid_lattices):
     from math import comb
 
     gmin = minimal_building_set(lat)
-    gi = presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 6)
-    assert hilbert(gi) == [0] + [comb(d + 3, 3) - 1 for d in range(1, 7)]
+    pres = presentation(lat, gmin, Fraction(1, 2))
+    assert hilbert_function(lat, pres, 6) == [0] + [comb(d + 3, 3) - 1 for d in range(1, 7)]
     # at lambda = 1 the only degree-6 element is the defining product
-    gi = presentation_ideal(presentation(lat, gmin, 1), 6)
-    assert hilbert(gi) == [0, 0, 0, 0, 0, 0, 1]
+    pres = presentation(lat, gmin, 1)
+    assert hilbert_function(lat, pres, 6) == [0, 0, 0, 0, 0, 0, 1]
+    assert piece_dims(generator_presentation_ideal(pres, 6)) == [0, 0, 0, 0, 0, 0, 1]
 
 
 def test_monotone_in_lambda(braid_lattices):
     lat = braid_lattices[3]
     gmin = minimal_building_set(lat)
     grid = [Fraction(0)] + jump_candidates(lat, 2)
-    ideals = [presentation_ideal(presentation(lat, gmin, lam), 4) for lam in grid]
+    ideals = [realized(lat, gmin, lam, 4) for lam in grid]
     for prev, nxt in zip(ideals, ideals[1:]):
         assert graded_contains(prev, nxt, 4)
 
@@ -271,9 +287,11 @@ def test_smooth_divisor_small():
     lat = single_hyperplane(2)
     gmin = minimal_building_set(lat)
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-        gi = presentation_ideal(presentation(lat, gmin, lam), 4)
+        pres = presentation(lat, gmin, lam)
         k = int(lam * 2)
-        assert hilbert(gi) == [1 if d >= k else 0 for d in range(5)]
+        expected = [1 if d >= k else 0 for d in range(5)]
+        assert hilbert_function(lat, pres, 4) == expected
+        assert piece_dims(generator_presentation_ideal(pres, 4)) == expected
 
 
 def test_normal_crossings_coordinate_axes():
@@ -295,13 +313,14 @@ def test_normal_crossings_coordinate_axes():
         gmin = minimal_building_set(lat)
         for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
                     Fraction(5, 4)):
-            gi = presentation_ideal(presentation(lat, gmin, lam), 5)
+            pres = presentation(lat, gmin, lam)
+            gi = generator_presentation_ideal(pres, 5)
             floors = [int(lam * m) for m in mults]
             base = sum(floors)
-            for d in range(6):
-                # monomial count: x^floors times anything of degree d - base
-                expected = comb(n + d - base - 1, d - base) if d >= base else 0
-                assert hilbert(gi)[d] == expected
+            # monomial count: x^floors times anything of degree d - base
+            expected = [comb(n + d - base - 1, d - base) if d >= base else 0
+                        for d in range(6)]
+            assert hilbert_function(lat, pres, 5) == piece_dims(gi) == expected
             if base <= 5:
                 idx = monomial_index(n, base)
                 vec = [0] * len(idx)
@@ -325,12 +344,12 @@ def test_non_reduced_braid_pipeline():
     # 2/3 is no candidate: the ideal there is the ideal at 1/2
     assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(1, 2), True)]
     gmin = minimal_building_set(lat)
-    assert graded_equal(presentation_ideal(presentation(lat, gmin, Fraction(2, 3)), 4),
-                        presentation_ideal(presentation(lat, gmin, Fraction(1, 2)), 4), 4)
+    assert graded_equal(realized(lat, gmin, Fraction(2, 3), 4),
+                        realized(lat, gmin, Fraction(1, 2), 4), 4)
     full = full_building_set(lat)
     for lam in jump_candidates(lat, 1):
-        a = presentation_ideal(presentation(lat, gmin, lam), 5)
-        b = presentation_ideal(presentation(lat, full, lam), 5)
+        a = realized(lat, gmin, lam, 5)
+        b = realized(lat, full, lam, 5)
         assert graded_equal(a, b, 5)
 
 
@@ -354,17 +373,18 @@ def dim4_arrangements():
     return out
 
 
-def test_presentation_ideal_matches_generator_route(braid_lattices):
-    """Inverse-system kernels equal intersected generator-built powers, row for row."""
+def test_hilbert_function_matches_generator_route(braid_lattices):
+    """Piece dimensions read off stacked ranks equal the piece counts of
+    intersected generator-built powers."""
     cases = [(braid_lattices[n], 5) for n in (3, 4, 5)] + [(braid_lattices[6], 4)]
     cases += [(compute_lattice(arr), 5) for arr in dim4_arrangements()]
     for lat, bound in cases:
         for name, bs in (("min", minimal_building_set(lat)), ("full", full_building_set(lat))):
             for lam in LAMBDAS:
                 pres = presentation(lat, bs, lam)
-                oracle = helpers.generator_presentation_ideal(pres, bound)
-                got = presentation_ideal(pres, bound)
-                assert got.piece_rows == oracle.piece_rows, (lat.arrangement.dim, name, lam)
+                oracle = piece_dims(generator_presentation_ideal(pres, bound))
+                assert hilbert_function(lat, pres, bound) == oracle, (
+                    lat.arrangement.dim, name, lam)
 
 
 def test_membership_matches_generator_route(braid_lattices):
@@ -390,7 +410,7 @@ def test_membership_matches_generator_route(braid_lattices):
 
         for lam in LAMBDAS:
             pres = presentation(lat, minimal_building_set(lat), lam)
-            oracle = helpers.generator_presentation_ideal(pres, 6)
+            oracle = generator_presentation_ideal(pres, 6)
             for _ in range(4):
                 k = rng.randint(2, 6)
                 polys = [product(k), helpers.poly_add(product(k), product(rng.randint(1, k - 1)))]

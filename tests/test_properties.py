@@ -21,17 +21,16 @@ from arrideals.building import (
     minimal_building_set,
 )
 from arrideals.lattice import compute_lattice
-from arrideals.graded import hilbert
 from arrideals.multiplier import (
     hilbert_function,
     jump_candidates,
     presentation,
-    presentation_ideal,
     theorem_rows,
     verify_jumps,
 )
 
 import helpers
+from helpers import generator_presentation_ideal, piece_dims
 from fraction_linalg import span
 
 
@@ -132,8 +131,8 @@ def test_minimal_and_full_building_sets_give_one_ideal(arr, p, q, bound):
     the minimal and the full one, is the same ideal."""
     lat = compute_lattice(arr)
     lam = Fraction(p, q)
-    a = presentation_ideal(presentation(lat, minimal_building_set(lat), lam), bound)
-    b = presentation_ideal(presentation(lat, full_building_set(lat), lam), bound)
+    a = generator_presentation_ideal(presentation(lat, minimal_building_set(lat), lam), bound)
+    b = generator_presentation_ideal(presentation(lat, full_building_set(lat), lam), bound)
     assert a.piece_rows == b.piece_rows
 
 
@@ -150,8 +149,8 @@ def test_verify_jumps_compares_each_candidate_with_the_interval_below(arr, bound
     cands = jump_candidates(lat, lam_max)
     assert [c for c, _ in answers] == cands
     for prev, (c, jump) in zip([Fraction(0)] + cands, answers):
-        at = presentation_ideal(presentation(lat, gmin, c), bound)
-        mid = presentation_ideal(presentation(lat, gmin, (prev + c) / 2), bound)
+        at = generator_presentation_ideal(presentation(lat, gmin, c), bound)
+        mid = generator_presentation_ideal(presentation(lat, gmin, (prev + c) / 2), bound)
         assert jump == (not helpers.graded_equal(at, mid, bound))
 
 
@@ -183,8 +182,8 @@ def test_rank_path_matches_realized_ideals(arr, p, q, bound):
     lam = Fraction(p, q)
     pres_min = presentation(lat, minimal_building_set(lat), lam)
     pres_full = presentation(lat, full_building_set(lat), lam)
-    a = hilbert(presentation_ideal(pres_min, bound))
-    b = hilbert(presentation_ideal(pres_full, bound))
+    a = piece_dims(generator_presentation_ideal(pres_min, bound))
+    b = piece_dims(generator_presentation_ideal(pres_full, bound))
     assert hilbert_function(lat, pres_min, bound) == a
     assert hilbert_function(lat, pres_full, bound) == b
     assert theorem_rows(lat, pres_min, pres_full, bound) == (a, b)
@@ -200,8 +199,8 @@ def test_multiplier_ideals_shrink_as_lambda_grows(arr, a, b, bound):
     lat = compute_lattice(arr)
     gmin = minimal_building_set(lat)
     lo, hi = sorted((a, b))
-    big = presentation_ideal(presentation(lat, gmin, lo), bound)
-    small = presentation_ideal(presentation(lat, gmin, hi), bound)
+    big = generator_presentation_ideal(presentation(lat, gmin, lo), bound)
+    small = generator_presentation_ideal(presentation(lat, gmin, hi), bound)
     assert helpers.graded_contains(big, small, bound)
 
 

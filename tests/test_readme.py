@@ -13,7 +13,7 @@ from arrideals import cli
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 # Commands whose README comment describes them rather than showing output.
-DESCRIBED_ONLY = {"braid", "resolution", "hilbert"}
+DESCRIBED_ONLY = {"braid", "resolution"}
 
 
 def code_block(section: str, lang: str) -> str:
@@ -59,7 +59,8 @@ def test_library_example_runs():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         exec(code_block("Library", "python"), {})
-    assert buf.getvalue().splitlines()[0] == "1/2"
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "1/2" and lines[-1] == "[0, 0, 2, 8, 19]"
 
 
 def test_public_api_is_the_library_example():
@@ -83,5 +84,5 @@ def test_command_line_examples(tmp_path, monkeypatch):
             continue
         assert out.split() == doc.split(), argv
         checked.append(argv[0])
-    assert checked == ["lattice", "lct", "mi", "mi", "jumps", "member",
+    assert checked == ["lattice", "lct", "mi", "mi", "jumps", "member", "hilbert",
                        "verify-theorem"]
