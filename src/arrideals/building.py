@@ -92,7 +92,7 @@ def irreducible_decomposition(lat: IntersectionLattice, flat: Flat) -> list[Flat
     Returns ``[flat]`` exactly when the flat is irreducible.
     """
     _require_proper_flat(lat, flat, "flat")
-    return minimal_containing(lat, lat.irreducibles, flat)
+    return minimal_containing(lat.irreducibles, flat)
 
 
 def minimal_building_set(lat: IntersectionLattice) -> BuildingSet:
@@ -128,7 +128,7 @@ def building_set_obstruction(lat: IntersectionLattice,
     for C in lat.proper:
         if C.closed_set in members:
             continue
-        parts = minimal_containing(lat, flats, C)
+        parts = minimal_containing(flats, C)
         if not parts or not _decomposes(C, parts):
             return C
     return None

@@ -156,10 +156,9 @@ def _cmd_jumps(args, lat: IntersectionLattice) -> int:
 
 
 def _cmd_member(args, lat: IntersectionLattice) -> int:
-    arr = lat.arrangement
-    poly = gmod.parse_polynomial(args.poly, arr.dim)
+    poly = gmod.parse_polynomial(args.poly, lat.arrangement.dim)
     pres = mmod.presentation(lat, _building_set(lat, args.set), args.lam)
-    print("true" if mmod.membership(arr, pres, poly) else "false")
+    print("true" if mmod.membership(pres, poly) else "false")
     return 0
 
 
@@ -185,11 +184,12 @@ def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     a, b = mmod.theorem_rows(lat, pres_min, pres_full, bound)
     print("minimal:", " ".join(map(str, a)))
     print("full:   ", " ".join(map(str, b)))
-    # the full ideal lies in the minimal one: equal dimensions, equal pieces
+    # the full ideal lies in the minimal one: equal dimensions, equal pieces,
+    # and by the theorem unequal ones mean broken lattice data
     for d in range(bound + 1):
         if a[d] != b[d]:
-            print(f"DIFFER at degree {d}")
-            return 0
+            raise InvariantError(f"the minimal and full building sets give "
+                                 f"different ideals at degree {d}")
     print(f"EQUAL up to degree {bound}")
     return 0
 

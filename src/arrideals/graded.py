@@ -21,8 +21,9 @@ No piece is ever built.
 
 The stacked inverse systems live in one object, ``_Perps``: per degree an
 echelon list, to which terms are added in order.  The multiplier module
-reads piece dimensions off its ranks; ``power_contains`` pairs each
-component of a polynomial with one power's inverse system.  Coefficients
+reads piece dimensions off its ranks.  Membership in an intersection is
+one pass, ``intersection_contains``: each component of a polynomial is
+built once and paired with every term's inverse system.  Coefficients
 are rational, which is faithful for every identity handled here since all
 inputs are rational.
 """
@@ -104,10 +105,6 @@ class Polynomial:
         ordered = sorted(clean.items(),
                          key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return cls(nvars, tuple(ordered))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def homogeneous_parts(self) -> dict[int, dict[Monomial, Fraction]]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
@@ -352,26 +349,30 @@ def _check_width(nvars: int, degree: int) -> None:
                          f"supported")
 
 
-def power_contains(flat: Flat, exponent: int, poly: Polynomial) -> bool:
-    """Whether ``poly`` lies in I_W^e, without realizing the ideal.
+def intersection_contains(terms: Sequence[tuple[Flat, int]], poly: Polynomial) -> bool:
+    """Whether ``poly`` lies in the intersection of the powers I_W^e, one
+    per (W, e) term, without realizing it.
 
-    Each homogeneous component f_d must pair to zero with every row of the
-    inverse system of (I_W^e)_d; a nonzero component of degree below e
-    cannot lie in the ideal.
+    Each homogeneous component f_d must pair to zero with every row of
+    every term's inverse system in degree d; a nonzero component of degree
+    below the largest e lies in no such intersection.  Each component's
+    vector is built once, after one width check.
     """
-    if exponent < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    if flat.rank == 0:
-        raise ValueError("the ambient space has no proper ideal")
-    if poly.nvars != flat.ambient_dim:
-        raise ValueError("variable counts differ")
+    if not terms:
+        return True
+    for W, e in terms:
+        if e < 1 or W.rank == 0:
+            raise ValueError(f"no proper power: a flat of rank {W.rank}, exponent {e}")
+        if W.ambient_dim != poly.nvars:
+            raise ValueError("variable counts differ")
     parts = poly.homogeneous_parts()
-    if any(d < exponent for d in parts):
+    if parts and min(parts) < max(e for _, e in terms):
         return False
     _check_width(poly.nvars, max(parts, default=0))
     for d, part in parts.items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
-        for g in _inverse_system(flat.basis_rows, flat.ambient_dim, exponent, d):
-            if sum(a * b for a, b in zip(vec, g) if a):
-                return False
+        for W, e in terms:
+            for g in _inverse_system(W.basis_rows, poly.nvars, e, d):
+                if sum(a * b for a, b in zip(vec, g) if a):
+                    return False
     return True

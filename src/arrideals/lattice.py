@@ -68,7 +68,6 @@ from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
     int_canonical,
-    int_contains,
     int_residual,
     int_span,
     primitive_vector,
@@ -146,10 +145,6 @@ class IntersectionLattice:
         return self._by_closed.get(tuple(sorted(closed)))
 
 
-def _int_normals(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
-    return tuple(primitive_vector(h.normal) for h in arr.hyperplanes)
-
-
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
     j = 0
@@ -159,28 +154,6 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
-
-
-def closure(arr: Arrangement, indices: Iterable[int]) -> Flat:
-    """The flat cut out by the chosen hyperplanes.
-
-    The closed set is enlarged to every hyperplane whose normal lies in the
-    span of the chosen ones; the empty set gives the ambient space.
-    """
-    normals = _int_normals(arr)
-    idx = sorted(set(indices))
-    for i in idx:
-        if not 0 <= i < len(normals):
-            raise ValueError(f"hyperplane index {i} out of range")
-    rows, pivots = int_span((normals[i] for i in idx), arr.dim)
-    closed = tuple(j for j, nj in enumerate(normals) if int_contains(rows, pivots, nj))
-    return Flat(
-        closed_set=closed,
-        rank=len(rows),
-        mult=sum(arr.hyperplanes[j].mult for j in closed),
-        ambient_dim=arr.dim,
-        normals=normals,
-    )
 
 
 def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
@@ -244,7 +217,7 @@ def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
-    normals = _int_normals(arr)
+    normals = tuple(primitive_vector(h.normal) for h in arr.hyperplanes)
     mults = tuple(h.mult for h in arr.hyperplanes)
     flats, irreducibles = [], []
     for cmask, rk, irreducible in _flats_by_level(normals, arr.dim):
@@ -264,8 +237,7 @@ def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     return IntersectionLattice(arr, tuple(flats), tuple(irreducibles))
 
 
-def minimal_containing(lat: IntersectionLattice, flats: Sequence[Flat],
-                       target: Flat) -> list[Flat]:
+def minimal_containing(flats: Sequence[Flat], target: Flat) -> list[Flat]:
     """The containment-minimal elements of ``flats`` that contain ``target``."""
     if target.rank == 0:
         raise ValueError("target must be a proper flat")

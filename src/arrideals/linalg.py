@@ -89,11 +89,6 @@ def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
     return v
 
 
-def int_contains(rows: Sequence[Sequence[int]], pivots: Sequence[int],
-                 vec: Sequence[int]) -> bool:
-    return not any(int_reduce(vec, rows, pivots))
-
-
 def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
                  pivots: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
     """``vec`` reduced against an echelon list, primitive with a positive pivot.

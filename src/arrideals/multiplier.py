@@ -16,7 +16,12 @@ jumping numbers are the rationals m/s(W) where some floor increments.
 
 Each exponent is a right-continuous step function of λ stepping only at
 candidates, so the ideal is constant from one candidate to the next and is
-the unit ideal below the first.
+the unit ideal below the first.  The exponent rule is read in two ways
+only: ``presentation`` evaluates it at one λ (``support`` lists the flats
+of those terms, since e ≥ 1 exactly when λ ≥ r/s), and one rise table
+lists where each exponent reaches each value up to a bound: e_W reaches e
+at (r + e − 1)/s.  The table's values are the candidates, and its entries
+grouped by value are the terms ``verify_jumps`` stacks again.
 
 ``hilbert_function``, ``theorem_rows`` and ``verify_jumps`` need only piece
 dimensions, and read them as ranks of stacked inverse systems (the graded
@@ -54,9 +59,8 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import NamedTuple
 
-from .arrangement import Arrangement
 from .building import BuildingSet, minimal_building_set
-from .graded import Polynomial, _Perps, power_contains
+from .graded import Polynomial, _Perps, intersection_contains
 from .lattice import Flat, IntersectionLattice, rows_in
 
 
@@ -117,12 +121,20 @@ def lct(lat: IntersectionLattice) -> Fraction:
 
 
 def support(lat: IntersectionLattice, lam) -> list[Flat]:
-    """Minimal-building-set flats with λ ≥ r(W)/s(W), canonical order."""
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    gmin = minimal_building_set(lat)
-    return [W for W in gmin.flats if lam >= Fraction(W.rank, W.mult)]
+    """Minimal-building-set flats with λ ≥ r(W)/s(W), canonical order: the
+    flats of the presentation's terms, as e ≥ 1 exactly when λ ≥ r/s."""
+    return [W for W, _ in presentation(lat, minimal_building_set(lat), lam).terms]
+
+
+def _rises(lat: IntersectionLattice, lam_max):
+    """(c, W, e) for each minimal-building-set flat W, canonical order, and
+    each exponent e = 1 .. e_W(lam_max): e_W reaches e at c = (r + e − 1)/s."""
+    lam_max = Fraction(lam_max)
+    if lam_max <= 0:
+        raise ValueError(f"lambda bound must be > 0, got {lam_max}")
+    for W in minimal_building_set(lat).flats:
+        for e in range(1, _exponent(lam_max, W) + 1):
+            yield Fraction(W.rank + e - 1, W.mult), W, e
 
 
 def jump_candidates(lat: IntersectionLattice, lam_max) -> list[Fraction]:
@@ -131,16 +143,7 @@ def jump_candidates(lat: IntersectionLattice, lam_max) -> list[Fraction]:
     Exponents in the presentation change only at these values, so every
     jumping number is among them.
     """
-    lam_max = Fraction(lam_max)
-    if lam_max <= 0:
-        raise ValueError(f"lambda bound must be > 0, got {lam_max}")
-    gmin = minimal_building_set(lat)
-    out = set()
-    for W in gmin.flats:
-        top = (lam_max * W.mult).numerator // (lam_max * W.mult).denominator
-        for m in range(W.rank, top + 1):
-            out.add(Fraction(m, W.mult))
-    return sorted(out)
+    return sorted({c for c, _, _ in _rises(lat, lam_max)})
 
 
 def _lift(dims: list[int], extra: int) -> list[int]:
@@ -196,39 +199,26 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
-    candidates = jump_candidates(lat, lam_max)
-    if not candidates:
+    risen: dict[Fraction, list] = {}
+    for c, W, e in _rises(lat, lam_max):
+        risen.setdefault(c, []).append((W, e))
+    if not risen:
         return []
-    exponents = dict.fromkeys(minimal_building_set(lat).flats, 0)
-    risen = []
-    for c in candidates:
-        batch = []
-        for W, old in exponents.items():
-            e = _exponent(c, W)
-            if e > old:
-                exponents[W] = e
-                batch.append((W, e))
-        risen.append(batch)
+    candidates = sorted(risen)
     # the first batch is empty: the unit ideal below the first candidate
-    steps = pairwise(_stacked_dims(lat, bound, [], *risen))
+    steps = pairwise(_stacked_dims(lat, bound, [], *(risen[c] for c in candidates)))
     return [(c, before != after) for c, (before, after) in zip(candidates, steps)]
 
 
-def membership(arr: Arrangement, pres: MultiplierIdealPresentation,
-               poly: Polynomial) -> bool:
-    """Whether the polynomial lies in the presented ideal.
-
-    The intersection is homogeneous, so each homogeneous component is
-    tested against the inverse system of every term's power.
-    """
-    if poly.nvars != arr.dim or pres.ambient_dim != arr.dim:
+def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
+    """Whether the polynomial lies in the presented ideal (one pass over
+    all its terms, ``graded.intersection_contains``)."""
+    if poly.nvars != pres.ambient_dim:
         raise ValueError(
             f"variable count mismatch: polynomial has {poly.nvars}, "
-            f"arrangement has {arr.dim}"
+            f"arrangement has {pres.ambient_dim}"
         )
-    if poly.is_zero or pres.is_unit:
-        return True
-    return all(power_contains(W, e, poly) for W, e in pres.terms)
+    return intersection_contains(pres.terms, poly)
 
 
 def resolution_table(lat: IntersectionLattice,

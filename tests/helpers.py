@@ -15,8 +15,8 @@ presentation that way.  ``graded_equal``, ``graded_contains`` and
 ``contains_polynomial`` compare realized truncations piece by piece.
 ``fraction_rows_in`` and ``realized_jumps`` are independent routes for the
 essential coordinates and for the jump sweep.  ``poly_add``, ``poly_mul``
-and ``format_polynomial`` are the polynomial arithmetic and printing that
-only tests need."""
+and ``format_polynomial`` are the polynomial arithmetic and printing, and
+``int_contains`` the span test, that only tests need."""
 
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
     _first_nonzero,
     int_canonical,
-    int_contains,
     int_insert,
+    int_reduce,
     primitive_vector,
 )
 
@@ -50,6 +50,11 @@ from fraction_linalg import (
     span_intersect,
     subspace_from_int_rows,
 )
+
+
+def int_contains(rows, pivots, vec) -> bool:
+    """Whether ``vec`` lies in the span of an echelon list."""
+    return not any(int_reduce(vec, rows, pivots))
 
 
 # --- Fraction views of integer data ---------------------------------------

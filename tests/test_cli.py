@@ -232,6 +232,26 @@ def test_member(capsys, braid3_file):
     assert code == 1 and "out of range" in err
 
 
+def test_member_answers_before_the_width_guard(capsys, tmp_path, braid3_file):
+    """The unit ideal contains every polynomial, however wide its degree;
+    a component of degree below the largest exponent rules a polynomial
+    out, also when another component is wider than the guard admits."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["member", braid3_file, "--lambda", "0",
+                                  "--poly", "x0^50000"])
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, "true\n", "")
+    b5 = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", b5]) == 0
+    # at 2/3 the top flat of braid(5) has exponent 3 and x1 has degree 1;
+    # x0^40 alone spans more monomials than the guard admits
+    code, out, err = run(capsys, ["member", b5, "--lambda", "2/3",
+                                  "--poly", "x0^40 + x1"])
+    assert (code, out, err) == (0, "false\n", "")
+    code, out, err = run(capsys, ["member", b5, "--lambda", "2/3", "--poly", "x0^40"])
+    assert code == 1 and "monomials" in err
+
+
 def test_resolution(capsys, braid3_file):
     code, out, _ = run(capsys, ["resolution", braid3_file])
     assert code == 0
@@ -380,8 +400,8 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify"])
     assert code == 0 and len(out.splitlines()) == 9
     assert len(enumerations) == 1
-    # one call for the candidates, one for the pass over them
-    assert len(gmin_calls) == 2
+    # one rise table gives the candidates and the terms that rise at each
+    assert len(gmin_calls) == 1
     assert all(bs.flats is lat.irreducibles for lat, bs in gmin_calls)
 
 
@@ -440,7 +460,9 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
                                                        closed, first):
     """With an irreducible flat of braid(4) (the top flat, a triple point)
     left out of the minimal set, the two ideals differ at λ = 5/6; the
-    command names the first degree where the realized pieces differ."""
+    full ideal lies in the minimal one, so the command prints both rows and
+    fails as an invariant violation naming the first degree where the
+    realized pieces differ."""
     path = str(tmp_path / "b4.json")
     assert cli.main(["braid", "4", "-o", path]) == 0
 
@@ -455,13 +477,14 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
         multiplier.presentation(lat, full_building_set(lat), Fraction(5, 6)), 6)
     assert first == next(d for d in range(7) if a.piece_rows[d] != b.piece_rows[d])
     monkeypatch.setattr(cli.bmod, "minimal_building_set", without_flat)
-    code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", "5/6", "--degree", "6"])
-    assert code == 0
+    code, out, err = run(capsys, ["verify-theorem", path, "--lambda", "5/6", "--degree", "6"])
+    assert code == 2
     assert out.splitlines() == [
         "minimal: " + " ".join(map(str, piece_dims(a))),
         "full:    " + " ".join(map(str, piece_dims(b))),
-        f"DIFFER at degree {first}",
     ]
+    assert err == ("internal invariant violation: the minimal and full building "
+                   f"sets give different ideals at degree {first}\n")
 
 
 def test_jumps_default_degree(capsys, tmp_path):

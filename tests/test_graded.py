@@ -14,12 +14,12 @@ from arrideals.graded import (
     Polynomial,
     PolynomialParseError,
     _check_width,
+    intersection_contains,
     monomial_index,
     monomials,
     parse_polynomial,
-    power_contains,
 )
-from arrideals.lattice import closure, compute_lattice
+from arrideals.lattice import compute_lattice
 from arrideals.multiplier import DEGREE_CAP, hilbert_function, presentation
 
 import helpers
@@ -166,7 +166,7 @@ def test_power_of_braid_diagonal():
     assert power_dims(top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
-        assert power_contains(top, 1, poly) == inside
+        assert intersection_contains([(top, 1)], poly) == inside
         assert contains_polynomial(generator_power(top, 1, 2), poly) == inside
     # the integer pieces are canonical: they convert to genuine RREF subspaces
     sq = generator_power(top, 2, 4)
@@ -176,16 +176,17 @@ def test_power_of_braid_diagonal():
 
 
 def test_power_errors():
-    """power_contains refuses what is no power of a proper flat ideal, and
-    a polynomial in other variables."""
+    """intersection_contains refuses what is no power of a proper flat
+    ideal, and a polynomial in other variables; no terms is the unit ideal."""
     lat = compute_lattice(axes(2))
     x = lat.flat_with_closed((0,))
-    with pytest.raises(ValueError, match="exponent must be >= 1"):
-        power_contains(x, 0, parse_polynomial("x0", 2))
-    with pytest.raises(ValueError, match="no proper ideal"):
-        power_contains(lat.ambient, 1, parse_polynomial("x0", 2))
+    with pytest.raises(ValueError, match="no proper power"):
+        intersection_contains([(x, 0)], parse_polynomial("x0", 2))
+    with pytest.raises(ValueError, match="no proper power"):
+        intersection_contains([(x, 1), (lat.ambient, 1)], parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="variable counts differ"):
-        power_contains(x, 1, parse_polynomial("x0", 3))
+        intersection_contains([(x, 1)], parse_polynomial("x0", 3))
+    assert intersection_contains([], parse_polynomial("x0^50000", 2))
 
 
 def test_intersect_examples():
@@ -267,7 +268,7 @@ def test_coordinate_subspace_closed_form():
     for n in (2, 3):
         lat = compute_lattice(axes(n))
         for k in range(1, n + 1):
-            flat = closure(axes(n), set(range(k)))
+            flat = lat.flat_with_closed(range(k))
             for e in (1, 2, 3):
                 gi = generator_power(flat, e, 6)
                 got = power_dims(flat, e, 6)
@@ -394,7 +395,7 @@ def test_power_contains_matches_pieces():
                 low = {monomials(4, d - 1)[0]: Fraction(rng.randint(1, 5), 3)}
                 for terms, expect in ((inside, True), ({**inside, **low}, False)):
                     poly = Polynomial.from_terms(4, terms)
-                    assert power_contains(flat, e, poly) == expect
+                    assert intersection_contains([(flat, e)], poly) == expect
                     assert contains_polynomial(gi, poly) == expect
 
 
@@ -414,7 +415,7 @@ def test_polynomial_basics():
     assert dict(p.terms) == {(1, 0, 0): 1, (0, 1, 0): -1}
     q = parse_polynomial("2/3*x0^2*x1 + x2", 3)
     assert dict(q.terms) == {(2, 1, 0): Fraction(2, 3), (0, 0, 1): 1}
-    assert parse_polynomial("x0 - x0", 3).is_zero
+    assert parse_polynomial("x0 - x0", 3).terms == ()
 
 
 def test_polynomial_parse_errors():

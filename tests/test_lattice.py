@@ -6,8 +6,8 @@ import pytest
 
 from arrideals import lattice
 from arrideals.arrangement import Arrangement, braid, canonical_normal
-from arrideals.lattice import closure, compute_lattice, minimal_containing
-from arrideals.linalg import int_span
+from arrideals.lattice import compute_lattice, minimal_containing
+from arrideals.linalg import int_span, primitive_vector
 
 import helpers
 from fraction_linalg import span, span_contains
@@ -31,24 +31,17 @@ def test_single_hyperplane_any_mult():
         assert lat.flats[1].mult == m
 
 
-def test_closure_examples():
-    arr = braid(3)
-    f = closure(arr, {0, 1})
-    assert f.closed_set == (0, 1, 2) and f.rank == 2 and f.mult == 3
-    v = closure(arr, set())
-    assert v.rank == 0 and v.closed_set == () and v.mult == 0
-    axes = Arrangement.from_normals(2, [(1, 0), (0, 1)])
-    f = closure(axes, {0})
-    assert f.closed_set == (0,) and f.rank == 1 and f.mult == 1
-    with pytest.raises(ValueError):
-        closure(arr, {99})
-
-
 def test_closure_matches_lattice():
+    """Each flat is the Fraction closure of its closed set, a rank-2 flat
+    also of its first two hyperplanes, and the empty set closes to the
+    ambient space."""
     arr = braid(4)
     lat = compute_lattice(arr)
     for f in lat.flats:
-        assert closure(arr, f.closed_set) == f
+        assert helpers.fraction_closure(arr, f.closed_set) == helpers.flat_key(f)
+        if f.rank == 2:
+            assert helpers.fraction_closure(arr, f.closed_set[:2]) == helpers.flat_key(f)
+    assert helpers.fraction_closure(arr, ()) == helpers.flat_key(lat.ambient)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -89,15 +82,15 @@ def test_containment_monotonicity(corpus_lattices):
 
 def test_lattice_matches_subset_closure_enumeration(corpus_lattices):
     """Reference construction: close every subset of hyperplanes by Fraction
-    elimination; ``closure`` must agree with it subset by subset."""
+    elimination; the lattice's flat with that closed set must agree with it
+    subset by subset."""
     for lat in corpus_lattices:
         arr = lat.arrangement
         assert set(map(helpers.flat_key, lat.flats)) == helpers.subset_closure_flats(arr)
         nh = len(arr.hyperplanes)
         for bits in range(1 << nh):
-            idx = [i for i in range(nh) if bits >> i & 1]
-            assert (helpers.flat_key(closure(arr, idx))
-                    == helpers.fraction_closure(arr, idx))
+            closed = helpers.fraction_closure(arr, [i for i in range(nh) if bits >> i & 1])
+            assert helpers.flat_key(lat.flat_with_closed(closed[0])) == closed
 
 
 def test_compute_lattice_is_deterministic(corpus):
@@ -194,7 +187,7 @@ def test_enumeration_carries_classes_and_rows_come_on_first_read(monkeypatch):
         lat = compute_lattice(arr)
         assert canonical_calls == []
         assert residual_rows and max(residual_rows) <= 1
-        int_normals = lattice._int_normals(arr)
+        int_normals = [primitive_vector(h.normal) for h in arr.hyperplanes]
         for f in lat.flats:
             rows, pivots = int_span((int_normals[j] for j in f.closed_set), arr.dim)
             assert f.basis_rows == int_canonical(rows, pivots)
@@ -239,11 +232,11 @@ def test_normal_space_consistency(corpus_lattices, braid_lattices):
 def test_minimal_containing_examples(braid_lattices):
     lat = braid_lattices[3]
     top = lat.flat_with_closed((0, 1, 2))
-    assert minimal_containing(lat, [top], top) == [top]
+    assert minimal_containing([top], top) == [top]
     hps = [lat.flat_with_closed((i,)) for i in range(3)]
-    assert minimal_containing(lat, hps, top) == hps
+    assert minimal_containing(hps, top) == hps
     with pytest.raises(ValueError):
-        minimal_containing(lat, hps, lat.ambient)
+        minimal_containing(hps, lat.ambient)
 
     lat4 = braid_lattices[4]
     # x0=x1, x2=x3: pairs (0,1)->0 and (2,3)->5
@@ -251,7 +244,7 @@ def test_minimal_containing_examples(braid_lattices):
     from arrideals.building import minimal_building_set
 
     gmin = minimal_building_set(lat4)
-    got = minimal_containing(lat4, gmin.flats, c)
+    got = minimal_containing(gmin.flats, c)
     assert [f.closed_set for f in got] == [(0,), (5,)]
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import floor
 
 import pytest
 
@@ -9,6 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st
 
+from arrideals import multiplier
 from arrideals.arrangement import (
     Arrangement,
     canonical_normal,
@@ -20,11 +22,14 @@ from arrideals.building import (
     irreducible_decomposition,
     minimal_building_set,
 )
+from arrideals.graded import Polynomial
 from arrideals.lattice import compute_lattice
 from arrideals.multiplier import (
     hilbert_function,
     jump_candidates,
+    membership,
     presentation,
+    support,
     theorem_rows,
     verify_jumps,
 )
@@ -152,6 +157,70 @@ def test_verify_jumps_compares_each_candidate_with_the_interval_below(arr, bound
         at = generator_presentation_ideal(presentation(lat, gmin, c), bound)
         mid = generator_presentation_ideal(presentation(lat, gmin, (prev + c) / 2), bound)
         assert jump == (not helpers.graded_equal(at, mid, bound))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(arrangements(), st.fractions(0, 3, max_denominator=12),
+       st.fractions(Fraction(1, 12), 3, max_denominator=12))
+def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
+    """The per-λ formulas the rise table replaced, as oracles: ``support``
+    is the gmin flats with λ ≥ r/s; the candidates are the m/s(W) with
+    r(W) ≤ m ≤ lam_max·s(W); and ``verify_jumps`` stacks, at each candidate
+    in turn, the flats whose exponent rose there with their new exponent,
+    in canonical order."""
+    lat = compute_lattice(arr)
+    gmin = minimal_building_set(lat).flats
+    assert support(lat, lam) == [W for W in gmin if lam >= Fraction(W.rank, W.mult)]
+    cands = sorted({Fraction(m, W.mult) for W in gmin
+                    for m in range(W.rank, floor(lam_max * W.mult) + 1)})
+    assert jump_candidates(lat, lam_max) == cands
+    exponents = dict.fromkeys(gmin, 0)
+    expected = [[]]  # the unit ideal below the first candidate
+    for c in cands:
+        expected.append([])
+        for W, old in exponents.items():
+            e = multiplier._exponent(c, W)
+            if e > old:
+                exponents[W] = e
+                expected[-1].append((W, e))
+    batches = []
+    stacked_dims = multiplier._stacked_dims
+
+    def recording(lat, bound, *terms):
+        batches.extend(terms)
+        return stacked_dims(lat, bound, *terms)
+
+    multiplier._stacked_dims = recording
+    try:
+        answers = verify_jumps(lat, lam_max, 1)
+    finally:
+        multiplier._stacked_dims = stacked_dims
+    assert [c for c, _ in answers] == cands
+    assert batches == (expected if cands else [])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrangements(dims=(2, 3), size=5, coef=2), st.fractions(0, 2, max_denominator=6),
+       st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 4), max_size=5)),
+                min_size=1, max_size=3))
+def test_membership_matches_the_generator_route(arr, lam, summands):
+    """``membership`` over all terms at once agrees with piece containment
+    in the generator-built ideal, on sums of products of the arrangement's
+    forms (each summand a coefficient and up to five form indices)."""
+    lat = compute_lattice(arr)
+    pres = presentation(lat, minimal_building_set(lat), lam)
+    n = arr.dim
+    hps = arr.hyperplanes
+    poly = Polynomial.from_terms(n, {})
+    for coef, factors in summands:
+        term = Polynomial.from_terms(n, {(0,) * n: coef})
+        for i in factors:
+            normal = hps[i % len(hps)].normal
+            form = {tuple(int(j == k) for k in range(n)): c for j, c in enumerate(normal)}
+            term = helpers.poly_mul(term, Polynomial.from_terms(n, form))
+        poly = helpers.poly_add(poly, term)
+    oracle = generator_presentation_ideal(pres, 5)
+    assert membership(pres, poly) == helpers.contains_polynomial(oracle, poly)
 
 
 @st.composite
