@@ -4,7 +4,8 @@ Every command reads an arrangement file (JSON, see the arrangement module)
 and prints deterministically ordered text; some offer --json.  Rationals on
 the command line are "p" or "p/q"; decimal input is rejected because the
 floor computations are exact.  Exit codes: 0 success, 1 usage or parse
-error, 2 internal invariant violation.
+error or an input too large (past a size limit, or out of memory), 2
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 1
 
 

@@ -7,19 +7,27 @@ rank is the codimension, mult is the total multiplicity of the closed set.
 
 The lattice is built level by level from residual classes.  A flat X of
 rank k has a class table: every normal outside its closed set, reduced
-against X's rows (which leaves it zero at X's pivots) and scaled to a
-primitive integer vector with a positive pivot (``linalg.int_residual``),
-keyed by that residual.  Two hyperplanes lie in the same cover of X exactly
-when their residuals are proportional, that is equal, so the table lists
-X's covers at once: a cover's closed set is X's plus its class, with no
-closure scan.  The residual is unique for the space (the pivot set of an
-echelon list is the RREF's), so a cover X ∨ g takes its table from X's: the
-other classes, each residual reduced against g's residual alone and merged
-when the results agree.  The closed set is the dedup key across parents.
+against X's rows (which leaves it zero at X's pivots), written in the n − k
+coordinates that are not pivots of X, and scaled to a primitive integer
+vector with a positive pivot; the table is keyed by that residual.  Two
+hyperplanes lie in the same cover of X exactly when their residuals are
+proportional, that is equal, so the table lists X's covers at once: a
+cover's closed set is X's plus its class, with no closure scan.  The
+residual is unique for the space: the pivot set of an echelon list is the
+RREF's, and v + N(X) has exactly one vector that is zero at those pivots.
+Dropping the pivot columns, where every residual is zero, loses nothing,
+so two keys are equal exactly when the residuals are.  A cover
+X ∨ g takes its table from X's: each other class residual ``red`` is
+reduced against g's residual alone (``linalg.int_eliminate``), g's pivot
+column is deleted, and classes merge when the results agree.  When
+red is zero at g's pivot it is already reduced and normalized and is
+reused with that column deleted.  A class finds its pivot once, when its
+flat is expanded.  The closed set is the dedup key across parents.
 A flat's table is built only when the flat is expanded, from its parent's
 table and its own class key.  Only the level entries of its new covers hold
 it, and each entry is released when expanded, so the table is freed once
-the last of those covers has built its own.
+the last of those covers has built its own.  Past MAX_FLATS flats the
+enumeration stops with a ValueError.
 The top flat is not reached by expansion: the arrangement's rank r is read
 off the span of all normals, the only flat of rank r is the one whose closed
 set is every hyperplane, and the flats of rank r − 1, whose only cover it
@@ -67,11 +75,19 @@ from typing import Iterable, Sequence
 from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
+    _signed_primitive,
     int_canonical,
-    int_residual,
+    int_eliminate,
     int_span,
     primitive_vector,
 )
+
+
+# Most flats a lattice may have: braid(11) has 678,570 (27 s, 400 MB max RSS
+# on a 2-core machine).  Memory runs to about 1 KB per flat found, so
+# braid(12), with 4,213,597 flats, is refused after 15 s at under 800 MB
+# instead of growing until the process is killed.
+MAX_FLATS = 700_000
 
 
 @dataclass(frozen=True)
@@ -147,12 +163,10 @@ class IntersectionLattice:
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     out = []
-    j = 0
     while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -171,37 +185,43 @@ def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
 
 
 def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
-    """(closed mask, rank, irreducible) of every flat, in discovery order."""
+    """(closed mask, rank, irreducible) of every flat, in discovery order.
+
+    Refuses with a ValueError once more than MAX_FLATS flats are found."""
     full = (1 << len(normals)) - 1
     top = len(int_span(normals, dim)[0])
     found = [(0, 0, False)]
     rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
-    ambient: dict[tuple, int] = {}  # (residual, pivot) -> hyperplanes
+    ambient: dict[tuple, int] = {}  # residual -> hyperplanes
     for j, nj in enumerate(normals):
-        key = int_residual(nj, (), ())
+        key = _signed_primitive(list(nj))[0]
         ambient[key] = ambient.get(key, 0) | 1 << j
     # per flat of the current rank: its parent's class table, its own
-    # (residual, pivot) key there, closed mask and components
+    # residual key there, closed mask and components
     level: list = [(ambient, None, 0, ())]
     last_comps: tuple = ()  # components of a flat of rank top - 1
     for rank in range(1, top):
         nxt = []
-        for i, (parent, own, cmask, comps) in enumerate(level):
+        for i, (parent, g, cmask, comps) in enumerate(level):
             level[i] = None
-            if own is None:
+            if g is None:
                 classes = parent
             else:
-                g, pg = own
+                pg = _first_nonzero(g)
                 classes = {}
-                for (red, p), group in parent.items():
+                for red, group in parent.items():
                     if group & cmask:
                         continue
-                    key = int_residual(red, (g,), (pg,))
+                    key = int_eliminate(red, g, pg)
                     classes[key] = classes.get(key, 0) | group
             for key, group in classes.items():
                 ccmask = cmask | group
                 if ccmask in rank_of:
                     continue
+                if len(found) + 1 >= MAX_FLATS:  # the top flat counts already
+                    raise ValueError(f"the lattice has more than {MAX_FLATS} flats "
+                                     f"(reached at rank {rank} of {top}), more than "
+                                     f"supported")
                 rank_of[ccmask] = rank
                 child_comps = _cover_components(comps, ccmask, rank, rank_of)
                 found.append((ccmask, rank, len(child_comps) == 1))

@@ -13,9 +13,10 @@ being appended, so it is zero at all earlier pivots.  Reducing a vector
 against the rows *in stored order* is therefore sound.  Rows are primitive
 integer vectors with positive pivot entry.
 
-``int_residual`` is the one normalization step (reduce, then make primitive
-with a positive pivot); row insertion and the covers of a flat both go
-through it.
+``_signed_primitive`` is the one normalization rule: a nonzero vector is
+scaled to a primitive integer vector with a positive pivot.  Row insertion
+(``int_residual``, after reducing against an echelon list) and the covers of
+a flat (``int_eliminate``, one row, pivot column deleted) both end in it.
 
 ``int_canonical`` turns an echelon list into the reduced row echelon basis
 of its row space, rescaled to primitive integers.  That basis is unique for
@@ -89,14 +90,9 @@ def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
     return v
 
 
-def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
-                 pivots: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
-    """``vec`` reduced against an echelon list, primitive with a positive pivot.
-
-    The pivot is None when ``vec`` lies in the row space.  Proportional
-    vectors have equal residuals.
-    """
-    v = int_reduce(vec, rows, pivots)
+def _signed_primitive(v: list[int]) -> tuple[tuple[int, ...], int | None]:
+    """``v`` scaled to a primitive vector with a positive pivot, and that
+    pivot; a zero vector is returned as it is, with pivot None."""
     p = _first_nonzero(v)
     if p is None:
         return tuple(v), None
@@ -104,6 +100,35 @@ def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
         v = [-a for a in v]
     _strip(v)
     return tuple(v), p
+
+
+def int_residual(vec: Sequence[int], rows: Sequence[Sequence[int]],
+                 pivots: Sequence[int]) -> tuple[tuple[int, ...], int | None]:
+    """``vec`` reduced against an echelon list, primitive with a positive pivot.
+
+    The pivot is None when ``vec`` lies in the row space.  Proportional
+    vectors have equal residuals.
+    """
+    return _signed_primitive(int_reduce(vec, rows, pivots))
+
+
+def int_eliminate(vec: tuple[int, ...], row: Sequence[int], p: int) -> tuple[int, ...]:
+    """``int_residual`` of ``vec`` against the one row ``row`` with pivot ``p``,
+    with column ``p`` (zero after the reduction) deleted.
+
+    ``vec`` must be primitive with a positive pivot, as residuals are; then a
+    zero at ``p`` leaves nothing to reduce or normalize.
+    """
+    c = vec[p]
+    if not c:
+        return vec[:p] + vec[p + 1:]
+    pv = row[p]
+    if pv == 1:
+        v = [a - c * b for a, b in zip(vec, row)]
+    else:
+        v = [pv * a - c * b for a, b in zip(vec, row)]
+    del v[p]
+    return _signed_primitive(v)[0]
 
 
 def int_insert(rows: list, pivots: list, vec: Sequence[int]) -> bool:

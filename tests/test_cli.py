@@ -541,6 +541,24 @@ def test_missing_file_is_a_user_error(capsys, tmp_path):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_oversized_lattice_and_memory_exhaustion_exit_1(capsys, braid3_file, monkeypatch):
+    """A lattice past the flat budget, and running out of memory anywhere,
+    end in one ``error:`` line and exit code 1, with no traceback."""
+    monkeypatch.setattr(lattice, "MAX_FLATS", 4)
+    code, out, err = run(capsys, ["lct", braid3_file])
+    assert (code, out) == (1, "")
+    assert err == "error: the lattice has more than 4 flats (reached at rank 1 of 2), " \
+                  "more than supported\n"
+
+    def exhausted(arr):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compute_lattice", exhausted)
+    code, out, err = run(capsys, ["lattice", braid3_file])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_reader_closing_the_pipe_is_not_an_error(tmp_path):
     """``lattice b8.json --json | head -1``: the output is far larger than a
     pipe holds, so the write fails once the reader has gone."""

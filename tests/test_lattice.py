@@ -162,31 +162,38 @@ def test_lattice_of_generic_arrangement():
 
 def test_enumeration_carries_classes_and_rows_come_on_first_read(monkeypatch):
     """Classes are carried from parent to child, so each class residual is
-    reduced against the one new row only; enumeration builds no canonical
-    rows, and each flat builds its own once, the first time they are read."""
+    reduced against the one new row only, in coordinates without the
+    parent's pivots; enumeration builds no canonical rows, and each flat
+    builds its own once, the first time they are read."""
     rng = random.Random(55)
     normals = _distinct_normals(11, lambda: tuple(rng.randint(-2, 2) for _ in range(5)))
     canonical_calls = []
-    residual_rows = []
+    steps = []
     int_canonical = lattice.int_canonical
-    int_residual = lattice.int_residual
+    int_eliminate = lattice.int_eliminate
 
     def counting_int_canonical(rows, pivots):
         canonical_calls.append(len(rows))
         return int_canonical(rows, pivots)
 
-    def counting_int_residual(vec, rows, pivots):
-        residual_rows.append(len(rows))
-        return int_residual(vec, rows, pivots)
+    def counting_int_eliminate(vec, row, p):
+        steps.append((vec, row, p))
+        return int_eliminate(vec, row, p)
 
     monkeypatch.setattr(lattice, "int_canonical", counting_int_canonical)
-    monkeypatch.setattr(lattice, "int_residual", counting_int_residual)
+    monkeypatch.setattr(lattice, "int_eliminate", counting_int_eliminate)
     for arr in (braid(6), Arrangement.from_normals(5, normals)):
         canonical_calls.clear()
-        residual_rows.clear()
+        steps.clear()
         lat = compute_lattice(arr)
         assert canonical_calls == []
-        assert residual_rows and max(residual_rows) <= 1
+        # each reduction uses exactly one row: one integer vector as wide
+        # as the residual, whose coordinates lose one pivot per rank
+        assert steps
+        for vec, row, p in steps:
+            assert all(isinstance(a, int) for a in row)
+            assert len(row) == len(vec) <= arr.dim and row[p] != 0
+        assert min(len(vec) for vec, _, _ in steps) < arr.dim
         int_normals = [primitive_vector(h.normal) for h in arr.hyperplanes]
         for f in lat.flats:
             rows, pivots = int_span((int_normals[j] for j in f.closed_set), arr.dim)
@@ -195,6 +202,20 @@ def test_enumeration_carries_classes_and_rows_come_on_first_read(monkeypatch):
         for f in lat.flats:
             f.basis_rows  # a second read
         assert len(canonical_calls) == len(lat.flats)
+
+
+def test_flat_budget_refuses_large_lattices(monkeypatch):
+    """Enumeration stops with a ValueError naming the budget as soon as one
+    flat more than MAX_FLATS is found; a lattice of exactly that many passes."""
+    assert len(compute_lattice(braid(5)).flats) == 52
+    monkeypatch.setattr(lattice, "MAX_FLATS", 52)
+    assert len(compute_lattice(braid(5)).flats) == 52
+    monkeypatch.setattr(lattice, "MAX_FLATS", 51)
+    with pytest.raises(ValueError, match="more than 51 flats"):
+        compute_lattice(braid(5))
+    monkeypatch.setattr(lattice, "MAX_FLATS", 10)
+    with pytest.raises(ValueError, match=r"more than 10 flats \(reached at rank 1 of 4\)"):
+        compute_lattice(braid(5))
 
 
 def test_closed_under_intersection(corpus_lattices, braid_lattices):

@@ -7,6 +7,7 @@ import pytest
 
 from arrideals.linalg import (
     int_canonical,
+    int_eliminate,
     int_insert,
     int_residual,
     int_span,
@@ -134,6 +135,48 @@ def test_int_residual_example():
     assert int_residual((-2, -6, -2), rows, pivots) == ((0, 0, 0), None)
     assert int_residual((0, 0, -6), rows, pivots) == ((0, 0, 1), 2)
     assert int_residual((0, -4, 6), [], []) == ((0, 2, -3), 1)
+
+
+def test_int_eliminate_example():
+    # non-unit pivot 2; 2*(3, 1, 4) - 3*(2, 0, -2) = (0, 2, 14), column 0
+    # deleted, stripped of its content 2
+    assert int_eliminate((3, 1, 4), (2, 0, -2), 0) == (1, 7)
+    # a negative pivot: -(1, 2, 0) - 2*(0, -1, 1) = (-1, 0, -2) is negated
+    assert int_eliminate((1, 2, 0), (0, -1, 1), 1) == (1, 2)
+    assert int_eliminate((0, 1, 1), (0, -1, 1), 1) == (0, 1)
+    # zero at the pivot: the vector is reused with the column deleted
+    assert int_eliminate((1, 0, -5), (0, 3, 1), 1) == (1, -5)
+
+
+def test_int_eliminate_is_int_residual_against_one_row():
+    """On seeded residuals, the one-row step is int_residual against that
+    row with the (now zero) pivot column deleted.  The draws cover unit,
+    non-unit and negative pivot entries, a zero at the pivot (the vector is
+    reused as it is) and results with a common factor before stripping."""
+    rng = random.Random(29)
+    seen = {"non-unit": 0, "negative": 0, "zero": 0, "stripped": 0}
+    for _ in range(600):
+        dim = rng.randint(1, 7)
+        p = rng.randrange(dim)
+        row = [0] * p + [rng.choice([-6, -3, -2, -1, 1, 1, 2, 4, 5])]
+        row += [rng.randint(-4, 4) for _ in range(dim - p - 1)]
+        vec, _ = int_residual([rng.randint(-5, 5) for _ in range(dim)], [], [])
+        if rng.random() < 0.25:
+            vec, _ = int_residual(vec[:p] + (0,) + vec[p + 1:], [], [])
+        if not any(vec):
+            continue
+        res, q = int_residual(vec, [row], [p])
+        assert res[p] == 0
+        got = int_eliminate(vec, row, p)
+        assert got == res[:p] + res[p + 1:]
+        if q is not None:
+            assert got[q - (q > p)] > 0 and gcd(*got) == 1
+        seen["non-unit"] += abs(row[p]) > 1 and vec[p] != 0
+        seen["negative"] += row[p] < 0 and vec[p] != 0
+        seen["zero"] += vec[p] == 0
+        unstripped = [row[p] * a - vec[p] * b for a, b in zip(vec, row)]
+        seen["stripped"] += vec[p] != 0 and any(unstripped) and gcd(*unstripped) > 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_int_residual_normalizes_and_matches_insert():
