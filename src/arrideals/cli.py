@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import arrangement as arrmod
 from . import building as bmod
@@ -33,10 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _rational(text: str) -> Fraction:
-    return arrmod.parse_rational(text)
+def _reasoned(parse):
+    """An argparse type that prints why ``parse`` refused the text."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+    return convert
 
 
+_rational = _reasoned(arrmod.parse_rational)
+
+
+@_reasoned
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:

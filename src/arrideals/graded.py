@@ -17,7 +17,8 @@ the plain dot product of coefficient vectors.  So the perp of the degree-d
 piece of an intersection is spanned by the stacked inverse systems of all
 its terms: the piece has dimension width − rank, and a polynomial is in
 the intersection when every homogeneous component is orthogonal to them.
-No piece is ever built.
+No piece is ever built, nor is an inverse system kept: its rows are built
+as they are read.  The only caches are the per-degree monomial tables.
 
 The stacked inverse systems live in one object, ``_Perps``: per degree an
 echelon list, to which terms are added in order.  The multiplier module
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .lattice import Flat
 from .linalg import (
@@ -240,10 +241,9 @@ def _factorial_weights(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(prod(map(factorial, m)) for m in monomials(nvars, degree))
 
 
-@lru_cache(maxsize=None)
 def _inverse_system(forms: IntRows, nvars: int, exponent: int,
-                    degree: int) -> IntRows:
-    """Basis of the perp of (I^e)_d, I the ideal of the canonical ``forms``.
+                    degree: int) -> Iterator[list[int]]:
+    """Yield a basis of the perp of (I^e)_d, I the ideal of canonical ``forms``.
 
     See the module docstring: the points of the flat (the integer kernel of
     ``forms``) together with the variables at the pivots of ``forms`` are a
@@ -253,11 +253,10 @@ def _inverse_system(forms: IntRows, nvars: int, exponent: int,
     """
     points = int_kernel(forms, nvars)
     if not points and degree >= exponent:  # each row has a point factor
-        return ()
+        return
     pivots = [_first_nonzero(f) for f in forms]
     idx = monomial_index(nvars, degree)
     weights = _factorial_weights(nvars, degree)
-    rows = []
     for j in range(min(exponent - 1, degree) + 1):
         prods = _products(points, nvars, degree - j)
         for extra in combinations_with_replacement(pivots, j):
@@ -269,8 +268,7 @@ def _inverse_system(forms: IntRows, nvars: int, exponent: int,
                         m[p] += 1
                     pos = idx[tuple(m)]
                     vec[pos] = coef * weights[pos]
-                rows.append(tuple(vec))
-    return tuple(rows)
+                yield vec
 
 
 class _Perps:
@@ -306,14 +304,10 @@ class _Perps:
             self.echelons = [([], []) for _ in self.widths]
         for d in range(self.low, self.bound + 1):
             rows, pivots = self.echelons[d]
-            width = self.widths[d]
-            for forms, e in terms:
-                if len(rows) == width:
-                    break
-                for g in _inverse_system(forms, self.nvars, e, d):
-                    int_insert(rows, pivots, g)
-                    if len(rows) == width:
-                        break
+            stacked = (g for forms, e in terms
+                       for g in _inverse_system(forms, self.nvars, e, d))
+            while len(rows) < self.widths[d] and (g := next(stacked, None)) is not None:
+                int_insert(rows, pivots, g)
 
     def dims(self) -> list[int]:
         """Dimension of each piece of the intersection: width − rank."""
@@ -371,8 +365,7 @@ def intersection_contains(terms: Sequence[tuple[Flat, int]], poly: Polynomial) -
     _check_width(poly.nvars, max(parts, default=0))
     for d, part in parts.items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
-        for W, e in terms:
-            for g in _inverse_system(W.basis_rows, poly.nvars, e, d):
-                if sum(a * b for a, b in zip(vec, g) if a):
-                    return False
+        if any(sum(a * b for a, b in zip(vec, g) if a) for W, e in terms
+               for g in _inverse_system(W.basis_rows, poly.nvars, e, d)):
+            return False
     return True

@@ -35,10 +35,11 @@ is, are never expanded.
 
 Enumeration builds no flat's canonical rows.  A flat computes them the
 first time they are read, from the normals of its closed set; the package
-reads them only for the terms of a presentation.  ``rows_in(W, U)`` writes
-the rows of a flat U ≤ W in the r(W) coordinates of W's rows; with W the
-top flat these are the essential coordinates, in which every flat ideal of
-the arrangement is generated.
+reads them only for the terms of a presentation.  ``rows_in(W, U)``
+restricts U's rows, for U ≤ W, to the r(W) pivot columns of W's rows:
+every vector of N(W) has its pivot at one of them and is fixed by its
+entries there.  With W the top flat these are the essential coordinates,
+in which every flat ideal of the arrangement is generated.
 
 A proper flat is irreducible when the linear matroid on its closed set is
 connected; the irreducible flats form the minimal building set (see the
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
@@ -114,21 +114,17 @@ class Flat:
 
 
 def rows_in(W: Flat, U: Flat) -> tuple[tuple[int, ...], ...]:
-    """U's canonical rows in the r(W) coordinates of ``W.basis_rows``.
+    """U's canonical rows restricted to the pivot columns of ``W.basis_rows``.
 
     N(U) ⊆ N(W) when closed(U) ⊆ closed(W).  W's rows are reduced echelon,
-    so a vector u of N(W) has coefficient u[p]/w[p] on the row w with pivot
-    p; scaled by the lcm of W's pivot entries, the coefficients are integers.
-    """
+    so U's pivots are among W's (pivots nest) and a vector u of N(W) is
+    Σ u[p]·w/w[p] over W's rows w with pivot p: the restricted rows are
+    reduced echelon, and each is made primitive."""
     if not set(U.closed_set) <= set(W.closed_set):
         raise ValueError(f"closed set {list(U.closed_set)} is not inside "
                          f"{list(W.closed_set)}")
-    rows = W.basis_rows
-    pivots = [_first_nonzero(w) for w in rows]
-    scale = lcm(*(w[p] for w, p in zip(rows, pivots)))
-    scales = [scale // w[p] for w, p in zip(rows, pivots)]
-    coords = ([u[p] * k for p, k in zip(pivots, scales)] for u in U.basis_rows)
-    return int_canonical(*int_span(coords, len(rows)))
+    pivots = [_first_nonzero(w) for w in W.basis_rows]
+    return tuple(primitive_vector([u[p] for p in pivots]) for u in U.basis_rows)
 
 
 def flat_sort_key(flat: Flat) -> tuple[int, tuple[int, ...]]:

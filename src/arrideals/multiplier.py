@@ -28,16 +28,17 @@ dimensions, and read them as ranks of stacked inverse systems (the graded
 module's ``_Perps``), building no ideal:
 
 - Essential coordinates.  Every I_W is generated by linear forms in N(W),
-  inside the normal space N(top) of the top flat, of rank r.  Taking the
-  rows of N(top) as r of the n coordinates (``lattice.rows_in``), the
-  ideal J is J_ess·S for an ideal J_ess of the ring R in those r
-  variables, and S = R[z] in n − r more.  So J_d is the direct sum over
-  k ≤ d of (J_ess)_k times the forms of degree d − k in z:
-  H(d) = Σ_(k≤d) H_ess(k)·C(n−r−1+d−k, d−k), and two such ideals agree up
-  to degree D iff their essential parts do.  Pieces are computed in r
-  variables and lifted by n − r running sums (each new variable
-  multiplies the Hilbert series by 1/(1 − t)); the width guard measures r
-  variables.
+  inside the normal space N(top) of the top flat, of rank r.  A form u of
+  N(top) is Σ u[p]·w/w[p] over top's reduced echelon rows w with pivot p,
+  so its entries at those r pivot columns (``lattice.rows_in``) are its
+  coordinates on the basis w/w[p].  The ideal J is J_ess·S for an ideal
+  J_ess of the ring R in those r variables, and S = R[z] in n − r more.
+  So J_d is the direct sum over k ≤ d of (J_ess)_k times the forms of
+  degree d − k in z: H(d) = Σ_(k≤d) H_ess(k)·C(n−r−1+d−k, d−k), and two
+  such ideals agree up to degree D iff their essential parts do.  Pieces
+  are computed in r variables and lifted by n − r running sums (each new
+  variable multiplies the Hilbert series by 1/(1 − t)); the width guard
+  measures r variables.
 - Jumps.  For c ≥ c′ every exponent at c is at least the one at c′, so
   J(c) ⊆ J(c′), and the perps of J(c) contain those of J(c′).  Two ideals
   with J ⊆ J′ agree in degree d iff their perps there have equal rank.  So

@@ -42,9 +42,7 @@ from arrideals.linalg import (
 )
 
 from fraction_linalg import (
-    QMatrix,
     Subspace,
-    rref,
     span,
     span_contains,
     span_intersect,
@@ -108,20 +106,15 @@ def fraction_closure(arr: Arrangement, indices) -> tuple:
 def fraction_rows_in(arr: Arrangement, W: Flat, U: Flat) -> tuple:
     """``lattice.rows_in(W, U)`` by Fraction elimination.
 
-    Each normal u of U's closed set is solved for its coefficients c on
-    W's rows (the RREF of the columns [w_1 .. w_r | u]); the span of those
-    coefficient vectors is returned as its RREF scaled to primitive
-    integers.
+    The Fraction RREF of the normals of U's closed set, restricted to the
+    pivot columns of the Fraction RREF of W's normals, each row scaled to
+    primitive integers.  Reads neither ``basis_rows`` nor ``rows_in``.
     """
-    rows = W.basis_rows
-    coords = []
-    for j in U.closed_set:
-        u = arr.hyperplanes[j].normal
-        system = rref(QMatrix.from_rows(
-            [[w[k] for w in rows] + [u[k]] for k in range(arr.dim)], len(rows) + 1))
-        assert system.pivots == tuple(range(len(rows))), "u is not in N(W)"
-        coords.append([r[-1] for r in system.basis.entries])
-    return tuple(_primitive_row(r) for r in span(coords, len(rows)).basis.entries)
+    def rref_of(flat):
+        return span([arr.hyperplanes[j].normal for j in flat.closed_set], arr.dim)
+
+    pivots = rref_of(W).pivots
+    return tuple(_primitive_row([r[p] for p in pivots]) for r in rref_of(U).basis.entries)
 
 
 def subset_closure_flats(arr: Arrangement) -> set[tuple]:

@@ -529,6 +529,20 @@ def test_usage_errors(capsys, braid3_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["mi", "--lambda", "0.5"], "invalid value '0.5': bad rational '0.5' (expected 'p' or 'p/q')"),
+    (["jumps", "--max", "1/0"], "invalid value '1/0': bad rational '1/0' (zero denominator)"),
+    (["hilbert", "--lambda", "1", "--degree", "0"], "invalid value '0': must be >= 1"),
+    (["jumps", "--max", "1", "--degree", "x"], "invalid value 'x': invalid literal for int()"),
+])
+def test_type_errors_say_why(capsys, braid3_file, argv, reason):
+    """A refused option value prints the reason, and no private helper name."""
+    code, out, err = run(capsys, [argv[0], braid3_file, *argv[1:]])
+    assert (code, out) == (1, "")
+    assert reason in err and err.count("\n") == 1
+    assert " _" not in err and "'_" not in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "hyperplanes": [{"normal": ["0.5", "1"]}]}')

@@ -117,8 +117,7 @@ def test_products_stop_when_no_form_is_left(monkeypatch):
         return times_form(poly, form)
 
     monkeypatch.setattr(graded, "_times_form", counting_times_form)
-    for cached in (graded._inverse_system, graded._factorial_weights,
-                   graded.monomial_index):
+    for cached in (graded._factorial_weights, graded.monomial_index):
         cached.cache_clear()
     line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
     pres = presentation(line, minimal_building_set(line), 1)

@@ -278,12 +278,14 @@ def test_rows_in_examples(braid_lattices):
     assert lattice.rows_in(top, lat.flat_with_closed((0,))) == ((1, -1),)
     assert lattice.rows_in(top, top) == ((1, 0), (0, 1))
     assert lattice.rows_in(top, lat.ambient) == ()
-    # non-unit pivots: the rows 2x0 + x1 and 3x1 + x2 (after scaling)
+    # non-unit pivots: the top rows 6x0 - x2 and 3x1 + x2, pivots 0 and 1;
+    # each normal restricted to those columns and made primitive
     arr = Arrangement.from_normals(3, [(2, 1, 0), (0, 3, 1), (2, 4, 1)])
     lat = compute_lattice(arr)
     top = lat.flats[-1]
-    assert top.rank == 2
+    assert top.basis_rows == ((6, 0, -1), (0, 3, 1))
     got = [lattice.rows_in(top, lat.flat_with_closed((j,))) for j in range(3)]
+    assert got == [((2, 1),), ((0, 1),), ((1, 2),)]
     assert got == [helpers.fraction_rows_in(arr, top, lat.flat_with_closed((j,)))
                    for j in range(3)]
 

@@ -8,7 +8,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arrideals import multiplier
 from arrideals.arrangement import (
@@ -242,6 +242,10 @@ def non_essential_arrangements(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(non_essential_arrangements(), st.integers(1, 6), st.integers(2, 3),
        st.integers(1, 4))
+# top rows 6x0 - x2 and 3x1 + x2: the pivot entries are not 1, so the
+# restricted rows are not the coordinates on the top rows (see test_lattice)
+@example(Arrangement.from_normals(3, [(2, 1, 0), (0, 3, 1), (2, 4, 1)], [1, 1, 2]),
+         2, 2, 4)
 def test_rank_path_matches_realized_ideals(arr, p, q, bound):
     """hilbert_function, theorem_rows and verify_jumps compute in the top
     flat's essential coordinates and lift to all variables; each equals the
