@@ -4,6 +4,9 @@ An arrangement is a list of distinct hyperplanes through the origin of Q^n,
 each carrying a positive integer multiplicity.  The file format is a JSON
 document with bit-exact rationals written as strings ("1", "-3", "2/7");
 decimal notation is rejected so no value is ever rounded on the way in.
+A normal is stored, and written, in linalg's one normal form: the primitive
+integer vector with a positive first nonzero entry, so (1, -3/2) and
+(-4, 6) both become (2, -3) and give the same answers everywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import to_fraction
+from .linalg import _signed_primitive, primitive_vector
 
 
 class ParseError(ValueError):
@@ -33,24 +36,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def canonical_normal(values: Sequence) -> tuple[Fraction, ...]:
-    """Scale a nonzero vector so its first nonzero entry is 1."""
-    v = tuple(to_fraction(x) for x in values)
-    lead = next((a for a in v if a), None)
-    if lead is None:
-        raise ValueError("zero normal vector")
-    return tuple(a / lead for a in v)
-
-
 @dataclass(frozen=True)
 class Hyperplane:
     """A hyperplane through the origin: kernel of <normal, x>."""
 
-    normal: tuple[Fraction, ...]
+    normal: tuple[int, ...]
     mult: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "normal", canonical_normal(self.normal))
+        normal, pivot = _signed_primitive(list(primitive_vector(self.normal)))
+        if pivot is None:
+            raise ValueError("zero normal vector")
+        object.__setattr__(self, "normal", normal)
         if not isinstance(self.mult, int) or isinstance(self.mult, bool) or self.mult < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {self.mult!r}")
 
@@ -67,7 +64,7 @@ class Arrangement:
             raise ValueError(f"ambient dimension must be >= 1, got {self.dim}")
         if not self.hyperplanes:
             raise ValueError("arrangement needs at least one hyperplane")
-        seen: dict[tuple[Fraction, ...], int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for i, h in enumerate(self.hyperplanes):
             if len(h.normal) != self.dim:
                 raise ValueError(
@@ -86,8 +83,7 @@ class Arrangement:
             raise ValueError(
                 f"{len(normals)} normals but {len(mults)} multiplicities"
             )
-        hps = tuple(Hyperplane(tuple(to_fraction(x) for x in n), m)
-                    for n, m in zip(normals, mults))
+        hps = tuple(Hyperplane(tuple(n), m) for n, m in zip(normals, mults))
         return cls(dim, hps)
 
 
@@ -137,7 +133,8 @@ def parse_arrangement(text: str) -> Arrangement:
 
 
 def serialize_arrangement(arr: Arrangement) -> str:
-    """Inverse of parse_arrangement, with bit-exact rational strings."""
+    """Inverse of parse_arrangement: each normal is written as the integers
+    of its normal form."""
     doc = {
         "dim": arr.dim,
         "hyperplanes": [
@@ -155,11 +152,5 @@ def braid(n: int) -> Arrangement:
     """
     if n < 2:
         raise ValueError(f"braid arrangement needs n >= 2, got {n}")
-    normals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [Fraction(0)] * n
-            v[i] = Fraction(1)
-            v[j] = Fraction(-1)
-            normals.append(tuple(v))
-    return Arrangement(n, tuple(Hyperplane(v) for v in normals))
+    return Arrangement.from_normals(n, [[(k == i) - (k == j) for k in range(n)]
+                                        for i in range(n) for j in range(i + 1, n)])

@@ -75,7 +75,6 @@ from typing import Iterable, Sequence
 from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
-    _signed_primitive,
     int_canonical,
     int_eliminate,
     int_span,
@@ -94,7 +93,7 @@ MAX_FLATS = 700_000
 class Flat:
     """One element of the intersection lattice.
 
-    ``normals`` are the arrangement's primitive integer normals, one tuple
+    ``normals`` are the arrangement's hyperplane normals, one tuple
     shared by every flat of a lattice; they take part in ``==``, so a flat
     of another arrangement with the same closed set is a different flat.
     """
@@ -188,10 +187,8 @@ def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
     top = len(int_span(normals, dim)[0])
     found = [(0, 0, False)]
     rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
-    ambient: dict[tuple, int] = {}  # residual -> hyperplanes
-    for j, nj in enumerate(normals):
-        key = _signed_primitive(list(nj))[0]
-        ambient[key] = ambient.get(key, 0) | 1 << j
+    # residual -> hyperplanes; the normals are distinct and already residuals
+    ambient = {nj: 1 << j for j, nj in enumerate(normals)}
     # per flat of the current rank: its parent's class table, its own
     # residual key there, closed mask and components
     level: list = [(ambient, None, 0, ())]
@@ -233,7 +230,7 @@ def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
-    normals = tuple(primitive_vector(h.normal) for h in arr.hyperplanes)
+    normals = tuple(h.normal for h in arr.hyperplanes)
     mults = tuple(h.mult for h in arr.hyperplanes)
     flats, irreducibles = [], []
     for cmask, rk, irreducible in _flats_by_level(normals, arr.dim):

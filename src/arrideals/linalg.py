@@ -2,10 +2,10 @@
 
 Every vector is scaled to a primitive integer vector (``primitive_vector``)
 and all row-space arithmetic is fraction-free: reduction multiplies by the
-pivot instead of dividing, and rows are divided by their content when they
-grow.  The arithmetic is arbitrary-precision and never touches floating
-point.  Fraction normalisation is avoided because big intersection lattices
-and graded ideal pieces involve millions of row operations.
+pivot instead of dividing.  The arithmetic is arbitrary-precision and never
+touches floating point.  Fraction normalisation is avoided because big
+intersection lattices and graded ideal pieces involve millions of row
+operations.
 
 An "echelon list" is a pair (rows, pivots) of parallel lists kept in
 insertion order: every row was reduced against all earlier rows before
@@ -13,10 +13,15 @@ being appended, so it is zero at all earlier pivots.  Reducing a vector
 against the rows *in stored order* is therefore sound.  Rows are primitive
 integer vectors with positive pivot entry.
 
-``_signed_primitive`` is the one normalization rule: a nonzero vector is
-scaled to a primitive integer vector with a positive pivot.  Row insertion
-(``int_residual``, after reducing against an echelon list) and the covers of
-a flat (``int_eliminate``, one row, pivot column deleted) both end in it.
+``_signed_primitive`` is the one normal form: a nonzero vector scaled to a
+primitive integer vector with a positive pivot.  Hyperplane normals are
+stored in it from parse on, and row insertion (``int_residual``) and the
+covers of a flat (``int_eliminate``, one row, pivot column deleted) end in
+it.  ``int_reduce`` is the one elimination step against an echelon list,
+which ``int_canonical`` reuses: it divides out the gcd of the pivot entry
+and the entry it clears, so coefficients stay small on non-unit pivots.
+Each result is a positive multiple of the plain pv·v − c·row, so nothing
+put in the normal form depends on which multiple was taken.
 
 ``int_canonical`` turns an echelon list into the reduced row echelon basis
 of its row space, rescaled to primitive integers.  That basis is unique for
@@ -47,9 +52,6 @@ def _first_nonzero(row: Sequence) -> int | None:
     return None
 
 
-_STRIP_LIMIT = 1 << 96
-
-
 def _strip(v: list[int]) -> None:
     g = 0
     for a in v:
@@ -72,9 +74,10 @@ def primitive_vector(values: Sequence) -> tuple[int, ...]:
 
 def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
                pivots: Sequence[int]) -> list[int]:
-    """Fraction-free reduction of ``vec`` against an echelon list."""
+    """Fraction-free reduction of ``vec`` against an echelon list: each
+    step clears the pivot p with v ← (pv/g)·v − (c/g)·row, where pv = row[p],
+    c = v[p] and g = gcd(pv, c) > 0."""
     v = list(vec)
-    grown = 0
     for row, p in zip(rows, pivots):
         c = v[p]
         if not c:
@@ -83,10 +86,9 @@ def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
         if pv == 1:
             v = [a - c * b for a, b in zip(v, row)]
         else:
+            g = gcd(pv, c)
+            pv, c = pv // g, c // g
             v = [pv * a - c * b for a, b in zip(v, row)]
-            grown += 1
-            if not grown & 7 and max(map(abs, v)) > _STRIP_LIMIT:
-                _strip(v)
     return v
 
 
@@ -163,16 +165,12 @@ def int_canonical(rows: Sequence[Sequence[int]],
     for i, p in enumerate(ps):
         if rs[i][p] < 0:
             rs[i] = [-a for a in rs[i]]
-    for i in range(len(rs) - 1, 0, -1):
-        p = ps[i]
-        pv = rs[i][p]
-        for j in range(i):
-            c = rs[j][p]
-            if c:
-                rs[j] = [pv * a - c * b for a, b in zip(rs[j], rs[i])]
-                _strip(rs[j])
+    # bottom up: the rows below j are reduced and zero at p_j, so each step
+    # only scales row j's pivot entry by a positive factor
+    for j in range(len(rs) - 2, -1, -1):
+        rs[j] = int_reduce(rs[j], rs[j + 1:], ps[j + 1:])
     for r in rs:
-        _strip(r)  # inputs need not be primitive; no-op when they are
+        _strip(r)  # reduced rows, and inputs, need not be primitive
     return tuple(tuple(r) for r in rs)
 
 

@@ -219,7 +219,7 @@ def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
             f"variable count mismatch: polynomial has {poly.nvars}, "
             f"arrangement has {pres.ambient_dim}"
         )
-    return intersection_contains(pres.terms, poly)
+    return intersection_contains([(W.basis_rows, e) for W, e in pres.terms], poly)
 
 
 def resolution_table(lat: IntersectionLattice,

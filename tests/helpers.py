@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, lcm
 
-from arrideals.arrangement import Arrangement, canonical_normal
+from arrideals.arrangement import Arrangement, Hyperplane
 from arrideals.building import is_building_set, is_decomposition, minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import Polynomial, monomial_index, monomials
@@ -205,7 +205,7 @@ def corpus_arrangements():
             v = tuple(rng.randint(-2, 2) for _ in range(dim))
             if not any(v):
                 continue
-            c = canonical_normal(v)
+            c = Hyperplane(v).normal
             if c in seen:
                 continue
             seen.add(c)

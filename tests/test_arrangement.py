@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from arrideals.arrangement import (
     Hyperplane,
     ParseError,
     braid,
-    canonical_normal,
     parse_arrangement,
     parse_rational,
     serialize_arrangement,
@@ -25,10 +25,18 @@ def test_parse_rational():
 
 
 def test_canonical_normal():
-    assert canonical_normal([2, -2, 0]) == (1, -1, 0)
-    assert canonical_normal([0, Fraction(-1, 2), 1]) == (0, 1, -2)
-    with pytest.raises(ValueError):
-        canonical_normal([0, 0])
+    """A normal is stored as the primitive integer vector with a positive
+    first nonzero entry."""
+    assert Hyperplane((2, -2, 0)).normal == (1, -1, 0)
+    assert Hyperplane((0, Fraction(-1, 2), 1)).normal == (0, 1, -2)
+    # the former lead-1 form (1, 3/2) and the stored form differ
+    assert Hyperplane((1, Fraction(3, 2))).normal == (2, 3)
+    assert Hyperplane((Fraction(-4, 3), -2)).normal == (2, 3)
+    assert all(type(a) is int for a in Hyperplane((Fraction(6, 5), 0)).normal)
+    with pytest.raises(ValueError, match="zero normal"):
+        Hyperplane((0, 0))
+    with pytest.raises(TypeError):
+        Hyperplane((1, 0.5))
 
 
 def test_hyperplane_validation():
@@ -88,6 +96,10 @@ def test_round_trip_bit_exact():
     assert parse_arrangement(serialize_arrangement(arr)) == arr
     # twice through the loop is stable byte for byte
     text = serialize_arrangement(arr)
+    # normals are written as the integers of their normal form
+    assert [h["normal"] for h in json.loads(text)["hyperplanes"]] == [
+        ["2", "-1", "0"], ["0", "7", "2"], ["1", "1", "1"],
+    ]
     assert serialize_arrangement(parse_arrangement(text)) == text
 
 

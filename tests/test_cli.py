@@ -41,6 +41,40 @@ def test_braid_stdout(capsys):
     code, out, _ = run(capsys, ["braid", "2"])
     assert code == 0
     assert parse_arrangement(out).dim == 2
+    # the exact bytes: integer normals with a positive first nonzero entry
+    code, out, _ = run(capsys, ["braid", "3"])
+    assert code == 0
+    assert out == (
+        '{\n'
+        '  "dim": 3,\n'
+        '  "hyperplanes": [\n'
+        '    {\n'
+        '      "normal": [\n'
+        '        "1",\n'
+        '        "-1",\n'
+        '        "0"\n'
+        '      ],\n'
+        '      "mult": 1\n'
+        '    },\n'
+        '    {\n'
+        '      "normal": [\n'
+        '        "1",\n'
+        '        "0",\n'
+        '        "-1"\n'
+        '      ],\n'
+        '      "mult": 1\n'
+        '    },\n'
+        '    {\n'
+        '      "normal": [\n'
+        '        "0",\n'
+        '        "1",\n'
+        '        "-1"\n'
+        '      ],\n'
+        '      "mult": 1\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    )
 
 
 def test_braid_rejects_small_n(capsys):

@@ -165,7 +165,7 @@ def test_power_of_braid_diagonal():
     assert power_dims(top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
-        assert intersection_contains([(top, 1)], poly) == inside
+        assert intersection_contains([(top.basis_rows, 1)], poly) == inside
         assert contains_polynomial(generator_power(top, 1, 2), poly) == inside
     # the integer pieces are canonical: they convert to genuine RREF subspaces
     sq = generator_power(top, 2, 4)
@@ -175,14 +175,16 @@ def test_power_of_braid_diagonal():
 
 
 def test_power_errors():
-    """intersection_contains refuses what is no power of a proper flat
-    ideal, and a polynomial in other variables; no terms is the unit ideal."""
+    """intersection_contains refuses what is no proper power (an exponent
+    below 1, or no forms), and forms in another number of variables; no
+    terms is the unit ideal."""
     lat = compute_lattice(axes(2))
-    x = lat.flat_with_closed((0,))
+    x = lat.flat_with_closed((0,)).basis_rows
     with pytest.raises(ValueError, match="no proper power"):
         intersection_contains([(x, 0)], parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 1), (lat.ambient, 1)], parse_polynomial("x0", 2))
+        intersection_contains([(x, 1), (lat.ambient.basis_rows, 1)],
+                              parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="variable counts differ"):
         intersection_contains([(x, 1)], parse_polynomial("x0", 3))
     assert intersection_contains([], parse_polynomial("x0^50000", 2))
@@ -394,7 +396,7 @@ def test_power_contains_matches_pieces():
                 low = {monomials(4, d - 1)[0]: Fraction(rng.randint(1, 5), 3)}
                 for terms, expect in ((inside, True), ({**inside, **low}, False)):
                     poly = Polynomial.from_terms(4, terms)
-                    assert intersection_contains([(flat, e)], poly) == expect
+                    assert intersection_contains([(flat.basis_rows, e)], poly) == expect
                     assert contains_polynomial(gi, poly) == expect
 
 

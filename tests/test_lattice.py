@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from arrideals import lattice
-from arrideals.arrangement import Arrangement, braid, canonical_normal
+from arrideals.arrangement import Arrangement, Hyperplane, braid
 from arrideals.lattice import compute_lattice, minimal_containing
 from arrideals.linalg import int_span, primitive_vector
 
@@ -106,7 +106,7 @@ def _distinct_normals(count, draw):
         v = draw()
         if not any(v):
             continue
-        c = canonical_normal(v)
+        c = Hyperplane(tuple(v)).normal
         if c in seen:
             continue
         seen.add(c)

@@ -9,6 +9,7 @@ from arrideals.linalg import (
     int_canonical,
     int_eliminate,
     int_insert,
+    int_reduce,
     int_residual,
     int_span,
     primitive_vector,
@@ -137,6 +138,15 @@ def test_int_residual_example():
     assert int_residual((0, -4, 6), [], []) == ((0, 2, -3), 1)
 
 
+def test_int_reduce_divides_out_the_gcd():
+    # pv = 6, c = 3, gcd 3: 2*(3, 0) - 1*(6, 1), not 6*(3, 0) - 3*(6, 1)
+    assert int_reduce((3, 0), [(6, 1)], [0]) == [0, -1]
+    # coprime entries: 3*(0, 2) - 2*(0, 3) = 0
+    assert int_reduce((0, 2), [(0, 3)], [1]) == [0, 0]
+    # a unit pivot takes no factor, and a zero at a pivot takes no step
+    assert int_reduce((4, 2, 0), [(1, 1, 0), (0, 0, 3)], [0, 2]) == [0, -2, 0]
+
+
 def test_int_eliminate_example():
     # non-unit pivot 2; 2*(3, 1, 4) - 3*(2, 0, -2) = (0, 2, 14), column 0
     # deleted, stripped of its content 2
@@ -205,6 +215,25 @@ def test_int_residual_normalizes_and_matches_insert():
         assert (rows[-1], pivots[-1]) == (res, p) and rows[:-1] == before
 
 
+def _non_unit_chain(rng, dim):
+    """dim − 1 rows with non-unit pivots 0..dim−2, then two integer
+    combinations of them and one vector outside their span, all dense:
+    each of the last three reduces through a chain of non-unit steps."""
+    tri = [[0] * i + [rng.choice([2, 3, 5, 6, 7])]
+           + [rng.choice([-9, -7, -4, -1, 1, 3, 8]) for _ in range(dim - i - 1)]
+           for i in range(dim - 1)]
+    combos = [[sum(rng.randint(1, 9) * r[j] for r in tri) for j in range(dim)]
+              for _ in range(2)]
+    return tri + combos + [[rng.randint(1, 9) for _ in range(dim)]]
+
+
+def _non_unit_steps(vec, rows, pivots):
+    """How many steps of int_reduce(vec, rows, pivots) clear a nonzero entry
+    against a pivot entry other than 1."""
+    return sum(row[p] != 1 and int_reduce(vec, rows[:k], pivots[:k])[p] != 0
+               for k, (row, p) in enumerate(zip(rows, pivots)))
+
+
 def test_int_layer_agrees_with_fraction_layer():
     rng = random.Random(9)
     for _ in range(120):
@@ -212,6 +241,15 @@ def test_int_layer_agrees_with_fraction_layer():
         vecs = [[rng.randint(-4, 4) for _ in range(dim)]
                 for _ in range(rng.randint(0, dim + 1))]
         rows, pivots = int_span(vecs, dim)
+        got = subspace_from_int_rows(int_canonical(rows, pivots), dim)
+        assert got == span(vecs, dim)
+    # long chains of non-unit steps, in reduction and in int_canonical
+    for _ in range(20):
+        dim = rng.randint(10, 12)
+        vecs = _non_unit_chain(rng, dim)
+        rows, pivots = int_span(vecs, dim)
+        assert min(_non_unit_steps(v, rows[:dim - 1], pivots[:dim - 1])
+                   for v in vecs[dim - 1:]) >= 8
         got = subspace_from_int_rows(int_canonical(rows, pivots), dim)
         assert got == span(vecs, dim)
 
@@ -233,7 +271,8 @@ def test_int_intersect_agrees_with_fraction_layer():
 
 
 def test_int_layer_with_huge_entries():
-    """Entries beyond the content-strip threshold stay exact."""
+    """Entries near 2^120, where every step multiplies large numbers, stay
+    exact."""
     rng = random.Random(11)
     big = 1 << 120
     for _ in range(25):

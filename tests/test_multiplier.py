@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arrideals import multiplier
-from arrideals.arrangement import Arrangement, braid, canonical_normal
+from arrideals.arrangement import Arrangement, Hyperplane, braid
 from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial, parse_polynomial
 from arrideals.lattice import compute_lattice
@@ -363,8 +363,8 @@ def dim4_arrangements():
         normals, seen = [], set()
         while len(normals) < count:
             v = tuple(rng.randint(-2, 2) for _ in range(4))
-            if any(v) and canonical_normal(v) not in seen:
-                seen.add(canonical_normal(v))
+            if any(v) and Hyperplane(v).normal not in seen:
+                seen.add(Hyperplane(v).normal)
                 normals.append(v)
         out.append(Arrangement.from_normals(4, normals,
                                             [rng.randint(1, 3) for _ in normals]))
