@@ -20,12 +20,25 @@ the intersection when every homogeneous component is orthogonal to them.
 No piece is ever built, nor is an inverse system kept: its rows are built
 as they are read.  The only caches are the per-degree monomial tables.
 
+Many rows of a term are often spanned already.  A row of I_W^e in degree d
+is a product of d − j points of W and j ≤ e − 1 pivot variables, so it
+lies in Sym^(d−j)(W)·S_j.  Let I_U^(e_U) be a power stacked before it, with
+closed(U) ⊆ closed(W) (W itself at a lower exponent included).  Then the
+flat W lies in the flat U, and for j ≤ e_U − 1 (and d ≥ e_U: every degree
+read is at least every exponent stacked) that space is
+Sym^(d−e_U+1)(W)·Sym^(e_U−1−j)(W)·S_j ⊆ Sym^(d−e_U+1)(U)·S_(e_U−1), U's
+perp, which the stack spans (by induction on the rank, U's own left-out
+rows included).  So a term is (forms, e, j0) and yields only its rows with
+j ≥ j0, j0 the largest such e_U: no rank changes.  With j0 = 0 it yields
+every row; the multiplier module computes j0 from the flats' closed sets.
+
 The stacked inverse systems live in one object, ``_Perps``: per degree an
 echelon list, to which terms are added in order.  The multiplier module
 reads piece dimensions off its ranks.  Membership in an intersection is
 one pass, ``intersection_contains``: each component of a polynomial is
 built once and paired with every term's inverse system.  Both take a
-power as a term (forms, e): a flat's canonical rows and an exponent.
+power as a term (forms, e, j0): a flat's canonical rows, an exponent and
+the fewest pivot variables of a row to yield.
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
 """
@@ -241,23 +254,29 @@ def _factorial_weights(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(prod(map(factorial, m)) for m in monomials(nvars, degree))
 
 
-def _inverse_system(forms: IntRows, nvars: int, exponent: int,
-                    degree: int) -> Iterator[list[int]]:
-    """Yield a basis of the perp of (I^e)_d, I the ideal of canonical ``forms``.
+def _inverse_system(forms: IntRows, nvars: int, exponent: int, degree: int,
+                    j0: int) -> Iterator[list[int]]:
+    """Yield the rows with j ≥ ``j0`` pivot variables of a basis of the perp
+    of (I^e)_d, I the ideal of canonical ``forms``.
 
     See the module docstring: the points of the flat (the integer kernel of
     ``forms``) together with the variables at the pivots of ``forms`` are a
     basis of the linear forms, and the perp has the basis of the monomials
-    in them of degree d with at most e − 1 pivot variables.  Coefficients
+    in them of degree d with j ≤ e − 1 pivot variables.  Coefficients
     carry the a! weight, so f lies in (I^e)_d iff f·g = 0 for every row g.
+    With j0 = 0 every row is yielded; a larger j0 leaves out the rows that
+    a stacked power already spans.
     """
+    last = min(exponent - 1, degree)
+    if j0 > last:
+        return
     points = int_kernel(forms, nvars)
     if not points and degree >= exponent:  # each row has a point factor
         return
     pivots = [_first_nonzero(f) for f in forms]
     idx = monomial_index(nvars, degree)
     weights = _factorial_weights(nvars, degree)
-    for j in range(min(exponent - 1, degree) + 1):
+    for j in range(j0, last + 1):
         prods = _products(points, nvars, degree - j)
         for extra in combinations_with_replacement(pivots, j):
             for poly in prods:
@@ -292,10 +311,11 @@ class _Perps:
         self.echelons: list[tuple[list, list]] = []
         self.low = 0
 
-    def add(self, terms: Sequence[tuple[IntRows, int]]) -> None:
-        """Stack the inverse systems of the powers I^e, one per (forms, e)
-        with canonical forms, in order."""
-        self.low = max(self.low, max((e for _, e in terms), default=0))
+    def add(self, terms: Sequence[tuple[IntRows, int, int]]) -> None:
+        """Stack the inverse systems of the powers I^e, one per (forms, e, j0)
+        with canonical forms, in order: the rows with j ≥ j0 pivot
+        variables (module docstring)."""
+        self.low = max(self.low, max((e for _, e, _ in terms), default=0))
         if self.low > self.bound:
             return
         if not self.widths:
@@ -304,8 +324,8 @@ class _Perps:
             self.echelons = [([], []) for _ in self.widths]
         for d in range(self.low, self.bound + 1):
             rows, pivots = self.echelons[d]
-            stacked = (g for forms, e in terms
-                       for g in _inverse_system(forms, self.nvars, e, d))
+            stacked = (g for forms, e, j0 in terms
+                       for g in _inverse_system(forms, self.nvars, e, d, j0))
             while len(rows) < self.widths[d] and (g := next(stacked, None)) is not None:
                 int_insert(rows, pivots, g)
 
@@ -345,29 +365,31 @@ def _check_width(nvars: int, degree: int) -> None:
                          f"supported")
 
 
-def intersection_contains(terms: Sequence[tuple[IntRows, int]], poly: Polynomial) -> bool:
+def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
+                          poly: Polynomial) -> bool:
     """Whether ``poly`` lies in the intersection of the powers I^e, one per
-    (forms, e) term with canonical forms, without realizing it.
+    (forms, e, j0) term with canonical forms, without realizing it.
 
-    Each homogeneous component f_d must pair to zero with every row of
-    every term's inverse system in degree d; a nonzero component of degree
-    below the largest e lies in no such intersection.  Each component's
-    vector is built once, after one width check.
+    Each homogeneous component f_d must pair to zero with every row with
+    j ≥ j0 pivot variables of every term's inverse system in degree d (the
+    other rows lie in the span of the terms', module docstring); a nonzero
+    component of degree below the largest e lies in no such intersection.
+    Each component's vector is built once, after one width check.
     """
     if not terms:
         return True
-    for forms, e in terms:
+    for forms, e, _ in terms:
         if e < 1 or not forms:
             raise ValueError(f"no proper power: {len(forms)} forms, exponent {e}")
         if any(len(f) != poly.nvars for f in forms):
             raise ValueError("variable counts differ")
     parts = poly.homogeneous_parts()
-    if parts and min(parts) < max(e for _, e in terms):
+    if parts and min(parts) < max(e for _, e, _ in terms):
         return False
     _check_width(poly.nvars, max(parts, default=0))
     for d, part in parts.items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
-        if any(sum(a * b for a, b in zip(vec, g) if a) for forms, e in terms
-               for g in _inverse_system(forms, poly.nvars, e, d)):
+        if any(sum(a * b for a, b in zip(vec, g) if a) for forms, e, j0 in terms
+               for g in _inverse_system(forms, poly.nvars, e, d, j0)):
             return False
     return True

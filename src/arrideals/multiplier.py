@@ -43,14 +43,24 @@ module's ``_Perps``), building no ideal:
   J(c) ⊆ J(c′), and the perps of J(c) contain those of J(c′).  Two ideals
   with J ⊆ J′ agree in degree d iff their perps there have equal rank.  So
   one ascending pass stacks a term again only when its exponent rises
-  (the inverse system of I^e lies in that of I^(e+1)), and a candidate
-  shrinks the ideal up to degree D iff a piece dimension in some degree
-  ≤ D drops below the previous candidate's.
+  (the inverse system of I^e lies in that of I^(e+1)), and then only its
+  new rows: those with at least e_old pivot variables, fewer rows still
+  if a smaller flat's exponent is higher (below).  A candidate shrinks
+  the ideal up to degree D iff a piece dimension in some degree ≤ D
+  drops below the previous candidate's.
 - The theorem rows.  A building set G contains the minimal one, and both
   presentations use the same exponent for a flat, so the terms over G are
   those over gmin plus more: I_G ⊆ I_gmin.  The gmin terms are stacked
-  once and read; the other terms are stacked on top and read again.  By
-  the containment, equal dimensions in a degree mean equal pieces.
+  once and read; the other terms are stacked on top and read again, each
+  with only the rows that no stacked power of a smaller flat spans (on
+  braid(4) and braid(5), none).  By the containment, equal dimensions in
+  a degree mean equal pieces.
+- Each row once.  A term (W, e) yields only its rows with at least j0
+  pivot variables, j0 the largest exponent stacked before it on W or a
+  flat below W; the others lie in the stack's span (graded module
+  docstring).  ``_Stacked`` reads j0 off closed-set bitsets across the
+  batches of one stack, and over a presentation's terms for
+  ``membership``.
 """
 
 from __future__ import annotations
@@ -156,14 +166,48 @@ def _lift(dims: list[int], extra: int) -> list[int]:
     return dims
 
 
+class _Stacked:
+    """The (W, e) terms stacked so far, as bitsets over their order:
+    ``having[h]`` holds the terms whose closed set has hyperplane h, and
+    ``at[e]`` those with exponent e.  A stacked U lies below W exactly when
+    it has no hyperplane outside closed(W), so the terms below W take one
+    bit operation per hyperplane, with no pairwise scan of the terms."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.having: dict[int, int] = {}
+        self.at: dict[int, int] = {}
+
+    def first_new_rows(self, terms):
+        """(W, e, j0) for each (W, e) term in order, stacking it: j0 is the
+        largest exponent stacked before it on a flat U with closed(U) ⊆
+        closed(W), W itself included, so W's inverse-system rows with
+        fewer than j0 pivot variables lie in U's perp (graded module
+        docstring)."""
+        for W, e in terms:
+            closed = set(W.closed_set)
+            below = (1 << self.count) - 1
+            for h, bits in self.having.items():
+                if h not in closed:
+                    below &= ~bits
+            yield W, e, max((f for f, bits in self.at.items() if bits & below), default=0)
+            bit = 1 << self.count
+            self.count += 1
+            for h in closed:
+                self.having[h] = self.having.get(h, 0) | bit
+            self.at[e] = self.at.get(e, 0) | bit
+
+
 def _stacked_dims(lat: IntersectionLattice, bound: int, *batches):
     """Stack each batch of (W, e) terms in turn, in the essential
-    coordinates of the top flat up to ``bound``; the lifted piece
-    dimensions after each batch."""
+    coordinates of the top flat up to ``bound``, each row once; the lifted
+    piece dimensions after each batch."""
     top = lat.flats[-1]
     perps = _Perps(top.rank, bound)
+    stacked = _Stacked()
     for terms in batches:
-        perps.add([(rows_in(top, W), e) for W, e in terms])
+        perps.add([(rows_in(top, W), e, j0)
+                   for W, e, j0 in stacked.first_new_rows(terms)])
         yield _lift(perps.dims(), lat.arrangement.dim - top.rank)
 
 
@@ -213,13 +257,15 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
 
 def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
     """Whether the polynomial lies in the presented ideal (one pass over
-    all its terms, ``graded.intersection_contains``)."""
+    all its terms, ``graded.intersection_contains``, each term's rows
+    spanned by a smaller flat's power left out)."""
     if poly.nvars != pres.ambient_dim:
         raise ValueError(
             f"variable count mismatch: polynomial has {poly.nvars}, "
             f"arrangement has {pres.ambient_dim}"
         )
-    return intersection_contains([(W.basis_rows, e) for W, e in pres.terms], poly)
+    return intersection_contains([(W.basis_rows, e, j0) for W, e, j0
+                                  in _Stacked().first_new_rows(pres.terms)], poly)
 
 
 def resolution_table(lat: IntersectionLattice,

@@ -440,53 +440,82 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
 
 
 def record_stacking(monkeypatch):
-    """A list that collects every (forms, exponent) term stacked."""
-    stacked = []
+    """Two lists: every (forms, exponent, j0) term stacked, and each
+    (forms, exponent, j0, degree, row) that a term's inverse system
+    yields."""
+    stacked, rows = [], []
     add = graded._Perps.add
+    inverse_system = graded._inverse_system
 
     def recording_add(perps, terms):
         stacked.extend(terms)
         add(perps, terms)
 
+    def recording_inverse_system(forms, nvars, e, d, j0):
+        for g in inverse_system(forms, nvars, e, d, j0):
+            rows.append((forms, e, j0, d, g))
+            yield g
+
     monkeypatch.setattr(graded._Perps, "add", recording_add)
-    return stacked
+    monkeypatch.setattr(graded, "_inverse_system", recording_inverse_system)
+    return stacked, rows
 
 
 def test_jumps_sweep_stacks_each_term_once(capsys, tmp_path, monkeypatch):
     """A term is stacked again only when its exponent rises: each (flat,
-    exponent) pair goes in once."""
+    exponent) pair goes in once, and a rise yields only the rows with
+    j = e − 1 pivot variables, the ones I^(e−1) does not span."""
     path = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", path]) == 0
-    stacked = record_stacking(monkeypatch)
+    lat = lattice.compute_lattice(braid(5))
+    top = lat.flats[-1]
+    stacked, rows = record_stacking(monkeypatch)
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify",
                                 "--degree", "4"])
     assert code == 0 and len(out.splitlines()) == 9
     # at 1 the exponents are 1 (10 lines), 2 (10 planes), 4 (5 flats of
     # rank 3) and 7 (the top flat), each reached one step at a time
     assert len(stacked) == len(set(stacked)) == 10 + 20 + 20 + 7
+    rises = sorted(multiplier._rises(lat, 1), key=lambda r: r[0])
+    assert stacked == [(lattice.rows_in(top, W), e, e - 1) for _, W, e in rises]
+    assert rows and all(j0 == e - 1 for _, e, j0, _, _ in rows)
 
 
 def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
                                                              monkeypatch):
     """The minimal terms are stacked once, then only the full set's terms
-    on reducible flats."""
-    path = str(tmp_path / "b4.json")
-    assert cli.main(["braid", "4", "-o", path]) == 0
-    lat = lattice.compute_lattice(braid(4))
-    top = lat.flats[-1]
-    stacked = record_stacking(monkeypatch)
-    # at 1/2 every reducible flat of braid(4) has exponent 0; at 1 it has 1
-    for lam, reducible in ((Fraction(1, 2), 0), (Fraction(1), 3)):
-        stacked.clear()
-        code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", str(lam),
-                                    "--degree", "4"])
-        assert code == 0 and out.splitlines()[-1] == "EQUAL up to degree 4"
-        pres_min = multiplier.presentation(lat, minimal_building_set(lat), lam)
-        extra = [(W, e) for W, e in multiplier.presentation(
-            lat, full_building_set(lat), lam).terms if W not in lat.irreducibles]
-        assert len(extra) == reducible
-        assert stacked == [(lattice.rows_in(top, W), e)
-                           for W, e in pres_min.terms + tuple(extra)]
+    on reducible flats, and those yield no row on braid(4) and braid(5):
+    a smaller flat's stacked power spans each of their rows."""
+    for n, degree, cases in ((4, 4, ((Fraction(1, 2), 0), (Fraction(1), 3))),
+                             (5, 7, ((Fraction(4, 5), 10), (Fraction(1), 25)))):
+        path = str(tmp_path / f"b{n}.json")
+        assert cli.main(["braid", str(n), "-o", path]) == 0
+        lat = lattice.compute_lattice(braid(n))
+        top = lat.flats[-1]
+        stacked, rows = record_stacking(monkeypatch)
+        # braid(4): at 1/2 every reducible flat has exponent 0, at 1 three
+        # have 1; braid(5): 10 reducible flats at 4/5, 25 at 1 (degree 7
+        # reaches the top flat's exponent there)
+        for lam, reducible in cases:
+            stacked.clear()
+            rows.clear()
+            code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", str(lam),
+                                        "--degree", str(degree)])
+            assert code == 0 and out.splitlines()[-1] == f"EQUAL up to degree {degree}"
+            pres_min = multiplier.presentation(lat, minimal_building_set(lat), lam)
+            extra = [(W, e) for W, e in multiplier.presentation(
+                lat, full_building_set(lat), lam).terms if W not in lat.irreducibles]
+            assert len(extra) == reducible
+            terms = pres_min.terms + tuple(extra)
+            # j0: the largest exponent of a term before it on a flat below it
+            j0s = [max((f for U, f in terms[:i]
+                        if set(U.closed_set) <= set(W.closed_set)), default=0)
+                   for i, (W, _) in enumerate(terms)]
+            assert stacked == [(lattice.rows_in(top, W), e, j0)
+                               for (W, e), j0 in zip(terms, j0s)]
+            assert all(j0 >= e for (_, e), j0 in zip(extra, j0s[len(pres_min.terms):]))
+            assert {r[:3] for r in rows} <= set(stacked[:len(pres_min.terms)])
+            assert rows or not reducible
 
 
 @pytest.mark.parametrize("closed, first", [((0, 1, 2, 3, 4, 5), 2), ((0, 1, 3), 3)])

@@ -43,7 +43,7 @@ def stacked_dims(terms, nvars, bound):
     """Piece dimensions of the intersection of the powers I_W^e, one per
     (W, e), from the ranks of their stacked inverse systems."""
     perps = graded._Perps(nvars, bound)
-    perps.add([(W.basis_rows, e) for W, e in terms])
+    perps.add([(W.basis_rows, e, 0) for W, e in terms])
     return perps.dims()
 
 
@@ -85,15 +85,15 @@ def test_perps_build_no_degree_below_the_exponent():
     refuses nothing, however wide the bound; the width guard runs when a
     degree is first built, and a negative bound is refused at once."""
     perps = graded._Perps(1, 10**6)
-    perps.add([(((1,),), 10**7)])
+    perps.add([(((1,),), 10**7, 0)])
     assert perps.widths == perps.echelons == []
     assert perps.dims() == [0] * (10**6 + 1)
     wide = graded._Perps(8, 100)  # degree 100 in 8 variables: far over the limit
-    wide.add([(((1,) + (0,) * 7,), 101)])
+    wide.add([(((1,) + (0,) * 7,), 101, 0)])
     wide.add([])
     assert wide.widths == [] and wide.dims() == [0] * 101
     with pytest.raises(ValueError, match="monomials"):
-        graded._Perps(8, 100).add([(((1,) + (0,) * 7,), 100)])
+        graded._Perps(8, 100).add([(((1,) + (0,) * 7,), 100, 0)])
     with pytest.raises(ValueError, match="monomials"):
         graded._Perps(8, 100).add([])  # the unit ideal builds degree 0 on
     with pytest.raises(ValueError, match="degree bound must be >= 0"):
@@ -165,7 +165,7 @@ def test_power_of_braid_diagonal():
     assert power_dims(top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
-        assert intersection_contains([(top.basis_rows, 1)], poly) == inside
+        assert intersection_contains([(top.basis_rows, 1, 0)], poly) == inside
         assert contains_polynomial(generator_power(top, 1, 2), poly) == inside
     # the integer pieces are canonical: they convert to genuine RREF subspaces
     sq = generator_power(top, 2, 4)
@@ -181,12 +181,12 @@ def test_power_errors():
     lat = compute_lattice(axes(2))
     x = lat.flat_with_closed((0,)).basis_rows
     with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 0)], parse_polynomial("x0", 2))
+        intersection_contains([(x, 0, 0)], parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 1), (lat.ambient.basis_rows, 1)],
+        intersection_contains([(x, 1, 0), (lat.ambient.basis_rows, 1, 0)],
                               parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="variable counts differ"):
-        intersection_contains([(x, 1)], parse_polynomial("x0", 3))
+        intersection_contains([(x, 1, 0)], parse_polynomial("x0", 3))
     assert intersection_contains([], parse_polynomial("x0^50000", 2))
 
 
@@ -396,7 +396,7 @@ def test_power_contains_matches_pieces():
                 low = {monomials(4, d - 1)[0]: Fraction(rng.randint(1, 5), 3)}
                 for terms, expect in ((inside, True), ({**inside, **low}, False)):
                     poly = Polynomial.from_terms(4, terms)
-                    assert intersection_contains([(flat.basis_rows, e)], poly) == expect
+                    assert intersection_contains([(flat.basis_rows, e, 0)], poly) == expect
                     assert contains_polynomial(gi, poly) == expect
 
 

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import groupby
+from math import comb
 
 import pytest
 
-from arrideals import multiplier
+from arrideals import graded, multiplier
 from arrideals.arrangement import Arrangement, Hyperplane, braid
 from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial, parse_polynomial
-from arrideals.lattice import compute_lattice
+from arrideals.lattice import compute_lattice, rows_in
 from arrideals.multiplier import (
     DEGREE_CAP,
     hilbert_function,
@@ -22,6 +24,7 @@ from arrideals.multiplier import (
 )
 
 import helpers
+from fraction_linalg import span, span_contains, span_sum
 from helpers import (
     contains_polynomial,
     generator_presentation_ideal,
@@ -428,3 +431,57 @@ def test_lift_matches_closed_form():
             for _ in range(5):
                 dims = [rng.choice((0, 0, rng.randint(0, 50))) for _ in range(length)]
                 assert multiplier._lift(dims, extra) == helpers.lift_closed_form(dims, extra)
+
+
+def skipped_rows(lat, bound, *batches):
+    """Stack the batches of (W, e) terms as ``_stacked_dims`` does and
+    check, with Fraction spans, that each row a term leaves out (fewer than
+    j0 pivot variables) lies in the span of the rows stacked before it, in
+    every degree the stack reads; the number of rows left out."""
+    top = lat.flats[-1]
+    n = top.rank
+    stacked, seq, low = multiplier._Stacked(), [], 0
+    for batch in batches:
+        terms = [(rows_in(top, W), e, j0)
+                 for W, e, j0 in stacked.first_new_rows(batch)]
+        low = max([low] + [e for _, e, _ in terms])
+        seq += [(low, term) for term in terms]
+    count = 0
+    for d in range(bound + 1):
+        width = comb(n + d - 1, d)
+        space = span([], width)
+        for low, (forms, e, j0) in seq:
+            if low > d:  # this degree is never stacked
+                break
+            left_out = list(graded._inverse_system(forms, n, min(j0, e), d, 0))
+            kept = list(graded._inverse_system(forms, n, e, d, j0))
+            assert sorted(left_out + kept) == sorted(graded._inverse_system(forms, n, e, d, 0))
+            assert all(span_contains(space, g) for g in left_out)
+            count += len(left_out)
+            if kept:
+                space = span_sum(space, span(kept, width))
+    return count
+
+
+def test_skipped_rows_lie_in_the_stacked_span():
+    """Fraction oracle for the rule that a term stacks only its rows with
+    j ≥ j0 pivot variables: on braid(3-5) and 20 seeded arrangements in
+    dimensions 2-4, every row left out by ``hilbert_function`` (both
+    building sets), ``theorem_rows`` and the ``verify_jumps`` batches up
+    to 1 lies in the span of the rows stacked before it."""
+    corpus = [(compute_lattice(braid(n)), bound) for n, bound in ((3, 6), (4, 6), (5, 5))]
+    corpus += [(compute_lattice(arr), 3) for arr in helpers.corpus_arrangements()]
+    total = 0
+    for lat, bound in corpus:
+        rises = sorted(multiplier._rises(lat, 1), key=lambda r: r[0])
+        batches = [[(W, e) for _, W, e in group]
+                   for _, group in groupby(rises, key=lambda r: r[0])]
+        total += skipped_rows(lat, bound, [], *batches)
+        for lam in sorted({c for c, _, _ in rises}):
+            pres_min = presentation(lat, minimal_building_set(lat), lam)
+            pres_full = presentation(lat, full_building_set(lat), lam)
+            seen = {W for W, _ in pres_min.terms}
+            total += skipped_rows(lat, bound, pres_min.terms,
+                                  [(W, e) for W, e in pres_full.terms if W not in seen])
+            total += skipped_rows(lat, bound, pres_full.terms)
+    assert total > 0

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arrideals import multiplier
+from arrideals import graded, multiplier
 from arrideals.arrangement import (
     Arrangement,
     Hyperplane,
@@ -23,7 +23,7 @@ from arrideals.building import (
     minimal_building_set,
 )
 from arrideals.graded import Polynomial
-from arrideals.lattice import compute_lattice
+from arrideals.lattice import compute_lattice, rows_in
 from arrideals.multiplier import (
     hilbert_function,
     jump_candidates,
@@ -204,16 +204,9 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
     assert batches == (expected if cands else [])
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(arrangements(dims=(2, 3), size=5, coef=2), st.fractions(0, 2, max_denominator=6),
-       st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 4), max_size=5)),
-                min_size=1, max_size=3))
-def test_membership_matches_the_generator_route(arr, lam, summands):
-    """``membership`` over all terms at once agrees with piece containment
-    in the generator-built ideal, on sums of products of the arrangement's
-    forms (each summand a coefficient and up to five form indices)."""
-    lat = compute_lattice(arr)
-    pres = presentation(lat, minimal_building_set(lat), lam)
+def form_products(arr, summands) -> Polynomial:
+    """Σ coef·Π forms over the summands, each a coefficient and indices of
+    the arrangement's hyperplanes (taken mod their number)."""
     n = arr.dim
     hps = arr.hyperplanes
     poly = Polynomial.from_terms(n, {})
@@ -224,8 +217,61 @@ def test_membership_matches_the_generator_route(arr, lam, summands):
             form = {tuple(int(j == k) for k in range(n)): c for j, c in enumerate(normal)}
             term = helpers.poly_mul(term, Polynomial.from_terms(n, form))
         poly = helpers.poly_add(poly, term)
+    return poly
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrangements(dims=(2, 3), size=5, coef=2), st.fractions(0, 2, max_denominator=6),
+       st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 4), max_size=5)),
+                min_size=1, max_size=3))
+def test_membership_matches_the_generator_route(arr, lam, summands):
+    """``membership`` over all terms at once agrees with piece containment
+    in the generator-built ideal, on sums of products of the arrangement's
+    forms (each summand a coefficient and up to five form indices)."""
+    lat = compute_lattice(arr)
+    pres = presentation(lat, minimal_building_set(lat), lam)
+    poly = form_products(arr, summands)
     oracle = generator_presentation_ideal(pres, 5)
     assert membership(pres, poly) == helpers.contains_polynomial(oracle, poly)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(arrangements(), st.fractions(0, 2, max_denominator=6), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 6), max_size=6)),
+                min_size=1, max_size=3))
+def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
+    """Stacking each term's rows with j ≥ j0 pivot variables only gives the
+    stacks of every row (j0 = 0) in ``hilbert_function`` (both building
+    sets), ``theorem_rows`` and the ``verify_jumps`` batches, and
+    ``membership`` agrees with pairing every row."""
+    lat = compute_lattice(arr)
+    top = lat.flats[-1]
+
+    def every_row(*batches):
+        perps = graded._Perps(top.rank, bound)
+        for terms in batches:
+            perps.add([(rows_in(top, W), e, 0) for W, e in terms])
+            yield multiplier._lift(perps.dims(), arr.dim - top.rank)
+
+    pres_min = presentation(lat, minimal_building_set(lat), lam)
+    pres_full = presentation(lat, full_building_set(lat), lam)
+    seen = {W for W, _ in pres_min.terms}
+    extra = [(W, e) for W, e in pres_full.terms if W not in seen]
+    for pres in (pres_min, pres_full):
+        assert hilbert_function(lat, pres, bound) == next(every_row(pres.terms))
+    assert list(theorem_rows(lat, pres_min, pres_full, bound)) == list(
+        every_row(pres_min.terms, extra))
+    if lam > 0:
+        risen = {}
+        for c, W, e in multiplier._rises(lat, lam):
+            risen.setdefault(c, []).append((W, e))
+        batches = [risen[c] for c in sorted(risen)]
+        assert list(multiplier._stacked_dims(lat, bound, [], *batches)) == list(
+            every_row([], *batches))
+    poly = form_products(arr, summands)
+    for pres in (pres_min, pres_full):
+        every = [(W.basis_rows, e, 0) for W, e in pres.terms]
+        assert membership(pres, poly) == graded.intersection_contains(every, poly)
 
 
 @st.composite
