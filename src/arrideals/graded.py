@@ -34,11 +34,14 @@ every row; the multiplier module computes j0 from the flats' closed sets.
 
 The stacked inverse systems live in one object, ``_Perps``: per degree an
 echelon list, to which terms are added in order.  The multiplier module
-reads piece dimensions off its ranks.  Membership in an intersection is
-one pass, ``intersection_contains``: each component of a polynomial is
-built once and paired with every term's inverse system.  Both take a
-power as a term (forms, e, j0): a flat's canonical rows, an exponent and
-the fewest pivot variables of a row to yield.
+reads piece dimensions off its ranks.  Its stacks never hold a principal
+term, a hyperplane's power (ℓ)^e: it factors their product out of the
+intersection (multiplier module docstring) and stacks the rest with
+lowered exponents.  Membership in an intersection is one pass,
+``intersection_contains``: each component of a polynomial is built once
+and paired with every term's inverse system.  Both take a power as a
+term (forms, e, j0): a flat's canonical rows, an exponent and the fewest
+pivot variables of a row to yield.
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
 """
@@ -51,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .linalg import (
     _first_nonzero,
@@ -311,13 +314,16 @@ class _Perps:
         self.echelons: list[tuple[list, list]] = []
         self.low = 0
 
-    def add(self, terms: Sequence[tuple[IntRows, int, int]]) -> None:
-        """Stack the inverse systems of the powers I^e, one per (forms, e, j0)
-        with canonical forms, in order: the rows with j ≥ j0 pivot
-        variables (module docstring)."""
+    def add(self, terms: Sequence[tuple[object, int, int]],
+            rows: Callable[[object], IntRows] = lambda forms: forms) -> None:
+        """Stack the inverse systems of the powers I^e, one per (forms, e, j0),
+        in order: the rows with j ≥ j0 pivot variables (module docstring)
+        of the ideal of the canonical forms ``rows(forms)``, read only for
+        the terms that yield a row."""
         self.low = max(self.low, max((e for _, e, _ in terms), default=0))
         if self.low > self.bound:
             return
+        terms = [(rows(forms), e, j0) for forms, e, j0 in terms if j0 < e]
         if not self.widths:
             _check_width(self.nvars, self.bound)
             self.widths = [comb(self.nvars + d - 1, d) for d in range(self.bound + 1)]
@@ -374,7 +380,11 @@ def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
     j ≥ j0 pivot variables of every term's inverse system in degree d (the
     other rows lie in the span of the terms', module docstring); a nonzero
     component of degree below the largest e lies in no such intersection.
-    Each component's vector is built once, after one width check.
+    Nor does one below the degree of h, the product of the principal
+    terms' powers (ℓ^e, one form): distinct canonical forms are
+    non-proportional primes, so every element of the intersection is h
+    times a form.  Each component's vector is built once, after one width
+    check, and no row is built for a component below either degree.
     """
     if not terms:
         return True
@@ -387,6 +397,12 @@ def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
     if parts and min(parts) < max(e for _, e, _ in terms):
         return False
     _check_width(poly.nvars, max(parts, default=0))
+    principal: dict[IntRows, int] = {}
+    for forms, e, _ in terms:
+        if len(forms) == 1:
+            principal[forms] = max(e, principal.get(forms, 0))
+    if parts and min(parts) < sum(principal.values()):
+        return False
     for d, part in parts.items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
         if any(sum(a * b for a, b in zip(vec, g) if a) for forms, e, j0 in terms

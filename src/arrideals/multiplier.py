@@ -27,6 +27,25 @@ grouped by value are the terms ``verify_jumps`` stacks again.
 dimensions, and read them as ranks of stacked inverse systems (the graded
 module's ``_Perps``), building no ideal:
 
+- Hyperplane factor.  A hyperplane's term is principal, (ℓ_H)^(e_H), so
+  an ideal J of (W, e) terms over any building set (each contains the
+  hyperplanes) is h·J″ with h = Π ℓ_H^(e_H), of degree Σ e_H, and J″ the
+  intersection of the other terms as (W, e − ord_W h), positive only:
+  * ∩_H (ℓ_H^(e_H)) = (h), as the forms are pairwise non-proportional
+    primes;
+  * ord_W, the largest power of I_W holding a polynomial, is a
+    valuation, since gr_(I_W) S is a polynomial ring; ord_W ℓ_H is 1 if
+    H ∈ closed(W) and 0 otherwise, so ord_W h = Σ_(H ∈ closed(W)) e_H,
+    and h·g ∈ I_W^e iff g ∈ I_W^(e − ord_W h);
+  * multiplying by h is injective, so dim J_d = dim J″_(d − deg h).
+  So only J″ is stacked, in degrees up to bound − deg h (none when deg h
+  is above the bound: every piece is 0), and its dimensions get deg h
+  leading zeros.  This is how the pieces above λ = 1 are periodic:
+  J(λ + 1) = f·J(λ).  The width guard still measures the caller's bound
+  whenever every exponent is at most it, so the same inputs are refused
+  as by a stack of every term.  Membership uses the same fact: a
+  component of degree below deg h is outside J, decided with no row.
+
 - Essential coordinates.  Every I_W is generated by linear forms in N(W),
   inside the normal space N(top) of the top flat, of rank r.  A form u of
   N(top) is Σ u[p]·w/w[p] over top's reduced echelon rows w with pivot p,
@@ -40,38 +59,44 @@ module's ``_Perps``), building no ideal:
   variable multiplies the Hilbert series by 1/(1 − t)); the width guard
   measures r variables.
 - Jumps.  For c ≥ c′ every exponent at c is at least the one at c′, so
-  J(c) ⊆ J(c′), and the perps of J(c) contain those of J(c′).  Two ideals
-  with J ⊆ J′ agree in degree d iff their perps there have equal rank.  So
+  J(c) ⊆ J(c′): two such ideals agree in degree d iff their pieces there
+  have equal dimension, and a candidate shrinks the ideal up to degree D
+  iff a piece dimension in some degree ≤ D drops below the previous
+  candidate's.  Between two candidates where a hyperplane's exponent
+  rises, h is fixed and J″ shrinks the same way, so its perps only grow:
   one ascending pass stacks a term again only when its exponent rises
   (the inverse system of I^e lies in that of I^(e+1)), and then only its
   new rows: those with at least e_old pivot variables, fewer rows still
-  if a smaller flat's exponent is higher (below).  A candidate shrinks
-  the ideal up to degree D iff a piece dimension in some degree ≤ D
-  drops below the previous candidate's.
+  if a smaller flat's exponent is higher (below).  Where a hyperplane's
+  exponent rises, h grows and J″ need not shrink, so a fresh stack takes
+  the whole presentation there.
 - The theorem rows.  A building set G contains the minimal one, and both
   presentations use the same exponent for a flat, so the terms over G are
-  those over gmin plus more: I_G ⊆ I_gmin.  The gmin terms are stacked
-  once and read; the other terms are stacked on top and read again, each
-  with only the rows that no stacked power of a smaller flat spans (on
+  those over gmin plus more: I_G ⊆ I_gmin.  Every hyperplane is
+  irreducible, so both have the same h.  The gmin terms are stacked once
+  and read; the other terms are stacked on top and read again, each with
+  only the rows that no stacked power of a smaller flat spans (on
   braid(4) and braid(5), none).  By the containment, equal dimensions in
   a degree mean equal pieces.
-- Each row once.  A term (W, e) yields only its rows with at least j0
-  pivot variables, j0 the largest exponent stacked before it on W or a
-  flat below W; the others lie in the stack's span (graded module
+- Each row once.  A term (W, e) of J″ yields only its rows with at least
+  j0 pivot variables, j0 the largest exponent stacked before it on W or
+  a flat below W; the others lie in the stack's span (graded module
   docstring).  ``_Stacked`` reads j0 off closed-set bitsets across the
   batches of one stack, and over a presentation's terms for
-  ``membership``.
+  ``membership``.  A flat's rows are read only for a term that yields
+  one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from functools import partial
+from itertools import accumulate
 from typing import NamedTuple
 
 from .building import BuildingSet, minimal_building_set
-from .graded import Polynomial, _Perps, intersection_contains
+from .graded import Polynomial, _check_width, _Perps, intersection_contains
 from .lattice import Flat, IntersectionLattice, rows_in
 
 
@@ -198,25 +223,53 @@ class _Stacked:
             self.at[e] = self.at.get(e, 0) | bit
 
 
-def _stacked_dims(lat: IntersectionLattice, bound: int, *batches):
-    """Stack each batch of (W, e) terms in turn, in the essential
-    coordinates of the top flat up to ``bound``, each row once; the lifted
-    piece dimensions after each batch."""
-    top = lat.flats[-1]
-    perps = _Perps(top.rank, bound)
-    stacked = _Stacked()
-    for terms in batches:
-        perps.add([(rows_in(top, W), e, j0)
-                   for W, e, j0 in stacked.first_new_rows(terms)])
-        yield _lift(perps.dims(), lat.arrangement.dim - top.rank)
+class _Stack:
+    """The piece dimensions, degrees 0..bound, of an ideal J given by
+    (W, e) terms, read through J = h·J″ (module docstring): h is the
+    product of the hyperplane terms' powers, and the perps of J″'s terms
+    (W, e − ord_W h), positive only, are stacked each row once in the
+    essential coordinates of the top flat up to bound − deg h.  Terms
+    added later are on flats of rank at least 2 and reduced by the same h."""
+
+    def __init__(self, lat: IntersectionLattice, bound: int, terms) -> None:
+        if bound < 0:
+            raise ValueError(f"degree bound must be >= 0, got {bound}")
+        top = lat.flats[-1]
+        # the width guard of a stack of every term: the same inputs refused
+        if max((e for _, e in terms), default=0) <= bound:
+            _check_width(top.rank, bound)
+        self.powers = {W.closed_set[0]: e for W, e in terms if W.rank == 1}
+        self.shift = sum(self.powers.values())
+        self.bound = bound
+        self.extra = lat.arrangement.dim - top.rank
+        self.rows = partial(rows_in, top)
+        self.stacked = _Stacked()
+        self.perps = _Perps(top.rank, bound - self.shift) if self.shift <= bound else None
+        self.add([(W, e) for W, e in terms if W.rank > 1])
+
+    def add(self, terms) -> None:
+        """Stack the terms (W, e − ord_W h) with a positive exponent,
+        ord_W h the sum of e_H over the hyperplanes H in closed(W).  With
+        deg h above the bound every piece is 0 and nothing is stacked."""
+        if self.perps is None:
+            return
+        reduced = ((W, e - sum(self.powers.get(k, 0) for k in W.closed_set))
+                   for W, e in terms)
+        taken = list(self.stacked.first_new_rows((W, e) for W, e in reduced if e > 0))
+        self.perps.add(taken, self.rows)
+
+    def dims(self) -> list[int]:
+        if self.perps is None:
+            return [0] * (self.bound + 1)
+        return [0] * self.shift + _lift(self.perps.dims(), self.extra)
 
 
 def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
                      bound: int) -> list[int]:
     """Dimension of each piece of the presented ideal, degrees 0..bound,
-    read off ranks in the top flat's essential coordinates (module
-    docstring)."""
-    return next(_stacked_dims(lat, bound, pres.terms))
+    read off ranks in the top flat's essential coordinates with the
+    hyperplane powers factored out (module docstring)."""
+    return _Stack(lat, bound, pres.terms).dims()
 
 
 def theorem_rows(lat: IntersectionLattice, pres_min: MultiplierIdealPresentation,
@@ -227,38 +280,55 @@ def theorem_rows(lat: IntersectionLattice, pres_min: MultiplierIdealPresentation
 
     The second ideal lies in the first (module docstring), so the pieces of
     one degree are equal exactly when their dimensions are.  The terms of
-    the first are stacked once, then only the second's other terms.
+    the first are stacked once, then only the second's other terms, which
+    lie on reducible flats and are reduced by the first's hyperplane
+    powers.
     """
+    stack = _Stack(lat, bound, pres_min.terms)
+    first = stack.dims()
     seen = {W for W, _ in pres_min.terms}
-    return tuple(_stacked_dims(lat, bound, pres_min.terms,
-                               [(W, e) for W, e in pres_full.terms if W not in seen]))
+    stack.add([(W, e) for W, e in pres_full.terms if W not in seen])
+    return first, stack.dims()
 
 
 def verify_jumps(lat: IntersectionLattice, lam_max,
                  bound: int) -> list[tuple[Fraction, bool]]:
     """Each candidate up to ``lam_max`` and whether the ideal shrinks there.
 
-    One ascending pass stacks each term again when its exponent rises; a
-    candidate shrinks the ideal iff a piece dimension drops (module
-    docstring).  A False answer certifies nothing beyond degree ``bound``.
+    One ascending pass stacks each term again when its exponent rises, and
+    starts a fresh stack where a hyperplane's exponent rises; a candidate
+    shrinks the ideal iff a piece dimension drops (module docstring).  A
+    False answer certifies nothing beyond degree ``bound``.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
     risen: dict[Fraction, list] = {}
+    exponents: dict[Flat, int] = {}  # canonical order, as _rises lists flats
     for c, W, e in _rises(lat, lam_max):
         risen.setdefault(c, []).append((W, e))
+        exponents.setdefault(W, 0)
     if not risen:
         return []
-    candidates = sorted(risen)
-    # the first batch is empty: the unit ideal below the first candidate
-    steps = pairwise(_stacked_dims(lat, bound, [], *(risen[c] for c in candidates)))
-    return [(c, before != after) for c, (before, after) in zip(candidates, steps)]
+    stack = _Stack(lat, bound, [])  # the unit ideal below the first candidate
+    before = stack.dims()
+    answers = []
+    for c in sorted(risen):
+        exponents.update(risen[c])
+        if any(W.rank == 1 for W, _ in risen[c]):  # h grows, and J″ need not shrink
+            stack = _Stack(lat, bound, [(W, e) for W, e in exponents.items() if e > 0])
+        else:
+            stack.add(risen[c])
+        after = stack.dims()
+        answers.append((c, before != after))
+        before = after
+    return answers
 
 
 def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
     """Whether the polynomial lies in the presented ideal (one pass over
     all its terms, ``graded.intersection_contains``, each term's rows
-    spanned by a smaller flat's power left out)."""
+    spanned by a smaller flat's power left out; a component of degree
+    below deg h is refused with no row, module docstring)."""
     if poly.nvars != pres.ambient_dim:
         raise ValueError(
             f"variable count mismatch: polynomial has {poly.nvars}, "

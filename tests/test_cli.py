@@ -11,7 +11,12 @@ from math import gcd
 import pytest
 
 from arrideals import cli, graded, lattice, multiplier
-from arrideals.arrangement import braid, parse_arrangement
+from arrideals.arrangement import (
+    Arrangement,
+    braid,
+    parse_arrangement,
+    serialize_arrangement,
+)
 from arrideals.building import BuildingSet, full_building_set, minimal_building_set
 from arrideals.errors import InvariantError
 
@@ -440,16 +445,16 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
 
 
 def record_stacking(monkeypatch):
-    """Two lists: every (forms, exponent, j0) term stacked, and each
-    (forms, exponent, j0, degree, row) that a term's inverse system
-    yields."""
+    """Two lists: each batch of (flat, exponent, j0) terms added to a
+    stack, with the stack, and each (forms, exponent, j0, degree, row) that
+    a term's inverse system yields."""
     stacked, rows = [], []
     add = graded._Perps.add
     inverse_system = graded._inverse_system
 
-    def recording_add(perps, terms):
-        stacked.extend(terms)
-        add(perps, terms)
+    def recording_add(perps, terms, rows_of):
+        stacked.append((perps, list(terms)))
+        add(perps, terms, rows_of)
 
     def recording_inverse_system(forms, nvars, e, d, j0):
         for g in inverse_system(forms, nvars, e, d, j0):
@@ -461,42 +466,134 @@ def record_stacking(monkeypatch):
     return stacked, rows
 
 
+def factored(terms):
+    """The degree of h, the product of the hyperplane terms' powers, and
+    the terms (W, e − Σ_(H ∈ closed(W)) e_H) of J = h·J″, positive only."""
+    e_H = {W.closed_set[0]: e for W, e in terms if W.rank == 1}
+    reduced = [(W, e - sum(e_H.get(k, 0) for k in W.closed_set))
+               for W, e in terms if W.rank > 1]
+    return sum(e_H.values()), [(W, e) for W, e in reduced if e > 0]
+
+
+def first_rows(terms):
+    """(W, e, j0) for each term, j0 the largest exponent of a term before
+    it on a flat whose closed set lies in W's (a pairwise scan)."""
+    return [(W, e, max((f for U, f in terms[:i]
+                        if set(U.closed_set) <= set(W.closed_set)), default=0))
+            for i, (W, e) in enumerate(terms)]
+
+
+def segment_stacks(lat, lam_max, bound):
+    """The stacks a jumps sweep should make, from the exponent formulas:
+    a fresh one for the unit ideal and wherever a hyperplane's exponent
+    rises, holding the factored presentation there, and after it, per
+    candidate, the terms whose reduced exponent rose.  A stack whose h has
+    degree above ``bound`` is never made.  Each is its bound − deg h and
+    its batches of (W, e, j0) terms."""
+    gmin = minimal_building_set(lat)
+    stacks, powers, old = [], None, {}
+    for c in [0] + multiplier.jump_candidates(lat, lam_max):
+        terms = multiplier.presentation(lat, gmin, c).terms
+        deg_h, reduced = factored(terms)
+        e_H = {W: e for W, e in terms if W.rank == 1}
+        if e_H != powers:
+            powers = e_H
+            stacks.append((bound - deg_h, [reduced]))
+        else:
+            stacks[-1][1].append([(W, e) for W, e in reduced if e > old.get(W, 0)])
+        old = dict(reduced)
+    out = []
+    for low, batches in stacks:
+        flat = first_rows([t for batch in batches for t in batch])
+        split = []
+        for batch in batches:
+            split.append(flat[:len(batch)])
+            flat = flat[len(batch):]
+        out.append((low, split))
+    return [(low, batches) for low, batches in out if low >= 0]
+
+
+def recorded_stacks(stacked):
+    """The recorded batches grouped by stack: its bound and its batches."""
+    out = []
+    for perps, terms in stacked:
+        if not out or out[-1][0] is not perps:
+            out.append((perps, []))
+        out[-1][1].append(terms)
+    return [(perps.bound, batches) for perps, batches in out]
+
+
 def test_jumps_sweep_stacks_each_term_once(capsys, tmp_path, monkeypatch):
-    """A term is stacked again only when its exponent rises: each (flat,
-    exponent) pair goes in once, and a rise yields only the rows with
-    j = e − 1 pivot variables, the ones I^(e−1) does not span."""
-    path = str(tmp_path / "b5.json")
-    assert cli.main(["braid", "5", "-o", path]) == 0
-    lat = lattice.compute_lattice(braid(5))
-    top = lat.flats[-1]
+    """A jumps sweep stacks J″ = J/h, h the product of the hyperplane
+    powers: no hyperplane term is stacked, each other term (W, e) goes in
+    as (W, e − Σ_(H ∈ closed(W)) e_H), and a fresh stack starts wherever a
+    hyperplane's exponent rises.  Within a stack each (flat, exponent)
+    pair goes in once, with j0 from the flats below it stacked before;
+    on braid(5) a rise yields only the rows with j = e − 1 pivot
+    variables, the ones I^(e−1) does not span."""
+    b4 = braid(4)
+    cases = [(braid(5), "1", 4),
+             (Arrangement.from_normals(4, [h.normal for h in b4.hyperplanes],
+                                       [2, 1, 1, 1, 1, 1]), "2", 6),
+             (Arrangement.from_normals(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)],
+                                       [2, 1, 1]), "2", 6)]
     stacked, rows = record_stacking(monkeypatch)
-    code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify",
-                                "--degree", "4"])
-    assert code == 0 and len(out.splitlines()) == 9
-    # at 1 the exponents are 1 (10 lines), 2 (10 planes), 4 (5 flats of
-    # rank 3) and 7 (the top flat), each reached one step at a time
-    assert len(stacked) == len(set(stacked)) == 10 + 20 + 20 + 7
-    rises = sorted(multiplier._rises(lat, 1), key=lambda r: r[0])
-    assert stacked == [(lattice.rows_in(top, W), e, e - 1) for _, W, e in rises]
+    for k, (arr, lam_max, degree) in enumerate(cases):
+        path = str(tmp_path / f"a{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_arrangement(arr))
+        lat = lattice.compute_lattice(arr)
+        top = lat.flats[-1]
+        stacked.clear()
+        rows.clear()
+        code, out, _ = run(capsys, ["jumps", path, "--max", lam_max, "--verify",
+                                    "--degree", str(degree)])
+        assert code == 0
+        assert len(out.splitlines()) == len(multiplier.jump_candidates(lat, Fraction(lam_max)))
+        got = recorded_stacks(stacked)
+        assert got == segment_stacks(lat, Fraction(lam_max), degree)
+        for _, batches in got:
+            terms = [(W, e) for batch in batches for W, e, _ in batch]
+            assert len(terms) == len(set(terms))
+            assert all(W.rank > 1 for W, _ in terms)
+        assert {r[:3] for r in rows} <= {(lattice.rows_in(top, W), e, j0)
+                                         for _, terms in stacked for W, e, j0 in terms}
+    # braid(5): below 1 every hyperplane exponent is 0 and h = 1; at 1 the
+    # ten hyperplanes rise, h = f has degree 10 > 4, and no stack is made.
+    # Below 1 the exponents reach 1 (10 planes), 3 (5 flats of rank 3) and
+    # 6 (the top flat), each one step at a time.
+    lat = lattice.compute_lattice(braid(5))
+    stacks = segment_stacks(lat, Fraction(1), 4)
+    assert len(stacks) == 1
+    terms = [t for batch in stacks[0][1] for t in batch]
+    assert len(terms) == 10 + 15 + 6
+    assert all(j0 == e - 1 for _, e, j0 in terms)
+    stacked.clear()
+    rows.clear()
+    assert multiplier.verify_jumps(lat, 1, 4)
     assert rows and all(j0 == e - 1 for _, e, j0, _, _ in rows)
 
 
 def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
                                                              monkeypatch):
-    """The minimal terms are stacked once, then only the full set's terms
-    on reducible flats, and those yield no row on braid(4) and braid(5):
-    a smaller flat's stacked power spans each of their rows."""
-    for n, degree, cases in ((4, 4, ((Fraction(1, 2), 0), (Fraction(1), 3))),
-                             (5, 7, ((Fraction(4, 5), 10), (Fraction(1), 25)))):
+    """The minimal terms are stacked once as J″'s, with the hyperplane
+    powers factored out, then only the full set's terms on reducible flats,
+    reduced by the same powers, and those yield no row on braid(4) and
+    braid(5): a smaller flat's stacked power spans each of their rows."""
+    for n, cases in ((4, ((Fraction(1, 2), 4, 0), (Fraction(1), 4, 3),
+                          (Fraction(5, 3), 9, 3))),
+                     (5, ((Fraction(4, 5), 7, 10), (Fraction(1), 7, 25),
+                          (Fraction(5, 3), 13, 25)))):
         path = str(tmp_path / f"b{n}.json")
         assert cli.main(["braid", str(n), "-o", path]) == 0
         lat = lattice.compute_lattice(braid(n))
         top = lat.flats[-1]
         stacked, rows = record_stacking(monkeypatch)
-        # braid(4): at 1/2 every reducible flat has exponent 0, at 1 three
-        # have 1; braid(5): 10 reducible flats at 4/5, 25 at 1 (degree 7
-        # reaches the top flat's exponent there)
-        for lam, reducible in cases:
+        # braid(4): at 1/2 every reducible flat has exponent 0, at 1 and 5/3
+        # three have 1 and 2; braid(5): 10 reducible flats at 4/5, 25 at 1
+        # and 5/3.  At 1, h = f has degree 6 or 10 and nothing is stacked; at
+        # 5/3 the degree is deg f + 3 and the triple points stack their rows
+        for lam, degree, reducible in cases:
             stacked.clear()
             rows.clear()
             code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", str(lam),
@@ -506,15 +603,22 @@ def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
             extra = [(W, e) for W, e in multiplier.presentation(
                 lat, full_building_set(lat), lam).terms if W not in lat.irreducibles]
             assert len(extra) == reducible
-            terms = pres_min.terms + tuple(extra)
-            # j0: the largest exponent of a term before it on a flat below it
-            j0s = [max((f for U, f in terms[:i]
-                        if set(U.closed_set) <= set(W.closed_set)), default=0)
-                   for i, (W, _) in enumerate(terms)]
-            assert stacked == [(lattice.rows_in(top, W), e, j0)
-                               for (W, e), j0 in zip(terms, j0s)]
-            assert all(j0 >= e for (_, e), j0 in zip(extra, j0s[len(pres_min.terms):]))
-            assert {r[:3] for r in rows} <= set(stacked[:len(pres_min.terms)])
+            assert all(W.rank > 1 for W, _ in extra)
+            deg_h, reduced = factored(pres_min.terms)
+            # the same hyperplane powers reduce the full set's other terms
+            _, extra_reduced = factored([(W, e) for W, e in pres_min.terms
+                                         if W.rank == 1] + extra)
+            terms = first_rows(reduced + extra_reduced)
+            if deg_h > degree:
+                assert stacked == []
+                continue
+            assert len(stacked) == 2
+            assert [(perps.bound, batch) for perps, batch in stacked] == [
+                (degree - deg_h, terms[:len(reduced)]),
+                (degree - deg_h, terms[len(reduced):])]
+            assert all(j0 >= e for _, e, j0 in terms[len(reduced):])
+            assert {r[:3] for r in rows} <= {(lattice.rows_in(top, W), e, j0)
+                                             for W, e, j0 in terms[:len(reduced)]}
             assert rows or not reducible
 
 

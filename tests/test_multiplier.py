@@ -114,7 +114,14 @@ def test_verify_jump(braid_lattices, monkeypatch):
     perps = multiplier._Perps
     monkeypatch.setattr(multiplier, "_Perps", lambda *a: made.append(a) or perps(*a))
     assert verify_jumps(lat, Fraction(1, 2), 4) == [] and made == []
-    assert verify_jumps(lat, 1, 4) and made == [(2, 4)]
+    # one stack from the unit ideal to 2/3, in the 2 essential variables up
+    # to degree 4; at 1 the hyperplanes rise, h = f has degree 3, and a
+    # fresh stack of J″ = S runs to degree 4 − 3
+    assert verify_jumps(lat, 1, 4) and made == [(2, 4), (2, 1)]
+    made.clear()
+    # 4/3 and 5/3 rise on the second stack; at 2, h = f² has degree 6 > 4
+    # and no stack is made
+    assert verify_jumps(lat, 2, 4) and made == [(2, 4), (2, 1)]
     gmin = minimal_building_set(lat)
     assert graded_equal(realized(lat, gmin, Fraction(1, 2), 4), realized(lat, gmin, 0, 4), 4)
     assert verify_jumps(single_hyperplane(1), 1, 2) == [(Fraction(1), True)]
@@ -352,6 +359,15 @@ def test_non_reduced_braid_pipeline():
         a = realized(lat, gmin, lam, 5)
         b = realized(lat, full, lam, 5)
         assert graded_equal(a, b, 5)
+    # above 1: at 7/4 the hyperplane powers have exponents 3, 1 and 1 (h of
+    # degree 5) and the top flat's exponent 6 drops to 1, so J is h times
+    # the ideal of the line where the planes meet, not (h)
+    for bs in (gmin, full):
+        pres = presentation(lat, bs, Fraction(7, 4))
+        oracle = piece_dims(generator_presentation_ideal(pres, 7))
+        assert oracle == [0, 0, 0, 0, 0, 0, 2, 5]
+        assert hilbert_function(lat, pres, 7) == oracle
+    assert verify_jumps(lat, 2, 7) == helpers.realized_jumps(lat, 2, 7)
 
 
 LAMBDAS = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(6, 5), Fraction(3, 2))
@@ -386,6 +402,50 @@ def test_hilbert_function_matches_generator_route(braid_lattices):
                 oracle = piece_dims(generator_presentation_ideal(pres, bound))
                 assert hilbert_function(lat, pres, bound) == oracle, (
                     lat.arrangement.dim, name, lam)
+
+
+def test_hilbert_function_is_periodic(braid_lattices, corpus_lattices):
+    """J(λ + 1) = f·J(λ) for the integral divisor of f (Lazarsfeld,
+    Positivity II, Prop. 9.2.31): on braid(3-5) and the corpus, with both
+    building sets, the piece dimensions at λ + 1 are deg f zeros followed
+    by those at λ."""
+    for lat in [braid_lattices[n] for n in (3, 4, 5)] + list(corpus_lattices):
+        deg_f = sum(h.mult for h in lat.arrangement.hyperplanes)
+        for bs in (minimal_building_set(lat), full_building_set(lat)):
+            for lam in [Fraction(0), Fraction(1, 3)] + jump_candidates(lat, 1):
+                here = hilbert_function(lat, presentation(lat, bs, lam), 3)
+                above = hilbert_function(lat, presentation(lat, bs, lam + 1), deg_f + 3)
+                assert above == [0] * deg_f + here, (lat.arrangement, lam)
+
+
+def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
+                                                             monkeypatch):
+    """On braid(5) at λ = 1 every element is a multiple of f, of degree 10,
+    while the largest exponent is 7: a polynomial with a nonzero component
+    of degree 7 to 9 is refused before any inverse-system row is built,
+    and f itself is still decided by its rows."""
+    lat = braid_lattices[5]
+    pres = presentation(lat, minimal_building_set(lat), 1)
+    assert max(e for _, e in pres.terms) == 7
+    n = lat.arrangement.dim
+    forms = [Polynomial.from_terms(n, {tuple(int(i == j) for j in range(n)): c
+                                       for i, c in enumerate(h.normal)})
+             for h in lat.arrangement.hyperplanes]
+    f = Polynomial.from_terms(n, {(0,) * n: 1})
+    for form in forms:
+        f = helpers.poly_mul(f, form)
+    made = []
+    inverse_system = graded._inverse_system
+    monkeypatch.setattr(graded, "_inverse_system",
+                        lambda *a: made.append(a) or inverse_system(*a))
+    for k in (7, 8, 9):
+        low = Polynomial.from_terms(n, {(0,) * n: 1})
+        for form in forms[:k]:
+            low = helpers.poly_mul(low, form)
+        for poly in (low, helpers.poly_add(low, helpers.poly_mul(f, forms[0]))):
+            assert not membership(pres, poly)
+    assert made == []
+    assert membership(pres, f) and made
 
 
 def test_membership_matches_generator_route(braid_lattices):

@@ -172,7 +172,9 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
     is the gmin flats with λ ≥ r/s; the candidates are the m/s(W) with
     r(W) ≤ m ≤ lam_max·s(W); and ``verify_jumps`` stacks, at each candidate
     in turn, the flats whose exponent rose there with their new exponent,
-    in canonical order."""
+    in canonical order, except where a hyperplane's rose: there it starts
+    a fresh stack from every term with a positive exponent, of which the
+    stack takes the ones not on a hyperplane."""
     lat = compute_lattice(arr)
     gmin = minimal_building_set(lat).flats
     assert support(lat, lam) == [W for W in gmin if lam >= Fraction(W.rank, W.mult)]
@@ -180,28 +182,38 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
                     for m in range(W.rank, floor(lam_max * W.mult) + 1)})
     assert jump_candidates(lat, lam_max) == cands
     exponents = dict.fromkeys(gmin, 0)
-    expected = [[]]  # the unit ideal below the first candidate
+    expected = [("new", []), ("add", [])]  # the unit ideal below the first candidate
     for c in cands:
-        expected.append([])
+        rose = []
         for W, old in exponents.items():
             e = multiplier._exponent(c, W)
             if e > old:
                 exponents[W] = e
-                expected[-1].append((W, e))
-    batches = []
-    stacked_dims = multiplier._stacked_dims
+                rose.append((W, e))
+        if any(W.rank == 1 for W, _ in rose):
+            terms = [(W, e) for W, e in exponents.items() if e > 0]
+            expected += [("new", terms), ("add", [(W, e) for W, e in terms if W.rank > 1])]
+        else:
+            expected.append(("add", rose))
+    calls = []
+    stack = multiplier._Stack
 
-    def recording(lat, bound, *terms):
-        batches.extend(terms)
-        return stacked_dims(lat, bound, *terms)
+    class Recording(stack):
+        def __init__(self, lat, bound, terms):
+            calls.append(("new", list(terms)))
+            super().__init__(lat, bound, terms)
 
-    multiplier._stacked_dims = recording
+        def add(self, terms):
+            calls.append(("add", list(terms)))
+            super().add(terms)
+
+    multiplier._Stack = Recording
     try:
         answers = verify_jumps(lat, lam_max, 1)
     finally:
-        multiplier._stacked_dims = stacked_dims
+        multiplier._Stack = stack
     assert [c for c, _ in answers] == cands
-    assert batches == (expected if cands else [])
+    assert calls == (expected if cands else [])
 
 
 def form_products(arr, summands) -> Polynomial:
@@ -236,14 +248,26 @@ def test_membership_matches_the_generator_route(arr, lam, summands):
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(arrangements(), st.fractions(0, 2, max_denominator=6), st.integers(1, 4),
+@given(arrangements(), st.fractions(0, 3, max_denominator=6), st.integers(1, 10),
        st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 6), max_size=6)),
                 min_size=1, max_size=3))
+# non-reduced inputs above 1 whose J″ is neither 0 nor the unit ideal up to
+# the bound, and whose jumps sweep starts several stacks: a triple point, four
+# lines in the plane, braid(4) with one double plane
+@example(Arrangement.from_normals(3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)], [2, 1, 1]),
+         Fraction(7, 4), 7, [(1, [0, 1, 2, 3, 4])])
+@example(Arrangement.from_normals(2, [(1, 0), (0, 1), (1, 1), (1, -1)], [1, 2, 3, 1]),
+         Fraction(5, 4), 10, [(2, [0, 1, 2, 2, 3, 3]), (1, [1, 1])])
+@example(Arrangement.from_normals(4, [(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
+                                      (0, 1, -1, 0), (0, 1, 0, -1), (0, 0, 1, -1)],
+                                  [2, 1, 1, 1, 1, 1]),
+         Fraction(5, 3), 10, [(1, [0, 0, 1, 2, 3, 4, 5])])
 def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
-    """Stacking each term's rows with j ≥ j0 pivot variables only gives the
-    stacks of every row (j0 = 0) in ``hilbert_function`` (both building
-    sets), ``theorem_rows`` and the ``verify_jumps`` batches, and
-    ``membership`` agrees with pairing every row."""
+    """Factoring out the hyperplane powers and stacking each term's rows
+    with j ≥ j0 pivot variables only gives the unfactored stacks of every
+    row of every term (j0 = 0) in ``hilbert_function`` (both building
+    sets), ``theorem_rows`` and ``verify_jumps``, for λ up to 3 and
+    multiplicities 1-3; ``membership`` agrees with pairing every row."""
     lat = compute_lattice(arr)
     top = lat.flats[-1]
 
@@ -265,9 +289,10 @@ def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
         risen = {}
         for c, W, e in multiplier._rises(lat, lam):
             risen.setdefault(c, []).append((W, e))
-        batches = [risen[c] for c in sorted(risen)]
-        assert list(multiplier._stacked_dims(lat, bound, [], *batches)) == list(
-            every_row([], *batches))
+        cands = sorted(risen)
+        dims = list(every_row([], *(risen[c] for c in cands)))
+        assert verify_jumps(lat, lam, bound) == [
+            (c, before != after) for c, before, after in zip(cands, dims, dims[1:])]
     poly = form_products(arr, summands)
     for pres in (pres_min, pres_full):
         every = [(W.basis_rows, e, 0) for W, e in pres.terms]
