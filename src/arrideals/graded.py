@@ -37,11 +37,26 @@ echelon list, to which terms are added in order.  The multiplier module
 reads piece dimensions off its ranks.  Its stacks never hold a principal
 term, a hyperplane's power (ℓ)^e: it factors their product out of the
 intersection (multiplier module docstring) and stacks the rest with
-lowered exponents.  Membership in an intersection is one pass,
-``intersection_contains``: each component of a polynomial is built once
-and paired with every term's inverse system.  Both take a power as a
-term (forms, e, j0): a flat's canonical rows, an exponent and the fewest
-pivot variables of a row to yield.
+lowered exponents.  Both it and ``intersection_contains`` take a power
+as a term (forms, e, j0): a flat's canonical rows, an exponent and the
+fewest pivot variables of a row that is read.
+
+Membership in an intersection, ``intersection_contains``, builds no row:
+f ∈ I_W^e means that f vanishes to order e along W.  Let the canonical
+forms ℓ_1..ℓ_r have pivots p_i, M be the lcm of the pivot entries and
+s_i = M/ℓ_i[p_i].  Put x_c = M·u_c on each free column c and
+x_(p_i) = s_i·(v_i − Σ_c ℓ_i[c]·u_c), so that ℓ_i(x) = M·v_i.  The
+polynomial is expanded once per term in (u, v), with integer
+coefficients and truncated at v-degree e, and it passes when every
+coefficient of v-degree j0 … e − 1 is 0.  This is the row pairing,
+coefficient for row: ∂x/∂u_c are the points of W (``int_kernel``'s
+vectors) and ∂x/∂v_i = s_i·e_(p_i), so in a component of degree d the
+coefficient of v^β·u^γ, |β| = j, is ∂_v^β ∂_u^γ f / (β!·γ!), which is
+Π s_i^(β_i)/(β!·γ!) ≠ 0 times the pairing of f with the row
+x_P^β·Π points^γ.  So each coefficient is zero exactly when its row
+pairs to zero, and the rows with j < j0 that the rule above leaves out
+are the coefficients of v-degree below j0.
+
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
 """
@@ -53,14 +68,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .linalg import (
     _first_nonzero,
     int_insert,
     int_kernel,
-    primitive_vector,
     to_fraction,
 )
 
@@ -347,7 +361,9 @@ class _Perps:
 # every degree up to the default cap 10 in six variables.  Memory grows with
 # the square: hilbert on braid(7) at λ = 2/3, six essential variables, stacks
 # a nearly full-rank perp of width 3003 at degree 10 in 117 MB max RSS (300 s
-# on a 2-core machine, Python 3.11.7).
+# on a 2-core machine, Python 3.11.7).  Membership stacks nothing, and each
+# of its products has at most the width's terms, but it keeps the guard so
+# that it refuses the same inputs with the same message.
 MAX_PIECE_WIDTH = 3003
 
 # Most monomials of all degrees up to d together: C(16, 10), the most that
@@ -371,20 +387,80 @@ def _check_width(nvars: int, degree: int) -> None:
                          f"supported")
 
 
+def _times(a: dict[int, int], b: dict[int, int], cut: int) -> dict[int, int]:
+    """The product of two packed polynomials, keys at or above ``cut`` dropped."""
+    out: dict[int, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            if k < cut:
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def _expansion(forms: IntRows, exponent: int, j0: int,
+               poly: Sequence[tuple[Monomial, int]], base: int) -> dict[int, int]:
+    """The coefficients of v-degree j0 … e − 1 of a polynomial, given by its
+    integer terms in lexicographic order, in the coordinates (u, v) of the
+    canonical ``forms`` (module docstring).
+
+    A monomial in (u, v) is packed into one integer: digit c (in ``base``,
+    which must exceed the degree) is the exponent of the variable at column
+    c, and digit n, the most significant, is the v-degree.  Products add
+    keys without carry, and v-degree < e reads key < e·base^n.  Each
+    monomial's image is a product of powers of the images of the variables,
+    shared along common prefixes, and only its terms below v-degree e are
+    ever formed; a monomial with fewer than j0 pivot variables has no term
+    of v-degree j0 or more.
+    """
+    n = len(forms[0])
+    pivots = [_first_nonzero(f) for f in forms]
+    scale = lcm(*(f[p] for f, p in zip(forms, pivots)))
+    unit = base ** n
+    cut, low = exponent * unit, j0 * unit
+    images = [{base ** c: scale} for c in range(n)]  # x_c = M·u_c on a free column
+    for f, p in zip(forms, pivots):  # x_p = s·(v − Σ_c f[c]·u_c), s = M/f[p]
+        s = scale // f[p]
+        images[p] = {base ** p + unit: s, **{base ** c: -s * f[c] for c in range(p + 1, n) if f[c]}}
+    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in range(n)]
+    stack, prev = [{0: 1}], (-1,) * n  # stack[c]: the product over the columns before c
+    out: dict[int, int] = {}
+    for mono, coef in poly:
+        if j0 and sum(mono[p] for p in pivots) < j0:
+            continue
+        start = 0
+        while mono[start] == prev[start]:
+            start += 1
+        del stack[start + 1:]
+        for c in range(start, n):
+            k = mono[c]
+            while len(powers[c]) <= k:
+                powers[c].append(_times(powers[c][-1], images[c], cut))
+            stack.append(_times(stack[-1], powers[c][k], cut) if k else stack[-1])
+        for key, a in stack[-1].items():
+            if key >= low:
+                out[key] = out.get(key, 0) + coef * a
+        prev = mono
+    return out
+
+
 def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
                           poly: Polynomial) -> bool:
     """Whether ``poly`` lies in the intersection of the powers I^e, one per
     (forms, e, j0) term with canonical forms, without realizing it.
 
-    Each homogeneous component f_d must pair to zero with every row with
-    j ≥ j0 pivot variables of every term's inverse system in degree d (the
-    other rows lie in the span of the terms', module docstring); a nonzero
-    component of degree below the largest e lies in no such intersection.
-    Nor does one below the degree of h, the product of the principal
-    terms' powers (ℓ^e, one form): distinct canonical forms are
-    non-proportional primes, so every element of the intersection is h
-    times a form.  Each component's vector is built once, after one width
-    check, and no row is built for a component below either degree.
+    For each term, the polynomial is expanded once in the term's
+    coordinates (u, v), truncated at v-degree e, and it passes when every
+    coefficient of v-degree j0 … e − 1 is 0: each is a nonzero multiple of
+    the pairing with one inverse-system row with j ≥ j0 pivot variables
+    (the other rows lie in the span of the terms', module docstring).  The
+    homogeneous components are expanded together, as their images have
+    distinct degrees.  A nonzero component of degree below the largest e
+    lies in no such intersection.  Nor does one below the degree of h, the
+    product of the principal terms' powers (ℓ^e, one form): distinct
+    canonical forms are non-proportional primes, so every element of the
+    intersection is h times a form.  Both are answered before any
+    expansion, and the expansions follow one width check.
     """
     if not terms:
         return True
@@ -403,9 +479,8 @@ def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
             principal[forms] = max(e, principal.get(forms, 0))
     if parts and min(parts) < sum(principal.values()):
         return False
-    for d, part in parts.items():
-        vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
-        if any(sum(a * b for a, b in zip(vec, g) if a) for forms, e, j0 in terms
-               for g in _inverse_system(forms, poly.nvars, e, d, j0)):
-            return False
-    return True
+    den = lcm(*(c.denominator for _, c in poly.terms))
+    ints = sorted((m, c.numerator * (den // c.denominator)) for m, c in poly.terms)
+    base = max(parts, default=0) + 1
+    return not any(j0 < e and any(_expansion(forms, e, j0, ints, base).values())
+                   for forms, e, j0 in terms)

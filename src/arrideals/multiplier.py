@@ -44,7 +44,8 @@ module's ``_Perps``), building no ideal:
   J(λ + 1) = f·J(λ).  The width guard still measures the caller's bound
   whenever every exponent is at most it, so the same inputs are refused
   as by a stack of every term.  Membership uses the same fact: a
-  component of degree below deg h is outside J, decided with no row.
+  component of degree below deg h is outside J, decided with no
+  expansion.
 
 - Essential coordinates.  Every I_W is generated by linear forms in N(W),
   inside the normal space N(top) of the top flat, of rank r.  A form u of
@@ -69,7 +70,9 @@ module's ``_Perps``), building no ideal:
   new rows: those with at least e_old pivot variables, fewer rows still
   if a smaller flat's exponent is higher (below).  Where a hyperplane's
   exponent rises, h grows and J″ need not shrink, so a fresh stack takes
-  the whole presentation there.
+  the whole presentation there.  Once deg h is above the bound, every
+  later piece is 0 as well, so every later candidate is answered with no
+  stack.
 - The theorem rows.  A building set G contains the minimal one, and both
   presentations use the same exponent for a flat, so the terms over G are
   those over gmin plus more: I_G ⊆ I_gmin.  Every hyperplane is
@@ -296,9 +299,10 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     """Each candidate up to ``lam_max`` and whether the ideal shrinks there.
 
     One ascending pass stacks each term again when its exponent rises, and
-    starts a fresh stack where a hyperplane's exponent rises; a candidate
-    shrinks the ideal iff a piece dimension drops (module docstring).  A
-    False answer certifies nothing beyond degree ``bound``.
+    starts a fresh stack where a hyperplane's exponent rises, until deg h
+    passes the bound; a candidate shrinks the ideal iff a piece dimension
+    drops (module docstring).  A False answer certifies nothing beyond
+    degree ``bound``.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
@@ -312,7 +316,11 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     stack = _Stack(lat, bound, [])  # the unit ideal below the first candidate
     before = stack.dims()
     answers = []
-    for c in sorted(risen):
+    cands = sorted(risen)
+    for i, c in enumerate(cands):
+        if stack.perps is None:  # deg h > bound, and h only grows: every piece stays 0
+            answers += [(later, False) for later in cands[i:]]
+            break
         exponents.update(risen[c])
         if any(W.rank == 1 for W, _ in risen[c]):  # h grows, and J″ need not shrink
             stack = _Stack(lat, bound, [(W, e) for W, e in exponents.items() if e > 0])
@@ -325,10 +333,13 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
 
 
 def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
-    """Whether the polynomial lies in the presented ideal (one pass over
-    all its terms, ``graded.intersection_contains``, each term's rows
-    spanned by a smaller flat's power left out; a component of degree
-    below deg h is refused with no row, module docstring)."""
+    """Whether the polynomial lies in the presented ideal: one truncated
+    expansion per term, in coordinates where the flat's forms are
+    variables, whose coefficients of low degree in them must vanish
+    (``graded.intersection_contains``), those of degree below the largest
+    exponent of an earlier term on a smaller flat left unread; a component
+    of degree below deg h is refused with no expansion (module
+    docstring)."""
     if poly.nvars != pres.ambient_dim:
         raise ValueError(
             f"variable count mismatch: polynomial has {poly.nvars}, "

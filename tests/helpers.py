@@ -14,9 +14,11 @@ package's inverse systems; ``generator_presentation_ideal`` realizes a
 presentation that way.  ``graded_equal``, ``graded_contains`` and
 ``contains_polynomial`` compare realized truncations piece by piece.
 ``fraction_rows_in`` and ``realized_jumps`` are independent routes for the
-essential coordinates and for the jump sweep.  ``poly_add``, ``poly_mul``
-and ``format_polynomial`` are the polynomial arithmetic and printing, and
-``int_contains`` the span test, that only tests need."""
+essential coordinates and for the jump sweep, and ``pairs_to_zero`` for
+membership: it pairs each component with the inverse-system rows.
+``poly_add``, ``poly_mul`` and ``format_polynomial`` are the polynomial
+arithmetic and printing, and ``int_contains`` the span test, that only
+tests need."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from math import comb, gcd, lcm
 from arrideals.arrangement import Arrangement, Hyperplane
 from arrideals.building import is_building_set, is_decomposition, minimal_building_set
 from arrideals.errors import InvariantError
+from arrideals import graded
 from arrideals.graded import Polynomial, monomial_index, monomials
 from arrideals.lattice import Flat, IntersectionLattice
 from arrideals.multiplier import jump_candidates, presentation
@@ -602,4 +605,18 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
         pivots = [_first_nonzero(r) for r in rows]
         if not int_contains(rows, pivots, vec):
             return False
+    return True
+
+
+def pairs_to_zero(terms, poly: Polynomial) -> bool:
+    """Whether every homogeneous component of ``poly`` pairs to zero with
+    every inverse-system row with j ≥ j0 pivot variables of every
+    (forms, e, j0) term in its degree: the row-pairing route for
+    ``graded.intersection_contains``, sharing no code with its expansion."""
+    for d, part in poly.homogeneous_parts().items():
+        vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
+        for forms, e, j0 in terms:
+            for g in graded._inverse_system(forms, poly.nvars, e, d, j0):
+                if sum(a * b for a, b in zip(vec, g) if a):
+                    return False
     return True

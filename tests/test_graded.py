@@ -400,6 +400,60 @@ def test_power_contains_matches_pieces():
                     assert contains_polynomial(gi, poly) == expect
 
 
+def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices):
+    """``intersection_contains`` on one (forms, e, j0) term answers as
+    pairing each component with the inverse-system rows with j ≥ j0 pivot
+    variables (``helpers.pairs_to_zero``), for e = 1..4 and every j0 ≤ e − 1,
+    on flats of braid(3-6) and of the corpus, non-unit pivots among them.
+    A product of j of the forms and d − j free-column variables has
+    v-degree exactly j, so it is inside exactly when j < j0 or j ≥ e: the
+    cases j = j0 − 1, j0, e − 1 and e tell an off-by-one in the truncation
+    or in the j0 cut.  Sums with a component of another degree, and
+    Fraction coefficients, are compared with the oracle too."""
+    import random
+
+    rng = random.Random(24)
+    flats = [W for n in (3, 4, 5, 6) for W in rng.sample(braid_lattices[n].flats[1:], 3)]
+    flats += [W for lat in corpus_lattices for W in rng.sample(lat.flats[1:], 2)]
+    assert any(r[next(c for c, a in enumerate(r) if a)] > 1
+               for W in flats for r in W.basis_rows)
+    answers = set()
+    for flat in flats:
+        forms = flat.basis_rows
+        n = len(forms[0])
+        pivots = {next(c for c, a in enumerate(r) if a) for r in forms}
+        free = [c for c in range(n) if c not in pivots]
+        unit = [tuple(int(k == c) for k in range(n)) for c in range(n)]
+        linear = [Polynomial.from_terms(n, {unit[c]: a for c, a in enumerate(r)})
+                  for r in forms]
+
+        def product(j, d):
+            poly = Polynomial.from_terms(n, {(0,) * n: Fraction(rng.choice((-7, -2, 1, 3, 5)),
+                                                                rng.randint(1, 4))})
+            for _ in range(j):
+                poly = helpers.poly_mul(poly, rng.choice(linear))
+            for _ in range(d - j):
+                poly = helpers.poly_mul(poly, Polynomial.from_terms(n, {unit[rng.choice(free)]: 1}))
+            return poly
+
+        for e in range(1, 5):
+            for j0 in range(e):
+                for j in sorted({j0 - 1, j0, e - 1, e} - {-1}):
+                    d = e + rng.randint(0, 1)
+                    if not free and j < d:  # the origin: every product has v-degree d
+                        continue
+                    term = [(forms, e, j0)]
+                    single = product(j, d)
+                    assert intersection_contains(term, single) == (j < j0 or j >= e)
+                    assert helpers.pairs_to_zero(term, single) == (j < j0 or j >= e)
+                    mixed = helpers.poly_add(single, product(min(rng.randint(0, e + 1), d + 1)
+                                                             if free else d + 1, d + 1))
+                    got = intersection_contains(term, mixed)
+                    assert got == helpers.pairs_to_zero(term, mixed), (flat, e, j0, mixed)
+                    answers.add((j < j0 or j >= e, got))
+    assert answers == {(True, True), (True, False), (False, False)}
+
+
 def test_multiplicative_closure_is_validated():
     lat = compute_lattice(axes(2))
     gx = generator_power(lat.flat_with_closed((0,)), 1, 2)

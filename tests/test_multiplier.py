@@ -135,6 +135,26 @@ def test_verify_jump(braid_lattices, monkeypatch):
         verify_jumps(lat, 1, 0)
 
 
+def test_verify_jumps_stacks_nothing_once_h_passes_the_bound(monkeypatch):
+    """braid(3) with one plane of multiplicity 12: from λ = 4/12 on, h has
+    degree above the bound 3, so every later piece is 0 and every later
+    candidate is answered with no stack; the answers are the generator
+    route's."""
+    arr = braid(3)
+    lat = compute_lattice(Arrangement.from_normals(
+        3, [h.normal for h in arr.hyperplanes], [12, 1, 1]))
+    made = []
+    stack = multiplier._Stack
+    monkeypatch.setattr(multiplier, "_Stack", lambda *a: made.append(a[2]) or stack(*a))
+    answers = verify_jumps(lat, 1, 3)
+    assert answers == helpers.realized_jumps(lat, 1, 3)
+    # the unit ideal, then one fresh stack at each rise of the plane's
+    # exponent up to 4, the first past the bound
+    assert len(made) == 5 and [e for W, e in made[-1] if W.rank == 1] == [4]
+    later = [jump for c, jump in answers if c > Fraction(4, 12)]
+    assert len(later) > 8 and not any(later)
+
+
 def test_membership(braid_lattices):
     lat = braid_lattices[3]
     gmin = minimal_building_set(lat)
@@ -422,8 +442,8 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
                                                              monkeypatch):
     """On braid(5) at λ = 1 every element is a multiple of f, of degree 10,
     while the largest exponent is 7: a polynomial with a nonzero component
-    of degree 7 to 9 is refused before any inverse-system row is built,
-    and f itself is still decided by its rows."""
+    of degree 7 to 9 is refused before any term's expansion is made, and
+    f itself is still decided by the expansions."""
     lat = braid_lattices[5]
     pres = presentation(lat, minimal_building_set(lat), 1)
     assert max(e for _, e in pres.terms) == 7
@@ -435,9 +455,9 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
     for form in forms:
         f = helpers.poly_mul(f, form)
     made = []
-    inverse_system = graded._inverse_system
-    monkeypatch.setattr(graded, "_inverse_system",
-                        lambda *a: made.append(a) or inverse_system(*a))
+    expansion = graded._expansion
+    monkeypatch.setattr(graded, "_expansion",
+                        lambda *a: made.append(a) or expansion(*a))
     for k in (7, 8, 9):
         low = Polynomial.from_terms(n, {(0,) * n: 1})
         for form in forms[:k]:
