@@ -3,8 +3,8 @@
 Compute intersection lattices, building sets, multiplier-ideal
 presentations, log canonical thresholds and jumping numbers, all in exact
 rational arithmetic, and read the ideals' Hilbert functions, membership
-and building-set independence degree by degree from the inverse systems
-of the presented powers.
+and building-set independence degree by degree from each presented
+power's truncated expansion in its flat's coordinates.
 
 The package namespace holds the names the README's library example uses;
 everything else is imported from its submodule (``arrideals.lattice``,

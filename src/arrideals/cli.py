@@ -11,6 +11,7 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,6 +205,7 @@ def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
     return 0
 
 
+@functools.cache  # parsing keeps no state in the parser: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="arrideals",

@@ -1,4 +1,4 @@
-"""Homogeneous ideals read degree by degree through inverse systems.
+"""Homogeneous ideals read degree by degree, each power in its own coordinates.
 
 Every ideal here is an intersection of powers I_W^e of ideals of linear
 flats W, read only in degrees d ≤ D for a degree bound D.  Agreement of
@@ -7,55 +7,44 @@ that is exactly what it is called everywhere.  Monomials of one degree are
 ordered graded-lexicographically (largest exponent vector first), which
 fixes every coefficient vector.
 
-The apolarity pairing of x^a with y^b (y_i acting as ∂/∂x_i) is
-a! = a_0!·a_1!··· when a = b and 0 otherwise.  For a linear flat, the
-perp of (I_W^e)_d under it is Sym^(d−e+1)(W)·S_(e−1), the degree-(d−e+1)
-forms in the points of W times all forms of degree e − 1 (Emsalem–
-Iarrobino, "Inverse system of a symbolic power I", J. Algebra 1995).  With
-every coefficient of y^a of those forms multiplied by a!, the pairing is
-the plain dot product of coefficient vectors.  So the perp of the degree-d
-piece of an intersection is spanned by the stacked inverse systems of all
-its terms: the piece has dimension width − rank, and a polynomial is in
-the intersection when every homogeneous component is orthogonal to them.
-No piece is ever built, nor is an inverse system kept: its rows are built
-as they are read.  The only caches are the per-degree monomial tables.
+A power of a flat's ideal is a monomial ideal in the flat's coordinates.
+Let the canonical forms ℓ_1..ℓ_r of W have pivots p_i, M be the lcm of the
+pivot entries and s_i = M/ℓ_i[p_i].  Put x_c = M·u_c on each free column c
+and x_(p_i) = s_i·(v_i − Σ_c ℓ_i[c]·u_c), so that ℓ_i(x) = M·v_i.  This is
+an invertible change of coordinates with integer coefficients, and in
+(u, v) the ideal I_W is (v_1..v_r), so I_W^e = (v)^e: a form lies in it
+exactly when its coefficients of v-degree below e are all 0.  In degree d
+each such coefficient is a linear functional on coefficient vectors, so
+they span the perp of (I_W^e)_d, and the functionals of all terms span the
+perp of the degree-d piece of an intersection: the piece has dimension
+width − rank, and a polynomial is in the intersection when every
+coefficient of every term vanishes on each homogeneous component.  The
+functional of the coefficient of v^β·u^γ, read on the degree-d monomials
+in order, is the row of that coefficient in their expansions.  So ranks
+and membership read one truncated expansion: membership expands the
+polynomial, and a row is the transpose of the monomials' expansions.  No
+piece is ever built, nor is a perp kept: a term's rows in one degree are
+read off one expansion of that degree's monomials as they are stacked.
+The only caches are the per-degree monomial tables.
 
-Many rows of a term are often spanned already.  A row of I_W^e in degree d
-is a product of d − j points of W and j ≤ e − 1 pivot variables, so it
-lies in Sym^(d−j)(W)·S_j.  Let I_U^(e_U) be a power stacked before it, with
-closed(U) ⊆ closed(W) (W itself at a lower exponent included).  Then the
-flat W lies in the flat U, and for j ≤ e_U − 1 (and d ≥ e_U: every degree
-read is at least every exponent stacked) that space is
-Sym^(d−e_U+1)(W)·Sym^(e_U−1−j)(W)·S_j ⊆ Sym^(d−e_U+1)(U)·S_(e_U−1), U's
-perp, which the stack spans (by induction on the rank, U's own left-out
-rows included).  So a term is (forms, e, j0) and yields only its rows with
-j ≥ j0, j0 the largest such e_U: no rank changes.  With j0 = 0 it yields
-every row; the multiplier module computes j0 from the flats' closed sets.
+Many coefficients of a term are often spanned already.  Let I_U^(e_U) be
+a power stacked before I_W^e, with closed(U) ⊆ closed(W) (W itself at a
+lower exponent included).  Then I_U ⊆ I_W, so I_U^(e_U) ⊆ I_W^(e_U): every
+coefficient of W's expansion of v-degree below e_U vanishes on it, and so
+lies in U's perp, which the stack spans (by induction on the stacking
+order, U's own left-out coefficients included).  So a term is
+(forms, e, j0) and reads only its coefficients of v-degree j0 … e − 1, j0
+the largest such e_U: no rank changes.  With j0 = 0 it reads all of them;
+the multiplier module computes j0 from the flats' closed sets.
 
-The stacked inverse systems live in one object, ``_Perps``: per degree an
-echelon list, to which terms are added in order.  The multiplier module
-reads piece dimensions off its ranks.  Its stacks never hold a principal
-term, a hyperplane's power (ℓ)^e: it factors their product out of the
-intersection (multiplier module docstring) and stacks the rest with
-lowered exponents.  Both it and ``intersection_contains`` take a power
-as a term (forms, e, j0): a flat's canonical rows, an exponent and the
-fewest pivot variables of a row that is read.
-
-Membership in an intersection, ``intersection_contains``, builds no row:
-f ∈ I_W^e means that f vanishes to order e along W.  Let the canonical
-forms ℓ_1..ℓ_r have pivots p_i, M be the lcm of the pivot entries and
-s_i = M/ℓ_i[p_i].  Put x_c = M·u_c on each free column c and
-x_(p_i) = s_i·(v_i − Σ_c ℓ_i[c]·u_c), so that ℓ_i(x) = M·v_i.  The
-polynomial is expanded once per term in (u, v), with integer
-coefficients and truncated at v-degree e, and it passes when every
-coefficient of v-degree j0 … e − 1 is 0.  This is the row pairing,
-coefficient for row: ∂x/∂u_c are the points of W (``int_kernel``'s
-vectors) and ∂x/∂v_i = s_i·e_(p_i), so in a component of degree d the
-coefficient of v^β·u^γ, |β| = j, is ∂_v^β ∂_u^γ f / (β!·γ!), which is
-Π s_i^(β_i)/(β!·γ!) ≠ 0 times the pairing of f with the row
-x_P^β·Π points^γ.  So each coefficient is zero exactly when its row
-pairs to zero, and the rows with j < j0 that the rule above leaves out
-are the coefficients of v-degree below j0.
+The stacked perps live in one object, ``_Perps``: per degree an echelon
+list, to which terms are added in order.  The multiplier module reads
+piece dimensions off its ranks.  Its stacks never hold a principal term, a
+hyperplane's power (ℓ)^e: it factors their product out of the intersection
+(multiplier module docstring) and stacks the rest with lowered exponents.
+Both it and ``intersection_contains`` take a power as a term
+(forms, e, j0): a flat's canonical rows, an exponent and the lowest
+v-degree of a coefficient that is read.
 
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
@@ -68,15 +57,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .linalg import (
-    _first_nonzero,
-    int_insert,
-    int_kernel,
-    to_fraction,
-)
+from .linalg import _first_nonzero, int_insert, to_fraction
 
 Monomial = tuple[int, ...]  # exponent vector; degree = sum of entries
 
@@ -100,11 +84,6 @@ def monomials(nvars: int, degree: int) -> tuple[Monomial, ...]:
             expo[var] += 1
         out.append(tuple(expo))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int) -> dict[Monomial, int]:
-    return {m: i for i, m in enumerate(monomials(nvars, degree))}
 
 
 class PolynomialParseError(ValueError):
@@ -241,75 +220,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def _times_form(poly: dict[Monomial, int], form: Sequence[int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
-    for mono, coef in poly.items():
-        for var, c in enumerate(form):
-            if c:
-                m = list(mono)
-                m[var] += 1
-                m = tuple(m)
-                out[m] = out.get(m, 0) + coef * c
-    return {m: c for m, c in out.items() if c}
-
-
-def _products(forms: Sequence[Sequence[int]], nvars: int,
-              k: int) -> list[dict[Monomial, int]]:
-    """Every product of k of the linear forms, one per multiset of forms."""
-    level = [(0, {(0,) * nvars: 1})]
-    for _ in range(k):
-        if not level:  # no forms: no product of positive degree
-            break
-        level = [(i, _times_form(poly, forms[i]))
-                 for start, poly in level for i in range(start, len(forms))]
-    return [poly for _, poly in level]
-
-
-@lru_cache(maxsize=None)
-def _factorial_weights(nvars: int, degree: int) -> tuple[int, ...]:
-    """a! = a_0!·a_1!··· for each degree-d monomial x^a, in monomial order."""
-    return tuple(prod(map(factorial, m)) for m in monomials(nvars, degree))
-
-
-def _inverse_system(forms: IntRows, nvars: int, exponent: int, degree: int,
-                    j0: int) -> Iterator[list[int]]:
-    """Yield the rows with j ≥ ``j0`` pivot variables of a basis of the perp
-    of (I^e)_d, I the ideal of canonical ``forms``.
-
-    See the module docstring: the points of the flat (the integer kernel of
-    ``forms``) together with the variables at the pivots of ``forms`` are a
-    basis of the linear forms, and the perp has the basis of the monomials
-    in them of degree d with j ≤ e − 1 pivot variables.  Coefficients
-    carry the a! weight, so f lies in (I^e)_d iff f·g = 0 for every row g.
-    With j0 = 0 every row is yielded; a larger j0 leaves out the rows that
-    a stacked power already spans.
-    """
-    last = min(exponent - 1, degree)
-    if j0 > last:
-        return
-    points = int_kernel(forms, nvars)
-    if not points and degree >= exponent:  # each row has a point factor
-        return
-    pivots = [_first_nonzero(f) for f in forms]
-    idx = monomial_index(nvars, degree)
-    weights = _factorial_weights(nvars, degree)
-    for j in range(j0, last + 1):
-        prods = _products(points, nvars, degree - j)
-        for extra in combinations_with_replacement(pivots, j):
-            for poly in prods:
-                vec = [0] * len(idx)
-                for mono, coef in poly.items():
-                    m = list(mono)
-                    for p in extra:
-                        m[p] += 1
-                    pos = idx[tuple(m)]
-                    vec[pos] = coef * weights[pos]
-                yield vec
-
-
 class _Perps:
-    """The stacked inverse systems of some powers, one echelon list per
-    degree 0..bound: in degree d, the perp of the intersection's piece.
+    """The stacked perps of some powers, one echelon list per degree
+    0..bound: in degree d, the perp of the intersection's piece.
 
     A power I^e has no piece below degree e, so every degree below the
     largest exponent added, ``low``, is the whole space and takes no rows.
@@ -330,10 +243,13 @@ class _Perps:
 
     def add(self, terms: Sequence[tuple[object, int, int]],
             rows: Callable[[object], IntRows] = lambda forms: forms) -> None:
-        """Stack the inverse systems of the powers I^e, one per (forms, e, j0),
-        in order: the rows with j ≥ j0 pivot variables (module docstring)
-        of the ideal of the canonical forms ``rows(forms)``, read only for
-        the terms that yield a row."""
+        """Stack the perps of the powers I^e, one per (forms, e, j0), in
+        order: the rows of the coefficients of v-degree j0 … e − 1 (module
+        docstring) of the ideal of the canonical forms ``rows(forms)``,
+        read only for the terms that yield a row.  Each degree's echelon
+        is independent, so a term's coordinates and powers are built once
+        and read in every degree.  A flat with no free column yields none:
+        every image of a degree-d monomial has v-degree d ≥ e."""
         self.low = max(self.low, max((e for _, e, _ in terms), default=0))
         if self.low > self.bound:
             return
@@ -342,12 +258,17 @@ class _Perps:
             _check_width(self.nvars, self.bound)
             self.widths = [comb(self.nvars + d - 1, d) for d in range(self.bound + 1)]
             self.echelons = [([], []) for _ in self.widths]
-        for d in range(self.low, self.bound + 1):
-            rows, pivots = self.echelons[d]
-            stacked = (g for forms, e, j0 in terms
-                       for g in _inverse_system(forms, self.nvars, e, d, j0))
-            while len(rows) < self.widths[d] and (g := next(stacked, None)) is not None:
-                int_insert(rows, pivots, g)
+        for forms, e, j0 in terms:
+            if len(forms) == self.nvars:
+                continue
+            power = _Power(forms, e, j0, self.bound + 1)
+            for d in range(self.low, self.bound + 1):
+                rows, pivots = self.echelons[d]
+                if len(rows) < self.widths[d]:
+                    for g in power.rows(d):
+                        int_insert(rows, pivots, g)
+                        if len(rows) == self.widths[d]:
+                            break
 
     def dims(self) -> list[int]:
         """Dimension of each piece of the intersection: width − rank."""
@@ -360,7 +281,7 @@ class _Perps:
 # Most monomials of one degree a piece or membership test may span: C(15, 10),
 # every degree up to the default cap 10 in six variables.  Memory grows with
 # the square: hilbert on braid(7) at λ = 2/3, six essential variables, stacks
-# a nearly full-rank perp of width 3003 at degree 10 in 117 MB max RSS (300 s
+# a nearly full-rank perp of width 3003 at degree 10 in 121 MB max RSS (238 s
 # on a 2-core machine, Python 3.11.7).  Membership stacks nothing, and each
 # of its products has at most the width's terms, but it keeps the guard so
 # that it refuses the same inputs with the same message.
@@ -398,50 +319,80 @@ def _times(a: dict[int, int], b: dict[int, int], cut: int) -> dict[int, int]:
     return out
 
 
-def _expansion(forms: IntRows, exponent: int, j0: int,
-               poly: Sequence[tuple[Monomial, int]], base: int) -> dict[int, int]:
-    """The coefficients of v-degree j0 … e − 1 of a polynomial, given by its
-    integer terms in lexicographic order, in the coordinates (u, v) of the
-    canonical ``forms`` (module docstring).
+class _Power:
+    """A power I^e of the ideal of canonical ``forms``, read through its
+    coefficients of v-degree j0 … e − 1 in the coordinates (u, v) of the
+    forms (module docstring).
 
     A monomial in (u, v) is packed into one integer: digit c (in ``base``,
-    which must exceed the degree) is the exponent of the variable at column
-    c, and digit n, the most significant, is the v-degree.  Products add
-    keys without carry, and v-degree < e reads key < e·base^n.  Each
-    monomial's image is a product of powers of the images of the variables,
-    shared along common prefixes, and only its terms below v-degree e are
-    ever formed; a monomial with fewer than j0 pivot variables has no term
-    of v-degree j0 or more.
+    which must exceed every degree read) is the exponent of the variable
+    at column c, u_c on a free column and v_i on the pivot p_i, and digit
+    n, the most significant, is the v-degree.  Products add keys without
+    carry, and v-degree < e reads key < e·base^n.  Each monomial's image is
+    a product of powers of the images of the variables, shared along
+    common prefixes, and only its terms below v-degree e are ever formed;
+    the powers are kept for every later read.  A monomial with fewer than
+    j0 pivot variables has no term of v-degree j0 or more and is skipped.
     """
-    n = len(forms[0])
-    pivots = [_first_nonzero(f) for f in forms]
-    scale = lcm(*(f[p] for f, p in zip(forms, pivots)))
-    unit = base ** n
-    cut, low = exponent * unit, j0 * unit
-    images = [{base ** c: scale} for c in range(n)]  # x_c = M·u_c on a free column
-    for f, p in zip(forms, pivots):  # x_p = s·(v − Σ_c f[c]·u_c), s = M/f[p]
-        s = scale // f[p]
-        images[p] = {base ** p + unit: s, **{base ** c: -s * f[c] for c in range(p + 1, n) if f[c]}}
-    powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in range(n)]
-    stack, prev = [{0: 1}], (-1,) * n  # stack[c]: the product over the columns before c
-    out: dict[int, int] = {}
-    for mono, coef in poly:
-        if j0 and sum(mono[p] for p in pivots) < j0:
-            continue
-        start = 0
-        while mono[start] == prev[start]:
-            start += 1
-        del stack[start + 1:]
-        for c in range(start, n):
-            k = mono[c]
-            while len(powers[c]) <= k:
-                powers[c].append(_times(powers[c][-1], images[c], cut))
-            stack.append(_times(stack[-1], powers[c][k], cut) if k else stack[-1])
-        for key, a in stack[-1].items():
-            if key >= low:
-                out[key] = out.get(key, 0) + coef * a
-        prev = mono
-    return out
+
+    def __init__(self, forms: IntRows, exponent: int, j0: int, base: int) -> None:
+        self.forms, self.exponent, self.j0 = forms, exponent, j0
+        n = len(forms[0])
+        self.pivots = [_first_nonzero(f) for f in forms]
+        scale = lcm(*(f[p] for f, p in zip(forms, self.pivots)))
+        unit = base ** n
+        self.cut, self.low = exponent * unit, j0 * unit
+        self.images = [{base ** c: scale} for c in range(n)]  # x_c = M·u_c, c free
+        for f, p in zip(forms, self.pivots):  # x_p = s·(v − Σ_c f[c]·u_c), s = M/f[p]
+            s = scale // f[p]
+            self.images[p] = {base ** p + unit: s,
+                              **{base ** c: -s * f[c] for c in range(p + 1, n) if f[c]}}
+        self.powers = [[{0: 1}] for _ in range(n)]
+
+    def expand(self, monos: Sequence[Monomial]) -> Iterator[tuple[int, dict[int, int]]]:
+        """(i, the terms of v-degree below e of the image of ``monos[i]``) for
+        each monomial with at least j0 pivot variables, in order; only the
+        keys from ``low`` on are coefficients that are read.  Monomials
+        with a common prefix must be adjacent, as in lexicographic order,
+        either way."""
+        images, powers, pivots, j0, cut = self.images, self.powers, self.pivots, self.j0, self.cut
+        n = len(images)
+        stack, prev = [{0: 1}], (-1,) * n  # stack[c]: the product over the columns before c
+        for i, mono in enumerate(monos):
+            if j0 and sum([mono[p] for p in pivots]) < j0:
+                continue
+            start = 0
+            while mono[start] == prev[start]:
+                start += 1
+            del stack[start + 1:]
+            for c in range(start, n):
+                k = mono[c]
+                column = powers[c]
+                while len(column) <= k:
+                    column.append(_times(column[-1], images[c], cut))
+                stack.append(_times(stack[-1], column[k], cut) if k else stack[-1])
+            prev = mono
+            yield i, stack[-1]
+
+    def rows(self, degree: int) -> Iterator[list[int]]:
+        """One row per coefficient of v-degree j0 … e − 1 in degree ``degree``:
+        its value on each degree-d monomial, in monomial order."""
+        monos = monomials(len(self.images), degree)
+        low = self.low
+        coefficients: dict[int, dict[int, int]] = {}
+        for i, image in self.expand(monos):
+            for key, a in image.items():
+                if key < low:
+                    continue
+                if key in coefficients:
+                    coefficients[key][i] = a
+                else:
+                    coefficients[key] = {i: a}
+        for entries in coefficients.values():
+            row = [0] * len(monos)
+            for i, a in entries.items():
+                row[i] = a
+            yield row
 
 
 def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
@@ -450,12 +401,11 @@ def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
     (forms, e, j0) term with canonical forms, without realizing it.
 
     For each term, the polynomial is expanded once in the term's
-    coordinates (u, v), truncated at v-degree e, and it passes when every
-    coefficient of v-degree j0 … e − 1 is 0: each is a nonzero multiple of
-    the pairing with one inverse-system row with j ≥ j0 pivot variables
-    (the other rows lie in the span of the terms', module docstring).  The
-    homogeneous components are expanded together, as their images have
-    distinct degrees.  A nonzero component of degree below the largest e
+    coordinates (u, v), truncated at v-degree e (``_Power``), and it passes
+    when every coefficient of v-degree j0 … e − 1 is 0; those below j0
+    vanish on all of an earlier term's power, which the polynomial must
+    lie in too (module docstring).  The homogeneous components are
+    expanded together, as their images have distinct degrees.  A nonzero component of degree below the largest e
     lies in no such intersection.  Nor does one below the degree of h, the
     product of the principal terms' powers (ℓ^e, one form): distinct
     canonical forms are non-proportional primes, so every element of the
@@ -481,6 +431,17 @@ def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
         return False
     den = lcm(*(c.denominator for _, c in poly.terms))
     ints = sorted((m, c.numerator * (den // c.denominator)) for m, c in poly.terms)
+    monos = [m for m, _ in ints]
     base = max(parts, default=0) + 1
-    return not any(j0 < e and any(_expansion(forms, e, j0, ints, base).values())
-                   for forms, e, j0 in terms)
+    for forms, e, j0 in terms:
+        if j0 < e:
+            power = _Power(forms, e, j0, base)
+            low, out = power.low, {}
+            for i, image in power.expand(monos):
+                coef = ints[i][1]
+                for key, a in image.items():
+                    if key >= low:
+                        out[key] = out.get(key, 0) + coef * a
+            if any(out.values()):
+                return False
+    return True

@@ -172,25 +172,3 @@ def int_canonical(rows: Sequence[Sequence[int]],
     for r in rs:
         _strip(r)  # reduced rows, and inputs, need not be primitive
     return tuple(tuple(r) for r in rs)
-
-
-def int_kernel(canonical: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Integer basis of the vectors orthogonal to every row, one per free column.
-
-    ``canonical`` must be in reduced echelon form (``int_canonical``): each
-    row is zero at the other rows' pivots.  The vector of free column j is
-    L at j and −L·r[j]/r[p] at the pivot p of each row r, L the lcm of the
-    pivot entries, and zero elsewhere.
-    """
-    pivots = [_first_nonzero(r) for r in canonical]
-    scale = lcm(*(r[p] for r, p in zip(canonical, pivots)))
-    out = []
-    for j in sorted(set(range(width)).difference(pivots)):
-        v = [0] * width
-        v[j] = scale
-        for r, p in zip(canonical, pivots):
-            if r[j]:
-                v[p] = -r[j] * scale // r[p]
-        out.append(v)
-    return out
-

@@ -24,8 +24,9 @@ at (r + e − 1)/s.  The table's values are the candidates, and its entries
 grouped by value are the terms ``verify_jumps`` stacks again.
 
 ``hilbert_function``, ``theorem_rows`` and ``verify_jumps`` need only piece
-dimensions, and read them as ranks of stacked inverse systems (the graded
-module's ``_Perps``), building no ideal:
+dimensions, and read them as ranks of stacked perps (the graded module's
+``_Perps``: each power's coefficients of low degree in its flat's
+coordinates), building no ideal:
 
 - Hyperplane factor.  A hyperplane's term is principal, (ℓ_H)^(e_H), so
   an ideal J of (W, e) terms over any building set (each contains the
@@ -66,9 +67,9 @@ module's ``_Perps``), building no ideal:
   candidate's.  Between two candidates where a hyperplane's exponent
   rises, h is fixed and J″ shrinks the same way, so its perps only grow:
   one ascending pass stacks a term again only when its exponent rises
-  (the inverse system of I^e lies in that of I^(e+1)), and then only its
-  new rows: those with at least e_old pivot variables, fewer rows still
-  if a smaller flat's exponent is higher (below).  Where a hyperplane's
+  (the perp of I^e lies in that of I^(e+1)), and then only its new rows:
+  the coefficients of v-degree at least e_old, fewer rows still if a
+  smaller flat's exponent is higher (below).  Where a hyperplane's
   exponent rises, h grows and J″ need not shrink, so a fresh stack takes
   the whole presentation there.  Once deg h is above the bound, every
   later piece is 0 as well, so every later candidate is answered with no
@@ -81,13 +82,13 @@ module's ``_Perps``), building no ideal:
   only the rows that no stacked power of a smaller flat spans (on
   braid(4) and braid(5), none).  By the containment, equal dimensions in
   a degree mean equal pieces.
-- Each row once.  A term (W, e) of J″ yields only its rows with at least
-  j0 pivot variables, j0 the largest exponent stacked before it on W or
-  a flat below W; the others lie in the stack's span (graded module
-  docstring).  ``_Stacked`` reads j0 off closed-set bitsets across the
-  batches of one stack, and over a presentation's terms for
-  ``membership``.  A flat's rows are read only for a term that yields
-  one.
+- Each row once.  A term (W, e) of J″ yields only its coefficients of
+  v-degree at least j0, j0 the largest exponent stacked before it on W
+  or a flat below W; the others vanish on that flat's power, so they lie
+  in the stack's span (graded module docstring).  ``_Stacked`` reads j0
+  off closed-set bitsets across the batches of one stack, and over a
+  presentation's terms for ``membership``.  A flat's rows are read only
+  for a term that yields one.
 """
 
 from __future__ import annotations
@@ -209,9 +210,8 @@ class _Stacked:
     def first_new_rows(self, terms):
         """(W, e, j0) for each (W, e) term in order, stacking it: j0 is the
         largest exponent stacked before it on a flat U with closed(U) ⊆
-        closed(W), W itself included, so W's inverse-system rows with
-        fewer than j0 pivot variables lie in U's perp (graded module
-        docstring)."""
+        closed(W), W itself included, so W's coefficients of v-degree
+        below j0 lie in U's perp (graded module docstring)."""
         for W, e in terms:
             closed = set(W.closed_set)
             below = (1 << self.count) - 1

@@ -4,21 +4,24 @@ the generator route for graded ideals.
 
 ``normal_space`` and ``pieces`` convert the package's canonical integer
 rows to Fraction RREF subspaces (``fraction_linalg``) for comparison.
-The package reads ideals through inverse systems and never builds a
-piece; the tests build them here.  A ``GradedIdeal`` holds the canonical
-rows of each piece up to a degree bound and checks multiplicative closure
-when built.  ``generator_power`` and ``zassenhaus_intersect`` build pieces
-from generators (products of normal forms, shifted degree by degree) and
-intersect them pairwise with ``int_intersect``, sharing no code with the
-package's inverse systems; ``generator_presentation_ideal`` realizes a
-presentation that way.  ``graded_equal``, ``graded_contains`` and
-``contains_polynomial`` compare realized truncations piece by piece.
-``fraction_rows_in`` and ``realized_jumps`` are independent routes for the
-essential coordinates and for the jump sweep, and ``pairs_to_zero`` for
-membership: it pairs each component with the inverse-system rows.
-``poly_add``, ``poly_mul`` and ``format_polynomial`` are the polynomial
-arithmetic and printing, and ``int_contains`` the span test, that only
-tests need."""
+The package reads ideals through truncated expansions in each flat's
+coordinates and never builds a piece; the tests build them here.  A
+``GradedIdeal`` holds the canonical rows of each piece up to a degree
+bound and checks multiplicative closure when built.  ``generator_power``
+and ``zassenhaus_intersect`` build pieces from generators (products of
+normal forms, shifted degree by degree) and intersect them pairwise with
+``int_intersect``, sharing no code with the package's expansions;
+``generator_presentation_ideal`` realizes a presentation that way.
+``graded_equal``, ``graded_contains`` and ``contains_polynomial`` compare
+realized truncations piece by piece.  ``fraction_rows_in`` and
+``realized_jumps`` are independent routes for the essential coordinates
+and for the jump sweep.  ``inverse_system`` builds each power's perp by
+apolarity (from the points of ``int_kernel``), the oracle for the rows
+the package stacks, and ``pairs_to_zero`` pairs a polynomial's components
+with those rows, the oracle for membership.  ``poly_add``, ``poly_mul``
+and ``format_polynomial`` are the polynomial arithmetic and printing, and
+``int_contains`` and ``monomial_index`` the span test and monomial
+positions, that only tests need."""
 
 from __future__ import annotations
 
@@ -27,13 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from arrideals.arrangement import Arrangement, Hyperplane
 from arrideals.building import is_building_set, is_decomposition, minimal_building_set
 from arrideals.errors import InvariantError
-from arrideals import graded
-from arrideals.graded import Polynomial, monomial_index, monomials
+from arrideals.graded import Polynomial, monomials
 from arrideals.lattice import Flat, IntersectionLattice
 from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
@@ -56,6 +58,12 @@ from fraction_linalg import (
 def int_contains(rows, pivots, vec) -> bool:
     """Whether ``vec`` lies in the span of an echelon list."""
     return not any(int_reduce(vec, rows, pivots))
+
+
+@lru_cache(maxsize=None)
+def monomial_index(nvars: int, degree: int) -> dict:
+    """Position of each degree-d monomial in ``graded.monomials`` order."""
+    return {m: i for i, m in enumerate(monomials(nvars, degree))}
 
 
 # --- Fraction views of integer data ---------------------------------------
@@ -608,6 +616,101 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
     return True
 
 
+def int_kernel(canonical, width: int) -> list[list[int]]:
+    """Integer basis of the vectors orthogonal to every row, one per free column.
+
+    ``canonical`` must be in reduced echelon form (``int_canonical``): each
+    row is zero at the other rows' pivots.  The vector of free column j is
+    L at j and −L·r[j]/r[p] at the pivot p of each row r, L the lcm of the
+    pivot entries, and zero elsewhere.
+    """
+    pivots = [_first_nonzero(r) for r in canonical]
+    scale = lcm(*(r[p] for r, p in zip(canonical, pivots)))
+    out = []
+    for j in sorted(set(range(width)).difference(pivots)):
+        v = [0] * width
+        v[j] = scale
+        for r, p in zip(canonical, pivots):
+            if r[j]:
+                v[p] = -r[j] * scale // r[p]
+        out.append(v)
+    return out
+
+
+def _times_form(poly: dict, form) -> dict:
+    out: dict = {}
+    for mono, coef in poly.items():
+        for var, c in enumerate(form):
+            if c:
+                m = list(mono)
+                m[var] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + coef * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _form_products(forms, nvars: int, k: int) -> list[dict]:
+    """Every product of k of the linear forms, one per multiset of forms."""
+    level = [(0, {(0,) * nvars: 1})]
+    for _ in range(k):
+        if not level:  # no forms: no product of positive degree
+            break
+        level = [(i, _times_form(poly, forms[i]))
+                 for start, poly in level for i in range(start, len(forms))]
+    return [poly for _, poly in level]
+
+
+def inverse_system(forms, nvars: int, exponent: int, degree: int, j0: int):
+    """The rows with j ≥ ``j0`` pivot variables of a basis of the perp of
+    (I^e)_d, I the ideal of canonical ``forms``, built by apolarity: the
+    Emsalem–Iarrobino route for ``graded._Power.rows``, sharing no code
+    with its expansion.
+
+    The apolarity pairing of x^a with y^b (y_i acting as ∂/∂x_i) is
+    a! = a_0!·a_1!··· when a = b and 0 otherwise.  For a linear flat, the
+    perp of (I_W^e)_d under it is Sym^(d−e+1)(W)·S_(e−1), the
+    degree-(d−e+1) forms in the points of W times all forms of degree
+    e − 1 (Emsalem–Iarrobino, "Inverse system of a symbolic power I",
+    J. Algebra 1995).  The points of W (``int_kernel``) together with the
+    variables at the pivots of the forms are a basis of the linear forms,
+    so the perp has the basis of the monomials in them of degree d with
+    j ≤ e − 1 pivot variables.  Every coefficient of y^a carries the a!
+    weight, so the pairing is the plain dot product: f lies in (I^e)_d iff
+    f·g = 0 for every row g.
+
+    The j0 rule, apolarity's way: such a row is a product of d − j points
+    of W and j pivot variables, so it lies in Sym^(d−j)(W)·S_j.  Let
+    I_U^(e_U) be a power stacked before it, with closed(U) ⊆ closed(W).
+    Then the flat W lies in the flat U, and for j ≤ e_U − 1 (and d ≥ e_U)
+    that space is Sym^(d−e_U+1)(W)·Sym^(e_U−1−j)(W)·S_j ⊆
+    Sym^(d−e_U+1)(U)·S_(e_U−1), U's perp.  The row of the coefficient of
+    v^β·u^γ that ``graded`` reads is Π s_i^(β_i)/(β!·γ!) times the row
+    x_P^β·Π points^γ here, as ∂x/∂u_c are the points and
+    ∂x/∂v_i = s_i·e_(p_i), so the two span the same perp row for row.
+    """
+    last = min(exponent - 1, degree)
+    if j0 > last:
+        return
+    points = int_kernel(forms, nvars)
+    if not points and degree >= exponent:  # each row has a point factor
+        return
+    pivots = [_first_nonzero(f) for f in forms]
+    idx = monomial_index(nvars, degree)
+    weights = [prod(map(factorial, m)) for m in monomials(nvars, degree)]
+    for j in range(j0, last + 1):
+        prods = _form_products(points, nvars, degree - j)
+        for extra in combinations_with_replacement(pivots, j):
+            for poly in prods:
+                vec = [0] * len(idx)
+                for mono, coef in poly.items():
+                    m = list(mono)
+                    for p in extra:
+                        m[p] += 1
+                    pos = idx[tuple(m)]
+                    vec[pos] = coef * weights[pos]
+                yield vec
+
+
 def pairs_to_zero(terms, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` pairs to zero with
     every inverse-system row with j ≥ j0 pivot variables of every
@@ -616,7 +719,7 @@ def pairs_to_zero(terms, poly: Polynomial) -> bool:
     for d, part in poly.homogeneous_parts().items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
         for forms, e, j0 in terms:
-            for g in graded._inverse_system(forms, poly.nvars, e, d, j0):
+            for g in inverse_system(forms, poly.nvars, e, d, j0):
                 if sum(a * b for a, b in zip(vec, g) if a):
                     return False
     return True

@@ -447,22 +447,22 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
 def record_stacking(monkeypatch):
     """Two lists: each batch of (flat, exponent, j0) terms added to a
     stack, with the stack, and each (forms, exponent, j0, degree, row) that
-    a term's inverse system yields."""
+    a term's power yields."""
     stacked, rows = [], []
     add = graded._Perps.add
-    inverse_system = graded._inverse_system
+    power_rows = graded._Power.rows
 
     def recording_add(perps, terms, rows_of):
         stacked.append((perps, list(terms)))
         add(perps, terms, rows_of)
 
-    def recording_inverse_system(forms, nvars, e, d, j0):
-        for g in inverse_system(forms, nvars, e, d, j0):
-            rows.append((forms, e, j0, d, g))
+    def recording_rows(power, d):
+        for g in power_rows(power, d):
+            rows.append((power.forms, power.exponent, power.j0, d, g))
             yield g
 
     monkeypatch.setattr(graded._Perps, "add", recording_add)
-    monkeypatch.setattr(graded, "_inverse_system", recording_inverse_system)
+    monkeypatch.setattr(graded._Power, "rows", recording_rows)
     return stacked, rows
 
 
@@ -683,6 +683,28 @@ def test_deterministic_output(capsys, braid3_file):
     _, first, _ = run(capsys, ["lattice", braid3_file, "--json"])
     _, second, _ = run(capsys, ["lattice", braid3_file, "--json"])
     assert first == second
+
+
+def test_one_parser_serves_every_call(capsys, braid3_file):
+    """``main`` builds its parser once per process: a run of different
+    subcommands, a usage error and a refused value among them, prints the
+    same bytes and exit codes as the same calls each on a fresh parser."""
+    calls = [["lct", braid3_file], ["mi", braid3_file, "--lambda", "2/3", "--json"],
+             ["mi", braid3_file], ["jumps", braid3_file, "--max", "1", "--verify"],
+             ["member", braid3_file, "--lambda", "2/3", "--poly", "x5"],
+             ["hilbert", braid3_file, "--lambda", "2/3", "--set", "full"],
+             ["member", braid3_file, "--lambda", "1", "--poly", "x0^2 - x1^2"],
+             ["jumps", braid3_file, "--max", "1/0"], ["lct", braid3_file]]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 0, 0, 1, 0]
+    assert shared[4][2] == "error: variable x5 out of range (have x0..x2) at position 0\n"
 
 
 def test_usage_errors(capsys, braid3_file):

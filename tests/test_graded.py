@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 from math import comb
 
@@ -15,7 +14,6 @@ from arrideals.graded import (
     PolynomialParseError,
     _check_width,
     intersection_contains,
-    monomial_index,
     monomials,
     parse_polynomial,
 )
@@ -29,6 +27,7 @@ from helpers import (
     generator_power,
     graded_contains,
     graded_equal,
+    monomial_index,
     piece_dims,
     zassenhaus_intersect,
 )
@@ -103,47 +102,35 @@ def test_perps_build_no_degree_below_the_exponent():
     assert unit.dims() == [1, 2, 3, 4]
 
 
-def test_products_stop_when_no_form_is_left(monkeypatch):
-    """With one essential variable the flat has no points, so there is no
-    product of positive degree: no form is multiplied, no degree at or
-    above the exponent gets a row or builds its monomial index and
-    factorial weights, and _products stops at once instead of passing k
-    times over an empty list."""
-    calls = []
-    times_form = graded._times_form
+def test_flat_with_no_free_column_yields_no_row(monkeypatch):
+    """A flat with no free column, such as the origin, has x_p = s·v_p for
+    every variable, so every image of a degree-d monomial has v-degree d:
+    at d ≥ e, every degree a stack reads, its power yields no row and no
+    monomial is expanded, and the piece is the whole degree.  A flat with
+    a free column is expanded.  On one hyperplane at degree 40 the
+    Hilbert function is read without any expansion."""
+    expanded = []
+    expand = graded._Power.expand
 
-    def counting_times_form(poly, form):
-        calls.append(form)
-        return times_form(poly, form)
+    def recording_expand(power, monos):
+        expanded.append(power.forms)
+        return expand(power, monos)
 
-    monkeypatch.setattr(graded, "_times_form", counting_times_form)
-    for cached in (graded._factorial_weights, graded.monomial_index):
-        cached.cache_clear()
+    monkeypatch.setattr(graded._Power, "expand", recording_expand)
+    for n, e, bound in ((1, 3, 40), (2, 2, 10), (3, 1, 8), (3, 4, 8)):
+        origin = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        perps = graded._Perps(n, bound)
+        perps.add([(origin, e, 0)])
+        assert perps.dims() == [0] * e + [comb(n + d - 1, d) for d in range(e, bound + 1)]
+    assert expanded == []
     line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
     pres = presentation(line, minimal_building_set(line), 1)
     assert hilbert_function(line, pres, 40) == [comb(d + 2, 2) - comb(d + 1, 1)
                                                 for d in range(41)]
-    assert calls == []
-    assert graded._factorial_weights.cache_info().misses == 0
-    assert graded.monomial_index.cache_info().misses == 0
-    lines = []
-
-    def trace(frame, event, arg):
-        if frame.f_code is not graded._products.__code__:
-            return None
-        if event == "line":
-            lines.append(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        products = graded._products((), 1, 1000)
-    finally:
-        sys.settrace(previous)
-    # one pass per k would trace at least 2000 lines
-    assert products == [] and len(lines) < 100
-    assert graded._products((), 1, 0) == [{(0,): 1}]
+    assert expanded == []
+    perps = graded._Perps(2, 3)
+    perps.add([(((1, 0),), 2, 0)])
+    assert perps.dims() == [0, 0, 1, 2] and set(expanded) == {((1, 0),)}
 
 
 def test_power_of_origin():
@@ -452,6 +439,43 @@ def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices):
                     assert got == helpers.pairs_to_zero(term, mixed), (flat, e, j0, mixed)
                     answers.add((j < j0 or j >= e, got))
     assert answers == {(True, True), (True, False), (False, False)}
+
+
+def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices):
+    """The rows a power stacks (``_Power.rows``, the coefficients of
+    v-degree j0 … e − 1 of the expanded monomials) span the same space as
+    the inverse-system rows with j ≥ j0 pivot variables built by
+    apolarity (``helpers.inverse_system``): the two sets and their union
+    have one rank.  On sampled flats of braid(3-6) and of the corpus, in
+    the essential coordinates a stack uses, non-unit pivots among them,
+    for e = 1..4, every j0 ≤ e − 1 and every degree up to 6.  A truncation
+    at e ± 1 or a j0 cut off by one changes the rank of one set only."""
+    import random
+
+    from arrideals.lattice import rows_in
+    from arrideals.linalg import int_span
+
+    rng = random.Random(25)
+    cases = [(lat, W) for n in (3, 4, 5, 6)
+             for lat in [braid_lattices[n]] for W in rng.sample(lat.flats[1:-1], 2)]
+    cases += [(lat, rng.choice(lat.flats[1:])) for lat in corpus_lattices]
+    flats = [rows_in(lat.flats[-1], W) for lat, W in cases]
+    assert any(r[next(c for c, a in enumerate(r) if a)] > 1 for forms in flats for r in forms)
+    compared = 0
+    for forms in flats:
+        n = len(forms[0])
+        for e in range(1, 5):
+            for j0 in range(e):
+                power = graded._Power(forms, e, j0, 7)
+                for d in range(7):
+                    width = comb(n + d - 1, d)
+                    ours = list(power.rows(d))
+                    theirs = list(helpers.inverse_system(forms, n, e, d, j0))
+                    rank = len(int_span(ours, width)[0])
+                    assert rank == len(int_span(theirs, width)[0]), (forms, e, j0, d)
+                    assert rank == len(int_span(ours + theirs, width)[0]), (forms, e, j0, d)
+                    compared += rank > 0
+    assert compared > 500
 
 
 def test_multiplicative_closure_is_validated():

@@ -327,7 +327,7 @@ def test_normal_crossings_coordinate_axes():
     is the principal monomial ideal with exponents floor(lambda * m_i)."""
     from math import comb
 
-    from arrideals.graded import monomial_index
+    from helpers import monomial_index
 
     cases = [
         (2, (1, 1)),
@@ -455,9 +455,9 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
     for form in forms:
         f = helpers.poly_mul(f, form)
     made = []
-    expansion = graded._expansion
-    monkeypatch.setattr(graded, "_expansion",
-                        lambda *a: made.append(a) or expansion(*a))
+    expand = graded._Power.expand
+    monkeypatch.setattr(graded._Power, "expand",
+                        lambda *a: made.append(a) or expand(*a))
     for k in (7, 8, 9):
         low = Polynomial.from_terms(n, {(0,) * n: 1})
         for form in forms[:k]:
@@ -514,10 +514,12 @@ def test_lift_matches_closed_form():
 
 
 def skipped_rows(lat, bound, *batches):
-    """Stack the batches of (W, e) terms as ``_stacked_dims`` does and
-    check, with Fraction spans, that each row a term leaves out (fewer than
-    j0 pivot variables) lies in the span of the rows stacked before it, in
-    every degree the stack reads; the number of rows left out."""
+    """Stack the batches of (W, e) terms as ``_Stack`` does and check, with
+    Fraction spans, that each row a term leaves out (a coefficient of
+    v-degree below j0, split off by ``graded._Power.rows``) lies in the
+    span of the inverse-system rows (``helpers.inverse_system``) stacked
+    before it, in every degree the stack reads; the number of rows left
+    out."""
     top = lat.flats[-1]
     n = top.rank
     stacked, seq, low = multiplier._Stacked(), [], 0
@@ -533,13 +535,14 @@ def skipped_rows(lat, bound, *batches):
         for low, (forms, e, j0) in seq:
             if low > d:  # this degree is never stacked
                 break
-            left_out = list(graded._inverse_system(forms, n, min(j0, e), d, 0))
-            kept = list(graded._inverse_system(forms, n, e, d, j0))
-            assert sorted(left_out + kept) == sorted(graded._inverse_system(forms, n, e, d, 0))
+            left_out = list(graded._Power(forms, min(j0, e), 0, bound + 1).rows(d))
+            kept = list(graded._Power(forms, e, j0, bound + 1).rows(d))
+            assert sorted(left_out + kept) == sorted(graded._Power(forms, e, 0, bound + 1).rows(d))
             assert all(span_contains(space, g) for g in left_out)
             count += len(left_out)
-            if kept:
-                space = span_sum(space, span(kept, width))
+            oracle = list(helpers.inverse_system(forms, n, e, d, j0))
+            if oracle:
+                space = span_sum(space, span(oracle, width))
     return count
 
 
