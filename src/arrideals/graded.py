@@ -92,32 +92,34 @@ class PolynomialParseError(ValueError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial with rational coefficients: an ``int`` or a
+    ``Fraction``, which compare and hash alike when equal.
 
     Terms are stored sorted in graded lex order, highest first, with no
     zero coefficients.
     """
 
     nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, int | Fraction], ...]
 
     @classmethod
     def from_terms(cls, nvars: int,
-                   mapping: Mapping[Monomial, Fraction]) -> "Polynomial":
+                   mapping: Mapping[Monomial, int | Fraction]) -> "Polynomial":
         clean = {}
         for mono, coef in mapping.items():
             mono = tuple(mono)
             if len(mono) != nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
-            coef = to_fraction(coef)
+            if not isinstance(coef, int):
+                coef = to_fraction(coef)
             if coef:
                 clean[mono] = coef
         ordered = sorted(clean.items(),
                          key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return cls(nvars, tuple(ordered))
 
-    def homogeneous_parts(self) -> dict[int, dict[Monomial, Fraction]]:
-        parts: dict[int, dict[Monomial, Fraction]] = {}
+    def homogeneous_parts(self) -> dict[int, dict[Monomial, int | Fraction]]:
+        parts: dict[int, dict[Monomial, int | Fraction]] = {}
         for mono, coef in self.terms:
             parts.setdefault(sum(mono), {})[mono] = coef
         return parts
@@ -131,7 +133,8 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
     A term is an optional rational coefficient ("p" or "p/q"), an optional
     "*", then "*"-joined factors x<i> with an optional ^<k>.  Variables run
-    x0..x{nvars-1}; whitespace is ignored.
+    x0..x{nvars-1}; whitespace is ignored.  Integer coefficients stay ``int``;
+    only a "p/q" makes a ``Fraction``.
     """
     tokens: list[tuple[str, str, int]] = []
     for m in _TOKEN.finditer(text):
@@ -144,7 +147,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
             )
         tokens.append((kind, m.group(), m.start()))
 
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int | Fraction] = {}
     pos = 0
 
     def peek():
@@ -165,18 +168,22 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
             kind, value, at = peek()
         if kind is None:
             raise PolynomialParseError(f"expected a term at position {at}")
-        coef = Fraction(sign)
+        coef = sign
         expo = [0] * nvars
         if kind == "num":
             take()
-            if "/" in value and int(value.split("/")[1]) == 0:
+            num, _, den = value.partition("/")
+            if not den:
+                coef *= int(num)
+            elif int(den) == 0:
                 raise PolynomialParseError(f"zero denominator at position {at}")
-            coef *= Fraction(value)
+            else:
+                coef = Fraction(sign * int(num), int(den))
             if peek()[:2] == ("op", "*"):
                 take()
             elif peek()[0] != "var":
                 # bare constant term
-                acc[tuple(expo)] = acc.get(tuple(expo), Fraction(0)) + coef
+                acc[tuple(expo)] = acc.get(tuple(expo), 0) + coef
                 return
         while True:  # at the first factor or after a "*": a variable must follow
             kind, value, at = peek()
@@ -202,7 +209,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 break
             take()
         mono = tuple(expo)
-        acc[mono] = acc.get(mono, Fraction(0)) + coef
+        acc[mono] = acc.get(mono, 0) + coef
 
     # leading sign
     sign = 1

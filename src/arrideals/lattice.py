@@ -62,8 +62,20 @@ C = X ∨ N of X, where N is the hyperplanes that C adds:
 
 So a cover's components cost one dict lookup per component of its parent.
 The top flat, never expanded, is decided the same way from one of its lower
-covers.  The components of any flat F are the maximal irreducible flats
-whose closed sets lie in closed(F); the lattice keeps the irreducible flats.
+covers.  The flats of rank r − 1 are never expanded either, so of them only
+irreducibility is read: the lookups stop at the first component that stays,
+and only the one lower cover the top flat is decided from gets its whole
+tuple of components.  The components of any flat F are the maximal
+irreducible flats whose closed sets lie in closed(F).
+
+The lattice keeps the enumeration's records, the closed masks of each rank.
+It builds a ``Flat`` at once only for the irreducible flats and the top
+flat: the minimal building set is all that ``lct``, ``building``, ``mi``,
+``jumps``, ``hilbert`` and ``member`` read, with the top flat for the
+essential coordinates.  The other flats are built the first time
+``IntersectionLattice.flats`` is read (``proper``, ``ambient`` and
+``flat_with_closed`` read it): the masks are converted, the multiplicities
+summed and all flats sorted, with the objects already built reused.
 """
 
 from __future__ import annotations
@@ -133,11 +145,26 @@ def flat_sort_key(flat: Flat) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """All flats of an arrangement, canonically ordered, ambient space first."""
+    """All flats of an arrangement, canonically ordered, ambient space first.
+
+    Only the irreducible flats and the top flat are built with the lattice;
+    ``_records[rank]`` holds the closed masks of the other flats of that
+    rank, and ``flats`` builds those the first time it is read, reusing the
+    built objects."""
 
     arrangement: Arrangement
-    flats: tuple[Flat, ...]
     irreducibles: tuple[Flat, ...]  # the irreducible proper flats, in canonical order
+    top: Flat  # the flat of every hyperplane, the last in canonical order
+    _records: list[list[int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        flats = _build_flats(self.arrangement, self.top.normals, self._records)
+        flats.extend(self.irreducibles)
+        if self.irreducibles[-1] is not self.top:
+            flats.append(self.top)
+        flats.sort(key=flat_sort_key)
+        return tuple(flats)
 
     @cached_property
     def _by_closed(self) -> dict[tuple[int, ...], Flat]:
@@ -179,22 +206,28 @@ def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
     return (*kept, joined)
 
 
-def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
-    """(closed mask, rank, irreducible) of every flat, in discovery order.
+def _flats_by_level(normals, dim: int) -> tuple[list[list[int]], list[list[int]], bool]:
+    """The closed masks of the flats below the top flat, by rank, in
+    discovery order: those of the irreducible flats and those of the others
+    (the ambient space first), and whether the top flat is irreducible.
 
     Refuses with a ValueError once more than MAX_FLATS flats are found."""
     full = (1 << len(normals)) - 1
     top = len(int_span(normals, dim)[0])
-    found = [(0, 0, False)]
+    irreducible: list[list[int]] = [[]]
+    rest = [[0]]
+    count = 2  # the ambient space and the top flat
     rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
     # residual -> hyperplanes; the normals are distinct and already residuals
     ambient = {nj: 1 << j for j, nj in enumerate(normals)}
     # per flat of the current rank: its parent's class table, its own
     # residual key there, closed mask and components
     level: list = [(ambient, None, 0, ())]
-    last_comps: tuple = ()  # components of a flat of rank top - 1
+    last_comps: tuple | None = None  # components of one flat of rank top - 1
     for rank in range(1, top):
         nxt = []
+        irreducible.append([])
+        rest.append([])
         for i, (parent, g, cmask, comps) in enumerate(level):
             level[i] = None
             if g is None:
@@ -211,43 +244,56 @@ def _flats_by_level(normals, dim: int) -> list[tuple[int, int, bool]]:
                 ccmask = cmask | group
                 if ccmask in rank_of:
                     continue
-                if len(found) + 1 >= MAX_FLATS:  # the top flat counts already
+                if count >= MAX_FLATS:
                     raise ValueError(f"the lattice has more than {MAX_FLATS} flats "
                                      f"(reached at rank {rank} of {top}), more than "
                                      f"supported")
+                count += 1
                 rank_of[ccmask] = rank
-                child_comps = _cover_components(comps, ccmask, rank, rank_of)
-                found.append((ccmask, rank, len(child_comps) == 1))
                 if rank < top - 1:
+                    child_comps = _cover_components(comps, ccmask, rank, rank_of)
                     nxt.append((classes, key, ccmask, child_comps))
-                else:
-                    last_comps = child_comps
+                    stays = len(child_comps) > 1
+                elif last_comps is None:  # the cover the top flat is decided from
+                    last_comps = _cover_components(comps, ccmask, rank, rank_of)
+                    stays = len(last_comps) > 1
+                else:  # never expanded: stop at the first component that stays
+                    stays = False
+                    for comp in comps:
+                        if rank_of.get(ccmask & ~comp) == rank - rank_of[comp]:
+                            stays = True
+                            break
+                (rest if stays else irreducible)[rank].append(ccmask)
         level = nxt
-    top_comps = _cover_components(last_comps, full, top, rank_of)
-    found.append((full, top, len(top_comps) == 1))
-    return found
+    top_comps = _cover_components(last_comps or (), full, top, rank_of)
+    return irreducible, rest, len(top_comps) == 1
+
+
+def _build_flats(arr: Arrangement, normals: tuple[tuple[int, ...], ...],
+                 by_rank: list[list[int]]) -> list[Flat]:
+    """The flat of each closed mask of ``by_rank[rank]``, rank by rank."""
+    mults = [h.mult for h in arr.hyperplanes]
+    flats = []
+    for rank, masks in enumerate(by_rank):
+        for cmask in masks:
+            closed = _mask_to_tuple(cmask)
+            flats.append(Flat(closed_set=closed, rank=rank,
+                              mult=sum(mults[j] for j in closed),
+                              ambient_dim=arr.dim, normals=normals))
+    return flats
 
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
-    """All intersections of hyperplanes of ``arr``, as a sorted lattice."""
+    """The intersection lattice of ``arr``: its irreducible flats and top
+    flat are built here, the others when ``flats`` is first read."""
     normals = tuple(h.normal for h in arr.hyperplanes)
-    mults = tuple(h.mult for h in arr.hyperplanes)
-    flats, irreducibles = [], []
-    for cmask, rk, irreducible in _flats_by_level(normals, arr.dim):
-        closed = _mask_to_tuple(cmask)
-        flat = Flat(
-            closed_set=closed,
-            rank=rk,
-            mult=sum(mults[j] for j in closed),
-            ambient_dim=arr.dim,
-            normals=normals,
-        )
-        flats.append(flat)
-        if irreducible:
-            irreducibles.append(flat)
-    flats.sort(key=flat_sort_key)
-    irreducibles.sort(key=flat_sort_key)
-    return IntersectionLattice(arr, tuple(flats), tuple(irreducibles))
+    irreducible, rest, top_irreducible = _flats_by_level(normals, arr.dim)
+    built = _build_flats(arr, normals, [*irreducible, [(1 << len(normals)) - 1]])
+    top = built[-1]
+    if not top_irreducible:
+        built.pop()
+    built.sort(key=flat_sort_key)
+    return IntersectionLattice(arr, tuple(built), top, rest)
 
 
 def minimal_containing(flats: Sequence[Flat], target: Flat) -> list[Flat]:

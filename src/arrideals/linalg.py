@@ -17,11 +17,15 @@ integer vectors with positive pivot entry.
 primitive integer vector with a positive pivot.  Hyperplane normals are
 stored in it from parse on, and row insertion (``int_residual``) and the
 covers of a flat (``int_eliminate``, one row, pivot column deleted) end in
-it.  ``int_reduce`` is the one elimination step against an echelon list,
-which ``int_canonical`` reuses: it divides out the gcd of the pivot entry
-and the entry it clears, so coefficients stay small on non-unit pivots.
-Each result is a positive multiple of the plain pv·v − c·row, so nothing
-put in the normal form depends on which multiple was taken.
+it.  ``int_eliminate``, the lattice's inner step, reaches it with one
+``math.gcd`` over the whole vector and one sign check.  ``int_reduce`` is
+the one elimination step against an echelon list, which ``int_canonical``
+reuses: it divides out the gcd of the pivot entry and the entry it clears,
+so coefficients stay small on non-unit pivots.  Each result is a positive
+multiple of the plain pv·v − c·row, so nothing put in the normal form
+depends on which multiple was taken.  An echelon row is zero before its
+pivot p, so a step updates v[p:] only, and scales v[:p] by the reduced
+pivot entry only when that is not 1.
 
 ``int_canonical`` turns an echelon list into the reduced row echelon basis
 of its row space, rescaled to primitive integers.  That basis is unique for
@@ -83,12 +87,15 @@ def int_reduce(vec: Sequence[int], rows: Sequence[Sequence[int]],
         if not c:
             continue
         pv = row[p]
-        if pv == 1:
-            v = [a - c * b for a, b in zip(v, row)]
-        else:
+        if pv != 1:
             g = gcd(pv, c)
             pv, c = pv // g, c // g
-            v = [pv * a - c * b for a, b in zip(v, row)]
+        # the row is zero before its pivot: only v[p:] takes c·row
+        if pv == 1:
+            v[p:] = [a - c * b for a, b in zip(v[p:], row[p:])]
+        else:
+            v[:p] = [pv * a for a in v[:p]]
+            v[p:] = [pv * a - c * b for a, b in zip(v[p:], row[p:])]
     return v
 
 
@@ -130,7 +137,15 @@ def int_eliminate(vec: tuple[int, ...], row: Sequence[int], p: int) -> tuple[int
     else:
         v = [pv * a - c * b for a, b in zip(vec, row)]
     del v[p]
-    return _signed_primitive(v)[0]
+    g = gcd(*v)  # 0 only for a zero vector, which is left as it is
+    for a in v:
+        if a:
+            if a < 0:
+                g = -g
+            break
+    if g and g != 1:
+        v = [a // g for a in v]
+    return tuple(v)
 
 
 def int_insert(rows: list, pivots: list, vec: Sequence[int]) -> bool:

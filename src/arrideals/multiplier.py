@@ -237,7 +237,7 @@ class _Stack:
     def __init__(self, lat: IntersectionLattice, bound: int, terms) -> None:
         if bound < 0:
             raise ValueError(f"degree bound must be >= 0, got {bound}")
-        top = lat.flats[-1]
+        top = lat.top
         # the width guard of a stack of every term: the same inputs refused
         if max((e for _, e in terms), default=0) <= bound:
             _check_width(top.rank, bound)

@@ -117,6 +117,18 @@ def rref(m: QMatrix) -> Subspace:
     return Subspace(m.cols, QMatrix(tuple(tuple(r) for r in basis), m.cols))
 
 
+def reduce_against(vec: Sequence, rows: Sequence[Sequence],
+                   pivots: Sequence[int]) -> list[Fraction]:
+    """``vec`` minus, row by row in order, the multiple of the row that
+    clears its entry at the row's pivot."""
+    v = [Fraction(a) for a in vec]
+    for row, p in zip(rows, pivots):
+        c = v[p] / row[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
 def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     """Subspace spanned by the given vectors."""
     return rref(QMatrix.from_rows(vectors, ambient_dim))

@@ -15,7 +15,9 @@ normal forms, shifted degree by degree) and intersect them pairwise with
 ``graded_equal``, ``graded_contains`` and ``contains_polynomial`` compare
 realized truncations piece by piece.  ``fraction_rows_in`` and
 ``realized_jumps`` are independent routes for the essential coordinates
-and for the jump sweep.  ``inverse_system`` builds each power's perp by
+and for the jump sweep, and ``eager_lattice`` builds every flat at once
+from the enumeration's records, the oracle for the flats a lattice builds
+on first read.  ``inverse_system`` builds each power's perp by
 apolarity (from the points of ``int_kernel``), the oracle for the rows
 the package stacks, and ``pairs_to_zero`` pairs a polynomial's components
 with those rows, the oracle for membership.  ``poly_add``, ``poly_mul``
@@ -36,7 +38,7 @@ from arrideals.arrangement import Arrangement, Hyperplane
 from arrideals.building import is_building_set, is_decomposition, minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import Polynomial, monomials
-from arrideals.lattice import Flat, IntersectionLattice
+from arrideals.lattice import Flat, IntersectionLattice, _flats_by_level, flat_sort_key
 from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
     _first_nonzero,
@@ -136,6 +138,30 @@ def subset_closure_flats(arr: Arrangement) -> set[tuple]:
         fraction_closure(arr, [i for i in range(nh) if bits >> i & 1])
         for bits in range(1 << nh)
     }
+
+
+def eager_lattice(arr: Arrangement) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
+    """(flats, irreducibles) of ``arr``, every flat built at once from the
+    enumeration's records and sorted: the oracle for the lattice's lazily
+    built ``flats``."""
+    normals = tuple(h.normal for h in arr.hyperplanes)
+    irreducible, rest, top_irreducible = _flats_by_level(normals, arr.dim)
+    full = (1 << len(normals)) - 1
+    found = [(cmask, rank, True) for rank, masks in enumerate(irreducible) for cmask in masks]
+    found += [(cmask, rank, False) for rank, masks in enumerate(rest) for cmask in masks]
+    found.append((full, len(rest), top_irreducible))
+    flats, irreducibles = [], []
+    for cmask, rank, irr in found:
+        closed = tuple(j for j in range(len(normals)) if cmask >> j & 1)
+        flat = Flat(closed_set=closed, rank=rank,
+                    mult=sum(arr.hyperplanes[j].mult for j in closed),
+                    ambient_dim=arr.dim, normals=normals)
+        flats.append(flat)
+        if irr:
+            irreducibles.append(flat)
+    flats.sort(key=flat_sort_key)
+    irreducibles.sort(key=flat_sort_key)
+    return tuple(flats), tuple(irreducibles)
 
 
 # --- set partitions -------------------------------------------------------

@@ -654,6 +654,32 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
                    f"sets give different ideals at degree {first}\n")
 
 
+def test_commands_on_the_minimal_set_build_no_other_flat(capsys, tmp_path, monkeypatch):
+    """lct, building, jumps, hilbert and member read only the irreducible
+    flats and the top flat, so the lattice never builds its other flats;
+    lattice and building --set full do."""
+    path = str(tmp_path / "b5.json")
+    assert cli.main(["braid", "5", "-o", path]) == 0
+    built = []
+
+    def recording(arr):
+        built.append(lattice.compute_lattice(arr))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "compute_lattice", recording)
+    for argv, read in (
+            (["lct", path], False),
+            (["building", path], False),
+            (["jumps", path, "--max", "1", "--verify", "--degree", "4"], False),
+            (["hilbert", path, "--lambda", "2/3", "--degree", "4"], False),
+            (["member", path, "--lambda", "2/3", "--poly", "x0^2 - x1^2"], False),
+            (["lattice", path], True),
+            (["building", path, "--set", "full"], True)):
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert ("flats" in built[-1].__dict__) is read, argv
+
+
 def test_jumps_default_degree(capsys, tmp_path):
     """Without --degree, jumps --verify truncates where hilbert would at
     --max: 2 plus the exponent total, capped at 10 with a note."""

@@ -528,6 +528,28 @@ def test_parse_constants_and_signs():
     assert dict(p.terms) == {(1, 0): 1}
 
 
+def test_parse_integer_rational_and_mixed_coefficients():
+    """Integer coefficients parse as ints and "p/q" as Fractions; written
+    either way, or mixed, one polynomial parses to one value, and a zero
+    denominator is refused with its position."""
+    forms = [
+        ("6*x0^2 - 3*x0*x1 + 2", "12/2*x0^2 - 6/2*x0*x1 + 4/2",
+         "6*x0^2 - 3/1*x0*x1 + 1/2 + 3/2"),
+        ("7/2*x0 + x1", "2/4*x0 + 3*x0 + 1*x1", "14/4*x0 + 2/2*x1"),
+        ("-x0 - 5", "-2/2*x0 + -10/2", "- 1/1*x0 - 5 + 0/3"),
+    ]
+    for texts in forms:
+        polys = [parse_polynomial(text, 2) for text in texts]
+        assert polys[1:] == polys[:-1], texts
+        assert len({hash(q) for q in polys}) == 1
+        fractions = Polynomial.from_terms(2, {m: Fraction(c) for m, c in polys[0].terms})
+        assert polys[0] == fractions
+    assert all(type(c) is int for _, c in parse_polynomial("6*x0^2 - 3*x0*x1 + 2", 2).terms)
+    assert dict(parse_polynomial("2/4*x0 + 3*x0", 2).terms) == {(1, 0): Fraction(7, 2)}
+    with pytest.raises(PolynomialParseError, match="^zero denominator at position 5$"):
+        parse_polynomial("x0 + 3/0*x1", 2)
+
+
 def test_polynomial_print_parse_round_trip():
     import random
 

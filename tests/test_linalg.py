@@ -18,6 +18,7 @@ from arrideals.linalg import (
 from fraction_linalg import (
     QMatrix,
     Subspace,
+    reduce_against,
     rref,
     span,
     span_contains,
@@ -145,6 +146,44 @@ def test_int_reduce_divides_out_the_gcd():
     assert int_reduce((0, 2), [(0, 3)], [1]) == [0, 0]
     # a unit pivot takes no factor, and a zero at a pivot takes no step
     assert int_reduce((4, 2, 0), [(1, 1, 0), (0, 0, 3)], [0, 2]) == [0, -2, 0]
+
+
+def test_int_reduce_matches_the_fraction_reduction():
+    """On seeded echelon lists whose rows are rescaled by non-unit and
+    negative factors, int_reduce gives a nonzero multiple of the Fraction
+    reduction (``fraction_linalg.reduce_against``), positive when every
+    step's pivot entry is: steps with a non-unit pivot entry, a negative
+    one, one that the gcd makes a unit (the entries before it are not
+    scaled) and one that stays non-unit (they are) all occur."""
+    rng = random.Random(31)
+    seen = {"non-unit": 0, "negative": 0, "unit after gcd": 0, "scaled": 0}
+    for _ in range(400):
+        dim = rng.randint(1, 7)
+        rows, pivots = int_span([[rng.randint(-4, 4) for _ in range(dim)]
+                                 for _ in range(rng.randint(0, dim))], dim)
+        rows = [[rng.choice([-3, -2, -1, 1, 1, 2, 4]) * a for a in r] for r in rows]
+        vec = [rng.randint(-6, 6) for _ in range(dim)]
+        got = int_reduce(vec, rows, pivots)
+        want = reduce_against(vec, rows, pivots)
+        assert all(got[p] == 0 for p in pivots)
+        q = next((i for i, a in enumerate(want) if a), None)
+        if q is None:
+            assert not any(got)
+            continue
+        k = Fraction(got[q]) / want[q]
+        assert [k * a for a in want] == got
+        v = list(vec)
+        for row, p in zip(rows, pivots):
+            c, pv = v[p], row[p]
+            v = int_reduce(v, [row], [p])
+            if c:
+                seen["non-unit"] += abs(pv) > 1
+                seen["negative"] += pv < 0
+                seen["unit after gcd"] += pv != 1 and pv // gcd(pv, c) == 1
+                seen["scaled"] += pv // gcd(pv, c) != 1 and any(v[:p])
+        if all(row[p] > 0 for row, p in zip(rows, pivots)):
+            assert k > 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_int_eliminate_example():

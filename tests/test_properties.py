@@ -97,6 +97,25 @@ def test_lattice_with_larger_coefficients_equals_subset_closure_enumeration(arr)
     assert set(map(helpers.flat_key, lat.flats)) == helpers.subset_closure_flats(arr)
     assert len(lat.flats) == len(set(lat.flats))
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(arrangements(), dependent_arrangements()))
+def test_flats_built_on_first_read_equal_the_eager_build(arr):
+    """A lattice builds its irreducible flats and its top flat at once and
+    the rest when ``flats`` is first read; they equal every flat built at
+    once, and the built objects are reused in ``flats``."""
+    lat = compute_lattice(arr)
+    irreducibles, top = lat.irreducibles, lat.top
+    assert "flats" not in lat.__dict__
+    flats, eager_irreducibles = helpers.eager_lattice(arr)
+    assert irreducibles == eager_irreducibles
+    assert lat.flats == flats
+    assert lat.irreducibles is irreducibles and lat.top is top
+    assert lat.top == lat.flats[-1] and lat.top is lat.flats[-1]
+    for W in irreducibles:
+        assert lat.flat_with_closed(W.closed_set) is W
+    assert minimal_building_set(lat).flats is irreducibles
+
+
 def circuits(arr: Arrangement) -> list[frozenset[int]]:
     """Minimal dependent sets of hyperplanes, by Fraction ranks of subsets."""
     normals = [h.normal for h in arr.hyperplanes]
