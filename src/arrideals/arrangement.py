@@ -118,7 +118,9 @@ def parse_arrangement(text: str) -> Arrangement:
         if not isinstance(normal, list) or len(normal) != dim:
             raise ParseError(f"hyperplane {i}: 'normal' must be an array of {dim} rationals")
         try:
-            vec = tuple(parse_rational(x) for x in normal)
+            # an integer entry needs no Fraction
+            vec = tuple(int(x) if isinstance(x, str) and "/" not in x and _RATIONAL_RE.match(x)
+                        else parse_rational(x) for x in normal)
         except ValueError as exc:
             raise ParseError(f"hyperplane {i}: {exc}") from None
         mult = item.get("mult", 1)

@@ -340,6 +340,9 @@ class _Power:
     common prefixes, and only its terms below v-degree e are ever formed;
     the powers are kept for every later read.  A monomial with fewer than
     j0 pivot variables has no term of v-degree j0 or more and is skipped.
+    So is one with at least e factors x_p on pivots whose form has no free
+    entry: each maps to s·v alone, and the lowest v-degree of a product is
+    the sum of its factors', so nothing of that monomial's image is below e.
     """
 
     def __init__(self, forms: IntRows, exponent: int, j0: int, base: int) -> None:
@@ -355,18 +358,23 @@ class _Power:
             self.images[p] = {base ** p + unit: s,
                               **{base ** c: -s * f[c] for c in range(p + 1, n) if f[c]}}
         self.powers = [[{0: 1}] for _ in range(n)]
+        # the pivots of forms with no free entry: x_p = s·v alone
+        self.bare = [p for p in self.pivots if len(self.images[p]) == 1]
 
     def expand(self, monos: Sequence[Monomial]) -> Iterator[tuple[int, dict[int, int]]]:
         """(i, the terms of v-degree below e of the image of ``monos[i]``) for
-        each monomial with at least j0 pivot variables, in order; only the
-        keys from ``low`` on are coefficients that are read.  Monomials
-        with a common prefix must be adjacent, as in lexicographic order,
-        either way."""
+        each monomial with at least j0 pivot variables and a term below e, in
+        order; only the keys from ``low`` on are coefficients that are read.
+        Monomials with a common prefix must be adjacent, as in lexicographic
+        order, either way."""
         images, powers, pivots, j0, cut = self.images, self.powers, self.pivots, self.j0, self.cut
+        bare, e = self.bare, self.exponent
         n = len(images)
         stack, prev = [{0: 1}], (-1,) * n  # stack[c]: the product over the columns before c
         for i, mono in enumerate(monos):
             if j0 and sum([mono[p] for p in pivots]) < j0:
+                continue
+            if bare and sum([mono[p] for p in bare]) >= e:
                 continue
             start = 0
             while mono[start] == prev[start]:

@@ -5,9 +5,14 @@ set: the indices of *all* hyperplanes containing it.  Geometrically a flat
 is carried by its normal space (the span of those hyperplanes' normals);
 rank is the codimension, mult is the total multiplicity of the closed set.
 
-The lattice is built level by level from residual classes.  A flat X of
+The lattice is built level by level from residual classes, in essential
+coordinates: each normal is replaced by its entries at the r pivot columns
+of an echelon list of all normals, in the normal form.  Those columns of
+the echelon list form a triangular block with a nonzero diagonal, so the
+map is injective on the span of the normals, and closed sets and ranks,
+which only its linear dependences decide, are unchanged.  A flat X of
 rank k has a class table: every normal outside its closed set, reduced
-against X's rows (which leaves it zero at X's pivots), written in the n − k
+against X's rows (which leaves it zero at X's pivots), written in the r − k
 coordinates that are not pivots of X, and scaled to a primitive integer
 vector with a positive pivot; the table is keyed by that residual.  Two
 hyperplanes lie in the same cover of X exactly when their residuals are
@@ -21,8 +26,12 @@ X ∨ g takes its table from X's: each other class residual ``red`` is
 reduced against g's residual alone (``linalg.int_eliminate``), g's pivot
 column is deleted, and classes merge when the results agree.  When
 red is zero at g's pivot it is already reduced and normalized and is
-reused with that column deleted.  A class finds its pivot once, when its
-flat is expanded.  The closed set is the dedup key across parents.
+reused with that column deleted.  The flats of rank r − 2, the last rank
+expanded, take their tables from 3-vectors, so there the step is written
+out for the two coordinates that remain (``_last_classes``): two 2×2
+minors, their gcd and a sign, with no list or call per class.  A class
+finds its pivot once, when its flat is expanded.  The closed set is the
+dedup key across parents.
 A flat's table is built only when the flat is expanded, from its parent's
 table and its own class key.  Only the level entries of its new covers hold
 it, and each entry is released when expanded, so the table is freed once
@@ -82,11 +91,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
     _first_nonzero,
+    _signed_primitive,
     int_canonical,
     int_eliminate,
     int_span,
@@ -206,6 +217,32 @@ def _cover_components(comps: tuple[int, ...], closed: int, rank: int,
     return (*kept, joined)
 
 
+def _last_classes(parent: dict, g: tuple[int, ...], cmask: int) -> dict:
+    """The class table of a flat of rank r − 2 with closed mask ``cmask``
+    and residual ``g`` in its parent's table ``parent``, whose keys are
+    3-vectors: each key is ``int_eliminate(red, g, pg)``, written out for
+    the two coordinates that remain."""
+    pg = _first_nonzero(g)
+    q, s = (1, 2) if pg == 0 else (0, 2) if pg == 1 else (0, 1)
+    gp, gq, gs = g[pg], g[q], g[s]
+    classes: dict = {}
+    for red, group in parent.items():
+        if group & cmask:
+            continue
+        c = red[pg]
+        if c:
+            a = gp * red[q] - c * gq
+            b = gp * red[s] - c * gs
+            d = gcd(a, b)  # not 0: distinct residuals are not proportional
+            if a < 0 or not a and b < 0:
+                d = -d
+            key = (a // d, b // d)
+        else:
+            key = (red[q], red[s])
+        classes[key] = classes.get(key, 0) | group
+    return classes
+
+
 def _flats_by_level(normals, dim: int) -> tuple[list[list[int]], list[list[int]], bool]:
     """The closed masks of the flats below the top flat, by rank, in
     discovery order: those of the irreducible flats and those of the others
@@ -213,13 +250,16 @@ def _flats_by_level(normals, dim: int) -> tuple[list[list[int]], list[list[int]]
 
     Refuses with a ValueError once more than MAX_FLATS flats are found."""
     full = (1 << len(normals)) - 1
-    top = len(int_span(normals, dim)[0])
+    pivots = int_span(normals, dim)[1]
+    top = len(pivots)
     irreducible: list[list[int]] = [[]]
     rest = [[0]]
     count = 2  # the ambient space and the top flat
     rank_of = {0: 0, full: top}  # closed mask -> rank, of every flat found
-    # residual -> hyperplanes; the normals are distinct and already residuals
-    ambient = {nj: 1 << j for j, nj in enumerate(normals)}
+    # residual -> hyperplanes: the normals in essential coordinates, which
+    # are distinct and already residuals
+    ambient = {_signed_primitive([nj[c] for c in pivots])[0]: 1 << j
+               for j, nj in enumerate(normals)}
     # per flat of the current rank: its parent's class table, its own
     # residual key there, closed mask and components
     level: list = [(ambient, None, 0, ())]
@@ -232,6 +272,8 @@ def _flats_by_level(normals, dim: int) -> tuple[list[list[int]], list[list[int]]
             level[i] = None
             if g is None:
                 classes = parent
+            elif len(g) == 3:
+                classes = _last_classes(parent, g, cmask)
             else:
                 pg = _first_nonzero(g)
                 classes = {}

@@ -18,10 +18,13 @@ primitive integer vector with a positive pivot.  Hyperplane normals are
 stored in it from parse on, and row insertion (``int_residual``) and the
 covers of a flat (``int_eliminate``, one row, pivot column deleted) end in
 it.  ``int_eliminate``, the lattice's inner step, reaches it with one
-``math.gcd`` over the whole vector and one sign check.  ``int_reduce`` is
-the one elimination step against an echelon list, which ``int_canonical``
-reuses: it divides out the gcd of the pivot entry and the entry it clears,
-so coefficients stay small on non-unit pivots.  Each result is a positive
+``math.gcd`` over the whole vector and one sign check.  It builds the class
+tables of the lattice's ranks 1 … r − 3, from vectors of 4 or more
+essential coordinates; the lattice module writes out the 3-vector step of
+rank r − 2 itself.  ``int_reduce`` is the one elimination step against an
+echelon list, which ``int_canonical`` reuses: it divides out the gcd of
+the pivot entry and the entry it clears, so coefficients stay small on
+non-unit pivots.  Each result is a positive
 multiple of the plain pv·v − c·row, so nothing put in the normal form
 depends on which multiple was taken.  An echelon row is zero before its
 pivot p, so a step updates v[p:] only, and scales v[:p] by the reduced

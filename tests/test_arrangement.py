@@ -87,6 +87,41 @@ def test_parse_errors(doc, fragment):
         parse_arrangement(doc)
 
 
+def test_integer_rational_and_mixed_entries_parse_alike(monkeypatch):
+    """An integer entry is read as an int, without ``parse_rational``, and
+    a p/q entry as a Fraction; written either way, or mixed, the same
+    normals give the same hyperplanes.  A decimal or zero-denominator entry
+    is refused with the message ``parse_rational`` gives."""
+    from arrideals import arrangement
+
+    calls = []
+
+    def counting_parse_rational(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(arrangement, "parse_rational", counting_parse_rational)
+    def doc(*normals):
+        return json.dumps({"dim": 3, "hyperplanes": [
+            {"normal": list(v), "mult": m} for v, m in zip(normals, (1, 3))]})
+
+    integer = parse_arrangement(doc(["2", "-4", "0"], ["0", "3", "-12345678901234567890"]))
+    rational = parse_arrangement(doc(["4/2", "-8/2", "0/5"], ["0/1", "3/1", "-24691357802469135780/2"]))
+    mixed = parse_arrangement(doc(["2", "-8/2", "0"], ["-0", "9/3", "-12345678901234567890"]))
+    assert calls == ["4/2", "-8/2", "0/5", "0/1", "3/1", "-24691357802469135780/2",
+                     "-8/2", "9/3"]
+    assert integer.hyperplanes == rational.hyperplanes == mixed.hyperplanes
+    assert integer.hyperplanes[0] == Hyperplane((1, -2, 0))
+    assert integer.hyperplanes[1] == Hyperplane((0, 1, -4115226300411522630), 3)
+    for entry, message in (("1.5", "hyperplane 0: bad rational '1.5' (expected 'p' or 'p/q')"),
+                           ("1/0", "hyperplane 0: bad rational '1/0' (zero denominator)"),
+                           ("+1", "hyperplane 0: bad rational '+1' (expected 'p' or 'p/q')"),
+                           (1, "hyperplane 0: bad rational 1 (expected 'p' or 'p/q')")):
+        with pytest.raises(ParseError) as info:
+            parse_arrangement(doc(["1", entry, "0"], ["0", "1", "0"]))
+        assert str(info.value) == message
+
+
 def test_round_trip_bit_exact():
     arr = Arrangement.from_normals(
         3,

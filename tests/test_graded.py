@@ -387,7 +387,30 @@ def test_power_contains_matches_pieces():
                     assert contains_polynomial(gi, poly) == expect
 
 
-def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices):
+@pytest.fixture
+def skipped_images(monkeypatch):
+    """Wraps ``_Power.expand`` to assert that it yields no empty image, and
+    returns a list that gets, per expansion read to its end, the number of
+    monomials with at least j0 pivot variables that it skipped.  A pivot
+    whose form has no free entry maps to s·v alone, and the lowest v-degree
+    of an image is its number of such factors, so a monomial with at least
+    e of them has no term below v-degree e and must be skipped."""
+    expand = graded._Power.expand
+    skipped = []
+
+    def checking_expand(power, monos):
+        read = sum(1 for m in monos if sum(m[p] for p in power.pivots) >= power.j0)
+        for i, image in expand(power, monos):
+            assert image, (power.forms, power.exponent, monos[i])
+            read -= 1
+            yield i, image
+        skipped.append(read)
+
+    monkeypatch.setattr(graded._Power, "expand", checking_expand)
+    return skipped
+
+
+def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices, skipped_images):
     """``intersection_contains`` on one (forms, e, j0) term answers as
     pairing each component with the inverse-system rows with j ≥ j0 pivot
     variables (``helpers.pairs_to_zero``), for e = 1..4 and every j0 ≤ e − 1,
@@ -396,7 +419,8 @@ def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices):
     v-degree exactly j, so it is inside exactly when j < j0 or j ≥ e: the
     cases j = j0 − 1, j0, e − 1 and e tell an off-by-one in the truncation
     or in the j0 cut.  Sums with a component of another degree, and
-    Fraction coefficients, are compared with the oracle too."""
+    Fraction coefficients, are compared with the oracle too.  No monomial
+    that truncation removes completely is expanded."""
     import random
 
     rng = random.Random(24)
@@ -439,9 +463,10 @@ def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices):
                     assert got == helpers.pairs_to_zero(term, mixed), (flat, e, j0, mixed)
                     answers.add((j < j0 or j >= e, got))
     assert answers == {(True, True), (True, False), (False, False)}
+    assert max(skipped_images) > 0
 
 
-def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices):
+def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices, skipped_images):
     """The rows a power stacks (``_Power.rows``, the coefficients of
     v-degree j0 … e − 1 of the expanded monomials) span the same space as
     the inverse-system rows with j ≥ j0 pivot variables built by
@@ -449,7 +474,8 @@ def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices):
     have one rank.  On sampled flats of braid(3-6) and of the corpus, in
     the essential coordinates a stack uses, non-unit pivots among them,
     for e = 1..4, every j0 ≤ e − 1 and every degree up to 6.  A truncation
-    at e ± 1 or a j0 cut off by one changes the rank of one set only."""
+    at e ± 1 or a j0 cut off by one changes the rank of one set only.  No
+    monomial that truncation removes completely is expanded."""
     import random
 
     from arrideals.lattice import rows_in
@@ -476,6 +502,7 @@ def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices):
                     assert rank == len(int_span(ours + theirs, width)[0]), (forms, e, j0, d)
                     compared += rank > 0
     assert compared > 500
+    assert max(skipped_images) > 0
 
 
 def test_multiplicative_closure_is_validated():

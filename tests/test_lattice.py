@@ -162,9 +162,11 @@ def test_lattice_of_generic_arrangement():
 
 def test_enumeration_carries_classes_and_rows_come_on_first_read(monkeypatch):
     """Classes are carried from parent to child, so each class residual is
-    reduced against the one new row only, in coordinates without the
-    parent's pivots; enumeration builds no canonical rows, and each flat
-    builds its own once, the first time they are read."""
+    reduced against the one new row only, in the essential coordinates
+    without the parent's pivots: r − k of them at rank k, so no vector is
+    longer than r, and the 3-vectors of the last expanded rank are reduced
+    inline, not by ``int_eliminate``.  Enumeration builds no canonical
+    rows, and each flat builds its own once, the first time they are read."""
     rng = random.Random(55)
     normals = _distinct_normals(11, lambda: tuple(rng.randint(-2, 2) for _ in range(5)))
     canonical_calls = []
@@ -192,8 +194,9 @@ def test_enumeration_carries_classes_and_rows_come_on_first_read(monkeypatch):
         assert steps
         for vec, row, p in steps:
             assert all(isinstance(a, int) for a in row)
-            assert len(row) == len(vec) <= arr.dim and row[p] != 0
-        assert min(len(vec) for vec, _, _ in steps) < arr.dim
+            assert len(row) == len(vec) <= lat.top.rank and row[p] != 0
+            assert len(vec) != 3
+        assert min(len(vec) for vec, _, _ in steps) < lat.top.rank
         int_normals = [primitive_vector(h.normal) for h in arr.hyperplanes]
         for f in lat.flats:
             rows, pivots = int_span((int_normals[j] for j in f.closed_set), arr.dim)

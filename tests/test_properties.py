@@ -90,12 +90,43 @@ def dependent_arrangements(draw):
     return Arrangement.from_normals(dim, normals, mults)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(dependent_arrangements())
+@st.composite
+def ranked_arrangements(draw):
+    """k = 3-5 independent normals with coefficients in [-9, 9], up to two
+    more, and up to three combinations a·n_i + c·n_k of them, written in
+    Q^k or carried into Q^(k+1) or Q^(k+2) by an injective integer map.
+    The lattice is enumerated in the k essential coordinates, where the
+    last expanded rank reduces 3-vectors: negative minors, minors with a
+    common factor and merging classes all occur there."""
+    k = draw(st.integers(3, 5))
+    normal = st.tuples(*[st.integers(-9, 9)] * k).filter(any)
+    normals = draw(st.lists(normal, min_size=k, max_size=k + 2, unique_by=_normal_form))
+    assume(span(normals, k).rank == k)
+    keys = {_normal_form(v) for v in normals}
+    index = st.integers(0, len(normals) - 1)
+    coef = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    for i, j, a, c in draw(st.lists(st.tuples(index, index, coef, coef), max_size=3)):
+        v = tuple(a * x + c * y for x, y in zip(normals[i], normals[j]))
+        if any(v) and _normal_form(v) not in keys:
+            keys.add(_normal_form(v))
+            normals.append(v)
+    dim = k + draw(st.integers(0, 2))
+    if dim > k:
+        columns = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                                min_size=k, max_size=k))
+        assume(span(columns, dim).rank == k)
+        normals = [tuple(sum(a * col[j] for a, col in zip(v, columns)) for j in range(dim))
+                   for v in normals]
+    return Arrangement.from_normals(dim, normals)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(dependent_arrangements(), ranked_arrangements()))
 def test_lattice_with_larger_coefficients_equals_subset_closure_enumeration(arr):
     lat = compute_lattice(arr)
     assert set(map(helpers.flat_key, lat.flats)) == helpers.subset_closure_flats(arr)
     assert len(lat.flats) == len(set(lat.flats))
+
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.one_of(arrangements(), dependent_arrangements()))
