@@ -155,6 +155,9 @@ def _cmd_support(args, lat: IntersectionLattice) -> int:
 
 def _cmd_jumps(args, lat: IntersectionLattice) -> int:
     if not args.verify:
+        if args.degree is not None:
+            raise _UsageError("arrideals jumps: argument --degree: "
+                              "not allowed without --verify")
         for c in mmod.jump_candidates(lat, args.max):
             print(c)
         return 0
@@ -260,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_rational, required=True, metavar="P/Q")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--degree", type=_positive_int, default=None,
-                   help="truncation degree for verification (default: 2 plus the "
-                        "exponent total of the presentation at --max, capped at "
-                        f"{mmod.DEGREE_CAP})")
+                   help="truncation degree for verification, with --verify only "
+                        "(default: 2 plus the exponent total of the presentation "
+                        f"at --max, capped at {mmod.DEGREE_CAP})")
 
     p = add("member", _cmd_member,
             "Test membership of a polynomial in the multiplier ideal at lambda.",

@@ -82,9 +82,9 @@ It builds a ``Flat`` at once only for the irreducible flats and the top
 flat: the minimal building set is all that ``lct``, ``building``, ``mi``,
 ``jumps``, ``hilbert`` and ``member`` read, with the top flat for the
 essential coordinates.  The other flats are built the first time
-``IntersectionLattice.flats`` is read (``proper``, ``ambient`` and
-``flat_with_closed`` read it): the masks are converted, the multiplicities
-summed and all flats sorted, with the objects already built reused.
+``IntersectionLattice.flats`` is read (``proper`` reads it): the masks are
+converted, the multiplicities summed and all flats sorted, with the objects
+already built reused.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
@@ -177,21 +177,10 @@ class IntersectionLattice:
         flats.sort(key=flat_sort_key)
         return tuple(flats)
 
-    @cached_property
-    def _by_closed(self) -> dict[tuple[int, ...], Flat]:
-        return {f.closed_set: f for f in self.flats}
-
-    @property
-    def ambient(self) -> Flat:
-        return self.flats[0]
-
     @property
     def proper(self) -> tuple[Flat, ...]:
         """The lattice minus the ambient space."""
         return self.flats[1:]
-
-    def flat_with_closed(self, closed: Iterable[int]) -> Flat | None:
-        return self._by_closed.get(tuple(sorted(closed)))
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:

@@ -17,11 +17,12 @@ realized truncations piece by piece.  ``fraction_rows_in`` and
 ``realized_jumps`` are independent routes for the essential coordinates
 and for the jump sweep, and ``eager_lattice`` builds every flat at once
 from the enumeration's records, the oracle for the flats a lattice builds
-on first read.  ``inverse_system`` builds each power's perp by
-apolarity (from the points of ``int_kernel``), the oracle for the rows
-the package stacks, and ``pairs_to_zero`` pairs a polynomial's components
-with those rows, the oracle for membership.  ``poly_add``, ``poly_mul``
-and ``format_polynomial`` are the polynomial arithmetic and printing, and
+on first read; ``flat_with_closed`` looks a flat up by its closed set.
+``inverse_system`` builds each power's perp by apolarity (from the points
+of ``int_kernel``), the oracle for the rows the package stacks, and
+``pairs_to_zero`` pairs a polynomial's components with those rows, the
+oracle for membership.  ``poly_add``, ``poly_mul`` and
+``format_polynomial`` are the polynomial arithmetic and printing, and
 ``int_contains`` and ``monomial_index`` the span test and monomial
 positions, that only tests need."""
 
@@ -35,7 +36,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 
 from arrideals.arrangement import Arrangement, Hyperplane
-from arrideals.building import is_building_set, is_decomposition, minimal_building_set
+from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import Polynomial, monomials
 from arrideals.lattice import Flat, IntersectionLattice, _flats_by_level, flat_sort_key
@@ -93,6 +94,11 @@ def _primitive_row(row) -> tuple[int, ...]:
     for a in ints:
         g = gcd(g, a)
     return tuple(a // g for a in ints)
+
+
+def flat_with_closed(lat: IntersectionLattice, closed) -> Flat | None:
+    """The flat of ``lat`` with closed set ``closed``, or None."""
+    return next((f for f in lat.flats if f.closed_set == tuple(sorted(closed))), None)
 
 
 def flat_key(flat: Flat) -> tuple:
@@ -255,12 +261,13 @@ def corpus_arrangements():
 # --- definitional brute force for decompositions --------------------------
 
 def brute_force_decompositions(lat: IntersectionLattice, target):
-    """Every part-set passing is_decomposition, by exhaustive search.
+    """Every decomposition of ``target``, by exhaustive search from the
+    definition, on the Fraction side.
 
     Candidates are subsets of the flats containing the target whose
-    codimensions add up and whose normal spaces sum to the target's (checked
-    on the Fraction side, independently of the integer kernel inside
-    is_decomposition).
+    codimensions add up and whose normal spaces sum to the target's; a
+    candidate passes when ``fraction_decomposition_obstruction`` finds no
+    flat above the target where it fails.
     """
     dim = lat.arrangement.dim
     tset = set(target.closed_set)
@@ -273,7 +280,7 @@ def brute_force_decompositions(lat: IntersectionLattice, target):
             rows = [r for U in parts for r in normal_space(U).basis.entries]
             if span(rows, dim) != normal_space(target):
                 continue
-            if is_decomposition(lat, target, list(parts)):
+            if fraction_decomposition_obstruction(lat, target, parts) is None:
                 found.append(tuple(parts))
     return found
 
@@ -325,13 +332,14 @@ def fraction_building_set_obstruction(lat: IntersectionLattice, flats):
 
 
 def all_building_sets(lat: IntersectionLattice):
-    """Every building set, by testing all 2^|L'| subsets.  Small lattices only."""
+    """Every building set, by testing all 2^|L'| subsets against
+    ``fraction_building_set_obstruction``.  Small lattices only."""
     proper = lat.proper
     assert len(proper) <= 12, "meant for tiny lattices"
     out = []
     for bits in range(1, 1 << len(proper)):
         subset = [proper[i] for i in range(len(proper)) if bits >> i & 1]
-        if is_building_set(lat, subset):
+        if fraction_building_set_obstruction(lat, subset) is None:
             out.append(tuple(subset))
     return out
 

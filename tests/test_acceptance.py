@@ -19,13 +19,12 @@ import pytest
 
 from arrideals.arrangement import Arrangement, braid
 from arrideals.building import (
+    _decomposes,
+    building_set_obstruction,
     full_building_set,
-    is_building_set,
-    is_decomposition,
-    irreducible_decomposition,
     minimal_building_set,
 )
-from arrideals.lattice import compute_lattice, flat_sort_key
+from arrideals.lattice import compute_lattice, flat_sort_key, minimal_containing
 from arrideals.multiplier import (
     jump_candidates,
     lct,
@@ -97,18 +96,18 @@ def test_criterion_2_closed_form_substitute():
 def test_criterion_3_decomposition_cases(braid_data):
     with criterion("criterion 3: decomposition example, negative and positive"):
         lat3 = braid_data[3][0]
-        top = lat3.flat_with_closed((0, 1, 2))
-        parts = [lat3.flat_with_closed((0,)), lat3.flat_with_closed((1,))]
-        assert not is_decomposition(lat3, top, parts)
+        top = helpers.flat_with_closed(lat3, (0, 1, 2))
+        parts = [helpers.flat_with_closed(lat3, (i,)) for i in (0, 1)]
+        assert not _decomposes(top, parts)
         assert (helpers.fraction_decomposition_obstruction(lat3, top, parts)
-                == lat3.flat_with_closed((2,)))
+                == helpers.flat_with_closed(lat3, (2,)))
 
         lat5 = braid_data[5][0]
-        c = lat5.flat_with_closed((0, 1, 4, 9))  # x0=x1=x2 and x3=x4
-        w012 = lat5.flat_with_closed((0, 1, 4))
-        w34 = lat5.flat_with_closed((9,))
-        assert is_decomposition(lat5, c, [w012, w34])
-        assert irreducible_decomposition(lat5, c) == sorted(
+        c = helpers.flat_with_closed(lat5, (0, 1, 4, 9))  # x0=x1=x2 and x3=x4
+        w012 = helpers.flat_with_closed(lat5, (0, 1, 4))
+        w34 = helpers.flat_with_closed(lat5, (9,))
+        assert _decomposes(c, [w012, w34])
+        assert minimal_containing(lat5.irreducibles, c) == sorted(
             [w012, w34], key=flat_sort_key
         )
 
@@ -184,7 +183,7 @@ def test_criterion_7b_brute_force_agreement(corpus_lattices):
         for lat in corpus_lattices:
             for c in lat.proper:
                 passing = helpers.brute_force_decompositions(lat, c)
-                got = irreducible_decomposition(lat, c)
+                got = minimal_containing(lat.irreducibles, c)
                 norm = tuple(sorted(got, key=flat_sort_key))
                 assert (c,) in passing
                 assert norm in [tuple(sorted(p, key=flat_sort_key)) for p in passing]
@@ -197,8 +196,8 @@ def test_criterion_7b_brute_force_agreement(corpus_lattices):
 def test_criterion_7c_building_sets_valid(corpus_lattices):
     with criterion("criterion 7c: minimal and full families are building sets"):
         for lat in corpus_lattices:
-            assert is_building_set(lat, minimal_building_set(lat).flats)
-            assert is_building_set(lat, full_building_set(lat).flats)
+            assert building_set_obstruction(lat, minimal_building_set(lat).flats) is None
+            assert building_set_obstruction(lat, full_building_set(lat).flats) is None
 
 
 def test_criterion_7d_gmin_minimality(corpus_lattices):

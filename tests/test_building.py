@@ -4,15 +4,13 @@ import pytest
 
 from arrideals.arrangement import Arrangement, braid
 from arrideals.building import (
+    BuildingSet,
+    _decomposes,
     building_set_obstruction,
-    custom_building_set,
     full_building_set,
-    irreducible_decomposition,
-    is_building_set,
-    is_decomposition,
     minimal_building_set,
 )
-from arrideals.lattice import compute_lattice, flat_sort_key
+from arrideals.lattice import compute_lattice, flat_sort_key, minimal_containing
 
 import helpers
 from fraction_linalg import span
@@ -20,37 +18,37 @@ from fraction_linalg import span
 
 def test_braid3_negative_example(braid_lattices):
     lat = braid_lattices[3]
-    top = lat.flat_with_closed((0, 1, 2))
-    h01, h02, h12 = (lat.flat_with_closed((i,)) for i in range(3))
-    assert not is_decomposition(lat, top, [h01, h02])
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
+    h01, h02, h12 = (helpers.flat_with_closed(lat, (i,)) for i in range(3))
+    assert not _decomposes(top, [h01, h02])
     assert helpers.fraction_decomposition_obstruction(lat, top, [h01, h02]) == h12
 
 
 def test_trivial_decomposition(braid_lattices, corpus_lattices):
     for lat in [braid_lattices[3], braid_lattices[4]] + list(corpus_lattices[:5]):
         for c in lat.proper:
-            assert is_decomposition(lat, c, [c])
+            assert _decomposes(c, [c])
 
 
 def test_braid5_block_decomposition():
     lat = compute_lattice(braid(5))
-    c = lat.flat_with_closed((0, 1, 4, 9))  # x0=x1=x2 and x3=x4
-    w012 = lat.flat_with_closed((0, 1, 4))
-    w34 = lat.flat_with_closed((9,))
-    assert is_decomposition(lat, c, [w012, w34])
-    assert irreducible_decomposition(lat, c) == sorted([w012, w34], key=flat_sort_key)
+    c = helpers.flat_with_closed(lat, (0, 1, 4, 9))  # x0=x1=x2 and x3=x4
+    w012 = helpers.flat_with_closed(lat, (0, 1, 4))
+    w34 = helpers.flat_with_closed(lat, (9,))
+    assert _decomposes(c, [w012, w34])
+    assert minimal_containing(lat.irreducibles, c) == [w34, w012]
 
 
 def test_parts_must_contain_the_target():
     """A part that does not contain the target is never a decomposition,
     even when every sum B + U_i passes (here U + C is the whole space)."""
     lat = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    line = lat.flat_with_closed((0, 1))
-    plane = lat.flat_with_closed((2,))
+    line = helpers.flat_with_closed(lat, (0, 1))
+    plane = helpers.flat_with_closed(lat, (2,))
     assert helpers.fraction_decomposition_obstruction(lat, line, [line, plane]) is None
-    assert not is_decomposition(lat, line, [line, plane])
-    assert is_decomposition(lat, line,
-                            [lat.flat_with_closed((0,)), lat.flat_with_closed((1,))])
+    assert not _decomposes(line, [line, plane])
+    assert _decomposes(line, [helpers.flat_with_closed(lat, (0,)),
+                              helpers.flat_with_closed(lat, (1,))])
 
 
 def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
@@ -68,24 +66,7 @@ def test_decomposition_obstruction_matches_fraction_definition(corpus_lattices):
             transversal = (sum(U.rank for U in parts) == target.rank
                            and span(rows, lat.arrangement.dim)
                            == helpers.normal_space(target))
-            assert is_decomposition(lat, target, parts) == (transversal
-                                                            and expect is None)
-
-
-def test_decomposition_errors(braid_lattices):
-    lat = braid_lattices[3]
-    top = lat.flat_with_closed((0, 1, 2))
-    with pytest.raises(ValueError):
-        is_decomposition(lat, lat.ambient, [top])
-    with pytest.raises(ValueError):
-        is_decomposition(lat, top, [])
-    with pytest.raises(ValueError):
-        is_decomposition(lat, top, [lat.ambient])
-    with pytest.raises(ValueError):
-        is_decomposition(lat, top, [top, top])
-    other = compute_lattice(braid(4)).proper[0]
-    with pytest.raises(ValueError):
-        is_decomposition(lat, top, [other])
+            assert _decomposes(target, parts) == (transversal and expect is None)
 
 
 def test_irreducible_single_blocks(braid_lattices):
@@ -95,32 +76,18 @@ def test_irreducible_single_blocks(braid_lattices):
         full_block = helpers.partition_closed_set(
             (tuple(range(n)),), pair_index
         )
-        diag = lat.flat_with_closed(full_block)
+        diag = helpers.flat_with_closed(lat, full_block)
         assert diag in lat.irreducibles
-        assert irreducible_decomposition(lat, diag) == [diag]
+        assert minimal_containing(lat.irreducibles, diag) == [diag]
 
 
 def test_coordinate_axes_origin_decomposes():
     axes = Arrangement.from_normals(2, [(1, 0), (0, 1)])
     lat = compute_lattice(axes)
-    origin = lat.flat_with_closed((0, 1))
+    origin = helpers.flat_with_closed(lat, (0, 1))
     assert origin not in lat.irreducibles
-    parts = irreducible_decomposition(lat, origin)
+    parts = minimal_containing(lat.irreducibles, origin)
     assert [f.closed_set for f in parts] == [(0,), (1,)]
-
-
-def test_is_irreducible_rejects_foreign_flats(braid_lattices):
-    lat = braid_lattices[3]
-    with pytest.raises(ValueError, match="ambient"):
-        irreducible_decomposition(lat, lat.ambient)
-    with pytest.raises(ValueError, match="not a flat of this lattice"):
-        irreducible_decomposition(lat, braid_lattices[4].flats[-1])
-    # same closed set, rank, multiplicity and dimension; another normal line
-    axes = compute_lattice(Arrangement.from_normals(2, [(1, 0), (0, 1)]))
-    foreign = compute_lattice(
-        Arrangement.from_normals(2, [(1, 1), (1, -1)])).flat_with_closed((0,))
-    with pytest.raises(ValueError, match="not a flat of this lattice"):
-        irreducible_decomposition(axes, foreign)
 
 
 @pytest.mark.parametrize("arr,parts", [
@@ -152,7 +119,7 @@ def test_top_flat_irreducibility(arr, parts):
     top = lat.flats[-1]
     assert top.closed_set == tuple(range(len(arr.hyperplanes)))
     assert (top in lat.irreducibles) == (len(parts) == 1)
-    got = irreducible_decomposition(lat, top)
+    got = minimal_containing(lat.irreducibles, top)
     assert [U.closed_set for U in got] == parts
     finest = max(helpers.brute_force_decompositions(lat, top), key=len)
     assert sorted(finest, key=flat_sort_key) == got
@@ -182,11 +149,9 @@ def test_gmin_is_modular_partitions():
 
 def test_building_set_basics(braid_lattices):
     lat = braid_lattices[3]
-    hps = [lat.flat_with_closed((i,)) for i in range(3)]
-    assert not is_building_set(lat, hps)
-    assert building_set_obstruction(lat, hps) == lat.flat_with_closed((0, 1, 2))
-    assert is_building_set(lat, minimal_building_set(lat).flats)
-    assert is_building_set(lat, lat.proper)
+    hps = [helpers.flat_with_closed(lat, (i,)) for i in range(3)]
+    assert building_set_obstruction(lat, hps) == helpers.flat_with_closed(lat, (0, 1, 2))
+    assert building_set_obstruction(lat, minimal_building_set(lat).flats) is None
     assert building_set_obstruction(lat, lat.proper) is None
 
 
@@ -211,11 +176,12 @@ def test_building_set_obstruction_matches_fraction_definition(corpus_lattices):
 
 
 def test_custom_building_set(braid_lattices):
+    """A family of one's own is wrapped as given and checked by the same
+    obstruction as ``building --verify``: here the whole proper lattice."""
     lat = braid_lattices[3]
-    bs = custom_building_set(lat, lat.proper)
-    assert bs.flats == lat.proper
-    with pytest.raises(ValueError, match="not a building set"):
-        custom_building_set(lat, [lat.flat_with_closed((i,)) for i in range(3)])
+    bs = BuildingSet(lat.proper)
+    assert building_set_obstruction(lat, bs.flats) is None
+    assert bs == full_building_set(lat)
 
 
 def test_kinds():
@@ -236,7 +202,7 @@ def test_brute_force_agreement_small():
         lat = compute_lattice(arr)
         for c in lat.proper:
             passing = helpers.brute_force_decompositions(lat, c)
-            got = tuple(irreducible_decomposition(lat, c))
+            got = tuple(minimal_containing(lat.irreducibles, c))
             assert (c,) in passing  # the trivial decomposition always passes
             assert tuple(sorted(got, key=flat_sort_key)) in [
                 tuple(sorted(p, key=flat_sort_key)) for p in passing

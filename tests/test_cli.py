@@ -20,7 +20,7 @@ from arrideals.arrangement import (
 from arrideals.building import BuildingSet, full_building_set, minimal_building_set
 from arrideals.errors import InvariantError
 
-from helpers import generator_presentation_ideal, piece_dims
+from helpers import flat_with_closed, generator_presentation_ideal, piece_dims
 
 
 @pytest.fixture()
@@ -222,6 +222,28 @@ def test_building_listing_and_verify(capsys, braid3_file):
     code, out, _ = run(capsys, ["building", braid3_file, "--set", "full", "--verify"])
     assert code == 0
     assert out.splitlines()[0] == "building set OK (4 flats)"
+
+
+def test_building_verify_on_the_minimal_set(capsys, tmp_path, monkeypatch):
+    """On the minimal set ``building --verify`` decomposes every flat that is
+    not a member: braid(6) passes, and braid(3)'s hyperplanes alone fail at
+    the top flat as an invariant violation."""
+    path = str(tmp_path / "b6.json")
+    assert cli.main(["braid", "6", "-o", path]) == 0
+    code, out, err = run(capsys, ["building", path, "--verify"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "building set OK (57 flats)"
+
+    def hyperplanes(lat):
+        return BuildingSet(tuple(W for W in lat.irreducibles if W.rank == 1))
+
+    path = str(tmp_path / "b3.json")
+    assert cli.main(["braid", "3", "-o", path]) == 0
+    monkeypatch.setattr(cli.bmod, "minimal_building_set", hyperplanes)
+    code, out, err = run(capsys, ["building", path, "--verify"])
+    assert (code, out) == (2, "")
+    assert err == ("internal invariant violation: building set check failed "
+                   "at flat with closed set [0, 1, 2]\n")
 
 
 def test_mi(capsys, braid3_file):
@@ -637,7 +659,7 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
         return BuildingSet(tuple(W for W in lat.irreducibles if W.closed_set != closed))
 
     lat = lattice.compute_lattice(braid(4))
-    assert lat.flat_with_closed(closed) in lat.irreducibles
+    assert flat_with_closed(lat, closed) in lat.irreducibles
     a = generator_presentation_ideal(
         multiplier.presentation(lat, without_flat(lat), Fraction(5, 6)), 6)
     b = generator_presentation_ideal(
@@ -749,9 +771,11 @@ def test_usage_errors(capsys, braid3_file):
     (["jumps", "--max", "1/0"], "invalid value '1/0': bad rational '1/0' (zero denominator)"),
     (["hilbert", "--lambda", "1", "--degree", "0"], "invalid value '0': must be >= 1"),
     (["jumps", "--max", "1", "--degree", "x"], "invalid value 'x': invalid literal for int()"),
+    (["jumps", "--max", "1", "--degree", "7"], "argument --degree: not allowed without --verify"),
 ])
 def test_type_errors_say_why(capsys, braid3_file, argv, reason):
-    """A refused option value prints the reason, and no private helper name."""
+    """A refused option value prints the reason, and no private helper name;
+    --degree only truncates a verification, so it needs --verify."""
     code, out, err = run(capsys, [argv[0], braid3_file, *argv[1:]])
     assert (code, out) == (1, "")
     assert reason in err and err.count("\n") == 1

@@ -135,20 +135,20 @@ def test_flat_with_no_free_column_yields_no_row(monkeypatch):
 
 def test_power_of_origin():
     lat = compute_lattice(axes(2))
-    origin = lat.flat_with_closed((0, 1))
+    origin = helpers.flat_with_closed(lat, (0, 1))
     assert power_dims(origin, 2, 2) == [0, 0, 3]
     assert power_dims(origin, 1, 3) == [0, 2, 3, 4]
 
 
 def test_power_of_hyperplane():
     lat = compute_lattice(axes(2))
-    h = lat.flat_with_closed((0,))
+    h = helpers.flat_with_closed(lat, (0,))
     assert power_dims(h, 1, 2) == [0, 1, 2]
 
 
 def test_power_of_braid_diagonal():
     lat = compute_lattice(braid(3))
-    top = lat.flat_with_closed((0, 1, 2))
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
     assert power_dims(top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
@@ -166,11 +166,11 @@ def test_power_errors():
     below 1, or no forms), and forms in another number of variables; no
     terms is the unit ideal."""
     lat = compute_lattice(axes(2))
-    x = lat.flat_with_closed((0,)).basis_rows
+    x = helpers.flat_with_closed(lat, (0,)).basis_rows
     with pytest.raises(ValueError, match="no proper power"):
         intersection_contains([(x, 0, 0)], parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 1, 0), (lat.ambient.basis_rows, 1, 0)],
+        intersection_contains([(x, 1, 0), (lat.flats[0].basis_rows, 1, 0)],
                               parse_polynomial("x0", 2))
     with pytest.raises(ValueError, match="variable counts differ"):
         intersection_contains([(x, 1, 0)], parse_polynomial("x0", 3))
@@ -180,13 +180,13 @@ def test_power_errors():
 def test_intersect_examples():
     """Stacked dimensions of intersections against the generator route."""
     lat = compute_lattice(axes(2))
-    x, y = lat.flat_with_closed((0,)), lat.flat_with_closed((1,))
+    x, y = helpers.flat_with_closed(lat, (0,)), helpers.flat_with_closed(lat, (1,))
     assert stacked_dims([(x, 1), (y, 1)], 2, 2) == [0, 0, 1]
     assert piece_dims(generator_intersection([(x, 1), (y, 1)], 2, 2)) == [0, 0, 1]
     assert stacked_dims([(x, 1)], 2, 2) == piece_dims(generator_power(x, 1, 2))
 
     b3 = compute_lattice(braid(3))
-    planes = [(b3.flat_with_closed((i,)), 1) for i in range(3)]
+    planes = [(helpers.flat_with_closed(b3, (i,)), 1) for i in range(3)]
     assert stacked_dims(planes, 3, 3) == [0, 0, 0, 1]
     assert piece_dims(generator_intersection(planes, 3, 3)) == [0, 0, 0, 1]
 
@@ -205,9 +205,9 @@ def test_intersect_algebra():
     intersecting step by step on the generator route, and a repeated term
     changes nothing."""
     lat = compute_lattice(braid(3))
-    a = (lat.flat_with_closed((0,)), 1)
-    b = (lat.flat_with_closed((1,)), 2)
-    c = (lat.flat_with_closed((0, 1, 2)), 1)
+    a = (helpers.flat_with_closed(lat, (0,)), 1)
+    b = (helpers.flat_with_closed(lat, (1,)), 2)
+    c = (helpers.flat_with_closed(lat, (0, 1, 2)), 1)
     assert stacked_dims([a, b], 3, 3) == stacked_dims([b, a], 3, 3)
     nested = zassenhaus_intersect(
         [generator_intersection([a, b], 3, 3), generator_power(*c, 3)], 3, 3)
@@ -218,7 +218,7 @@ def test_intersect_algebra():
 
 def test_graded_equal_and_contains():
     lat = compute_lattice(axes(2))
-    x, y = lat.flat_with_closed((0,)), lat.flat_with_closed((1,))
+    x, y = helpers.flat_with_closed(lat, (0,)), helpers.flat_with_closed(lat, (1,))
     gx = generator_power(x, 1, 2)
     gy = generator_power(y, 1, 2)
     assert graded_equal(gx, gx, 2)
@@ -236,7 +236,7 @@ def test_power_antitone_in_exponent():
     """I^e2 ⊆ I^e1 for e2 > e1: stacking both powers gives the smaller
     one, whose pieces are strictly smaller somewhere up to degree 4."""
     lat = compute_lattice(braid(3))
-    top = lat.flat_with_closed((0, 1, 2))
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
     for e1, e2 in [(1, 2), (2, 3), (1, 3)]:
         big, small = power_dims(top, e1, 4), power_dims(top, e2, 4)
         assert stacked_dims([(top, e1), (top, e2)], 3, 4) == small
@@ -256,7 +256,7 @@ def test_coordinate_subspace_closed_form():
     for n in (2, 3):
         lat = compute_lattice(axes(n))
         for k in range(1, n + 1):
-            flat = lat.flat_with_closed(range(k))
+            flat = helpers.flat_with_closed(lat, range(k))
             for e in (1, 2, 3):
                 gi = generator_power(flat, e, 6)
                 got = power_dims(flat, e, 6)
@@ -371,8 +371,8 @@ def test_power_contains_matches_pieces():
 
     rng = random.Random(5)
     lat = compute_lattice(braid(4))
-    for flat in (lat.flat_with_closed((0,)), lat.flat_with_closed((0, 1, 3)),
-                 lat.flat_with_closed(tuple(range(6)))):
+    for closed in ((0,), (0, 1, 3), tuple(range(6))):
+        flat = helpers.flat_with_closed(lat, closed)
         for e in (1, 2, 3):
             gi = generator_power(flat, e, 5)
             for _ in range(6):
@@ -507,7 +507,7 @@ def test_rows_span_the_apolarity_perp(braid_lattices, corpus_lattices, skipped_i
 
 def test_multiplicative_closure_is_validated():
     lat = compute_lattice(axes(2))
-    gx = generator_power(lat.flat_with_closed((0,)), 1, 2)
+    gx = generator_power(helpers.flat_with_closed(lat, (0,)), 1, 2)
     # a piece list that is not closed under multiplication: (x) in degree 1
     # but zero in degree 2
     with pytest.raises(InvariantError):
@@ -593,7 +593,7 @@ def test_polynomial_print_parse_round_trip():
 
 def test_contains_polynomial_bounds():
     lat = compute_lattice(axes(2))
-    gx = generator_power(lat.flat_with_closed((0,)), 1, 2)
+    gx = generator_power(helpers.flat_with_closed(lat, (0,)), 1, 2)
     assert contains_polynomial(gx, Polynomial.from_terms(2, {}))
     with pytest.raises(ValueError):
         contains_polynomial(gx, parse_polynomial("x0^5", 2))

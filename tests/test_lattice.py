@@ -16,11 +16,11 @@ from fraction_linalg import span, span_contains
 def test_braid3_structure():
     lat = compute_lattice(braid(3))
     assert len(lat.flats) == 5
-    assert lat.ambient.rank == 0 and lat.ambient.closed_set == ()
+    assert lat.flats[0].rank == 0 and lat.flats[0].closed_set == ()
     assert [f.closed_set for f in lat.flats] == [
         (), (0,), (1,), (2,), (0, 1, 2),
     ]
-    top = lat.flat_with_closed((0, 1, 2))
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
     assert top.rank == 2 and top.mult == 3
 
 
@@ -41,7 +41,7 @@ def test_closure_matches_lattice():
         assert helpers.fraction_closure(arr, f.closed_set) == helpers.flat_key(f)
         if f.rank == 2:
             assert helpers.fraction_closure(arr, f.closed_set[:2]) == helpers.flat_key(f)
-    assert helpers.fraction_closure(arr, ()) == helpers.flat_key(lat.ambient)
+    assert helpers.fraction_closure(arr, ()) == helpers.flat_key(lat.flats[0])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -63,7 +63,7 @@ def test_canonical_order_and_hyperplane_flats(corpus_lattices):
         assert keys == sorted(keys)
         assert lat.flats[0].rank == 0
         for i in range(len(lat.arrangement.hyperplanes)):
-            assert lat.flat_with_closed((i,)).rank == 1
+            assert helpers.flat_with_closed(lat, (i,)).rank == 1
 
 
 def test_rank_mult_bounds(corpus_lattices):
@@ -90,7 +90,7 @@ def test_lattice_matches_subset_closure_enumeration(corpus_lattices):
         nh = len(arr.hyperplanes)
         for bits in range(1 << nh):
             closed = helpers.fraction_closure(arr, [i for i in range(nh) if bits >> i & 1])
-            assert helpers.flat_key(lat.flat_with_closed(closed[0])) == closed
+            assert helpers.flat_key(helpers.flat_with_closed(lat, closed[0])) == closed
 
 
 def test_compute_lattice_is_deterministic(corpus):
@@ -228,7 +228,7 @@ def test_closed_under_intersection(corpus_lattices, braid_lattices):
         for f1, f2 in combinations(lat.flats, 2):
             joined = helpers.fraction_closure(
                 arr, set(f1.closed_set) | set(f2.closed_set))
-            assert helpers.flat_key(lat.flat_with_closed(joined[0])) == joined
+            assert helpers.flat_key(helpers.flat_with_closed(lat, joined[0])) == joined
 
 
 def test_normal_space_consistency(corpus_lattices, braid_lattices):
@@ -245,8 +245,8 @@ def test_normal_space_consistency(corpus_lattices, braid_lattices):
 
     lat = braid_lattices[3]
     spaces = {helpers.normal_space(f): f for f in lat.flats}
-    assert spaces[span([], 3)] == lat.ambient
-    assert spaces[span([[1, -1, 0]], 3)] == lat.flat_with_closed((0,))
+    assert spaces[span([], 3)] == lat.flats[0]
+    assert spaces[span([[1, -1, 0]], 3)] == helpers.flat_with_closed(lat, (0,))
     # x0 - x1 and x0 - x2 span the triple point's normal space
     assert spaces[span([[1, -1, 0], [1, 0, -1]], 3)].closed_set == (0, 1, 2)
     # a line that is not a flat
@@ -255,16 +255,16 @@ def test_normal_space_consistency(corpus_lattices, braid_lattices):
 
 def test_minimal_containing_examples(braid_lattices):
     lat = braid_lattices[3]
-    top = lat.flat_with_closed((0, 1, 2))
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
     assert minimal_containing([top], top) == [top]
-    hps = [lat.flat_with_closed((i,)) for i in range(3)]
+    hps = [helpers.flat_with_closed(lat, (i,)) for i in range(3)]
     assert minimal_containing(hps, top) == hps
     with pytest.raises(ValueError):
-        minimal_containing(hps, lat.ambient)
+        minimal_containing(hps, lat.flats[0])
 
     lat4 = braid_lattices[4]
     # x0=x1, x2=x3: pairs (0,1)->0 and (2,3)->5
-    c = lat4.flat_with_closed((0, 5))
+    c = helpers.flat_with_closed(lat4, (0, 5))
     from arrideals.building import minimal_building_set
 
     gmin = minimal_building_set(lat4)
@@ -278,18 +278,18 @@ def test_rows_in_examples(braid_lattices):
     top = lat.flats[-1]
     # the top rows are x0 - x2 and x1 - x2: x0 - x1 is their difference
     assert top.basis_rows == ((1, 0, -1), (0, 1, -1))
-    assert lattice.rows_in(top, lat.flat_with_closed((0,))) == ((1, -1),)
+    assert lattice.rows_in(top, helpers.flat_with_closed(lat, (0,))) == ((1, -1),)
     assert lattice.rows_in(top, top) == ((1, 0), (0, 1))
-    assert lattice.rows_in(top, lat.ambient) == ()
+    assert lattice.rows_in(top, lat.flats[0]) == ()
     # non-unit pivots: the top rows 6x0 - x2 and 3x1 + x2, pivots 0 and 1;
     # each normal restricted to those columns and made primitive
     arr = Arrangement.from_normals(3, [(2, 1, 0), (0, 3, 1), (2, 4, 1)])
     lat = compute_lattice(arr)
     top = lat.flats[-1]
     assert top.basis_rows == ((6, 0, -1), (0, 3, 1))
-    got = [lattice.rows_in(top, lat.flat_with_closed((j,))) for j in range(3)]
+    got = [lattice.rows_in(top, helpers.flat_with_closed(lat, (j,))) for j in range(3)]
     assert got == [((2, 1),), ((0, 1),), ((1, 2),)]
-    assert got == [helpers.fraction_rows_in(arr, top, lat.flat_with_closed((j,)))
+    assert got == [helpers.fraction_rows_in(arr, top, helpers.flat_with_closed(lat, (j,)))
                    for j in range(3)]
 
 

@@ -363,7 +363,7 @@ def test_non_reduced_braid_pipeline():
         3, [(1, -1, 0), (1, 0, -1), (0, 1, -1)], [2, 1, 1]
     )
     lat = compute_lattice(arr)
-    top = lat.flat_with_closed((0, 1, 2))
+    top = helpers.flat_with_closed(lat, (0, 1, 2))
     assert top.mult == 4 and top.rank == 2
     assert lct(lat) == Fraction(1, 2)
     assert jump_candidates(lat, 1) == [

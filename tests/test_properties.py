@@ -17,13 +17,9 @@ from arrideals.arrangement import (
     parse_arrangement,
     serialize_arrangement,
 )
-from arrideals.building import (
-    full_building_set,
-    irreducible_decomposition,
-    minimal_building_set,
-)
+from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial
-from arrideals.lattice import compute_lattice, rows_in
+from arrideals.lattice import compute_lattice, minimal_containing, rows_in
 from arrideals.multiplier import (
     hilbert_function,
     jump_candidates,
@@ -143,7 +139,7 @@ def test_flats_built_on_first_read_equal_the_eager_build(arr):
     assert lat.irreducibles is irreducibles and lat.top is top
     assert lat.top == lat.flats[-1] and lat.top is lat.flats[-1]
     for W in irreducibles:
-        assert lat.flat_with_closed(W.closed_set) is W
+        assert helpers.flat_with_closed(lat, W.closed_set) is W
     assert minimal_building_set(lat).flats is irreducibles
 
 
@@ -179,7 +175,7 @@ def test_irreducibles_match_circuit_oracle(arr):
     assert [f.closed_set for f in lat.irreducibles] == [
         f.closed_set for f in lat.proper if len(comps[f.closed_set]) == 1]
     for f in lat.proper:
-        parts = irreducible_decomposition(lat, f)
+        parts = minimal_containing(lat.irreducibles, f)
         assert sorted(U.closed_set for U in parts) == comps[f.closed_set]
 
 
