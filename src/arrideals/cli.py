@@ -162,8 +162,9 @@ def _cmd_jumps(args, lat: IntersectionLattice) -> int:
             print(c)
         return 0
     bound = args.degree
-    if bound is None:
-        bound = _default_degree(mmod.presentation(lat, bmod.minimal_building_set(lat), args.max))
+    if bound is None:  # verify_jumps refuses a --max of 0 or less, with one message
+        bound = _default_degree(mmod.presentation(lat, bmod.minimal_building_set(lat),
+                                                  max(args.max, 0)))
     for c, jump in mmod.verify_jumps(lat, args.max, bound):
         print(f"{c}\tverified" if jump else f"{c}\tnot detected up to degree {bound}")
     return 0

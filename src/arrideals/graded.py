@@ -37,14 +37,10 @@ order, U's own left-out coefficients included).  So a term is
 the largest such e_U: no rank changes.  With j0 = 0 it reads all of them;
 the multiplier module computes j0 from the flats' closed sets.
 
-The stacked perps live in one object, ``_Perps``: per degree an echelon
-list, to which terms are added in order.  The multiplier module reads
-piece dimensions off its ranks.  Its stacks never hold a principal term, a
-hyperplane's power (ℓ)^e: it factors their product out of the intersection
-(multiplier module docstring) and stacks the rest with lowered exponents.
-Both it and ``intersection_contains`` take a power as a term
-(forms, e, j0): a flat's canonical rows, an exponent and the lowest
-v-degree of a coefficient that is read.
+The multiplier module stacks these rows and reads piece dimensions off
+their ranks (its ``_Stack``).  ``_Power`` and ``intersection_contains``
+take a power as a term (forms, e, j0): a flat's canonical rows, an
+exponent and the lowest v-degree of a coefficient that is read.
 
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
@@ -58,9 +54,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .linalg import _first_nonzero, int_insert, to_fraction
+from .linalg import _first_nonzero, to_fraction
 
 Monomial = tuple[int, ...]  # exponent vector; degree = sum of entries
 
@@ -225,64 +221,6 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
 
 IntRows = tuple[tuple[int, ...], ...]
-
-
-class _Perps:
-    """The stacked perps of some powers, one echelon list per degree
-    0..bound: in degree d, the perp of the intersection's piece.
-
-    A power I^e has no piece below degree e, so every degree below the
-    largest exponent added, ``low``, is the whole space and takes no rows.
-    A degree whose rank reaches its width takes no more rows.  Nothing is
-    allocated until ``add`` first leaves ``low`` at or below the bound;
-    only then does the width guard run, so a bound below every exponent
-    is neither refused nor built.
-    """
-
-    def __init__(self, nvars: int, bound: int) -> None:
-        if bound < 0:
-            raise ValueError(f"degree bound must be >= 0, got {bound}")
-        self.nvars = nvars
-        self.bound = bound
-        self.widths: list[int] = []
-        self.echelons: list[tuple[list, list]] = []
-        self.low = 0
-
-    def add(self, terms: Sequence[tuple[object, int, int]],
-            rows: Callable[[object], IntRows] = lambda forms: forms) -> None:
-        """Stack the perps of the powers I^e, one per (forms, e, j0), in
-        order: the rows of the coefficients of v-degree j0 … e − 1 (module
-        docstring) of the ideal of the canonical forms ``rows(forms)``,
-        read only for the terms that yield a row.  Each degree's echelon
-        is independent, so a term's coordinates and powers are built once
-        and read in every degree.  A flat with no free column yields none:
-        every image of a degree-d monomial has v-degree d ≥ e."""
-        self.low = max(self.low, max((e for _, e, _ in terms), default=0))
-        if self.low > self.bound:
-            return
-        terms = [(rows(forms), e, j0) for forms, e, j0 in terms if j0 < e]
-        if not self.widths:
-            _check_width(self.nvars, self.bound)
-            self.widths = [comb(self.nvars + d - 1, d) for d in range(self.bound + 1)]
-            self.echelons = [([], []) for _ in self.widths]
-        for forms, e, j0 in terms:
-            if len(forms) == self.nvars:
-                continue
-            power = _Power(forms, e, j0, self.bound + 1)
-            for d in range(self.low, self.bound + 1):
-                rows, pivots = self.echelons[d]
-                if len(rows) < self.widths[d]:
-                    for g in power.rows(d):
-                        int_insert(rows, pivots, g)
-                        if len(rows) == self.widths[d]:
-                            break
-
-    def dims(self) -> list[int]:
-        """Dimension of each piece of the intersection: width − rank."""
-        if self.low > self.bound:
-            return [0] * (self.bound + 1)
-        return [0 if d < self.low else width - len(rows)
-                for d, ((rows, _), width) in enumerate(zip(self.echelons, self.widths))]
 
 
 # Most monomials of one degree a piece or membership test may span: C(15, 10),

@@ -24,9 +24,9 @@ at (r + e − 1)/s.  The table's values are the candidates, and its entries
 grouped by value are the terms ``verify_jumps`` stacks again.
 
 ``hilbert_function``, ``theorem_rows`` and ``verify_jumps`` need only piece
-dimensions, and read them as ranks of stacked perps (the graded module's
-``_Perps``: each power's coefficients of low degree in its flat's
-coordinates), building no ideal:
+dimensions, and read them as ranks of stacked perps in one ``_Stack``
+(each power's coefficients of low degree in its flat's coordinates,
+graded module docstring), building no ideal:
 
 - Hyperplane factor.  A hyperplane's term is principal, (ℓ_H)^(e_H), so
   an ideal J of (W, e) terms over any building set (each contains the
@@ -39,14 +39,12 @@ coordinates), building no ideal:
     H ∈ closed(W) and 0 otherwise, so ord_W h = Σ_(H ∈ closed(W)) e_H,
     and h·g ∈ I_W^e iff g ∈ I_W^(e − ord_W h);
   * multiplying by h is injective, so dim J_d = dim J″_(d − deg h).
-  So only J″ is stacked, in degrees up to bound − deg h (none when deg h
-  is above the bound: every piece is 0), and its dimensions get deg h
-  leading zeros.  This is how the pieces above λ = 1 are periodic:
-  J(λ + 1) = f·J(λ).  The width guard still measures the caller's bound
-  whenever every exponent is at most it, so the same inputs are refused
-  as by a stack of every term.  Membership uses the same fact: a
-  component of degree below deg h is outside J, decided with no
-  expansion.
+  So only J″ is stacked, in degrees from its largest exponent ``low`` up
+  to bound − deg h, and its dimensions get deg h leading zeros; when low
+  is above bound − deg h (so when deg h is above the bound) every piece
+  is 0.  This is how the pieces above λ = 1 are periodic: J(λ + 1) =
+  f·J(λ).  Membership uses the same fact: a component of degree below
+  deg h is outside J, decided with no expansion.
 
 - Essential coordinates.  Every I_W is generated by linear forms in N(W),
   inside the normal space N(top) of the top flat, of rank r.  A form u of
@@ -71,9 +69,9 @@ coordinates), building no ideal:
   the coefficients of v-degree at least e_old, fewer rows still if a
   smaller flat's exponent is higher (below).  Where a hyperplane's
   exponent rises, h grows and J″ need not shrink, so a fresh stack takes
-  the whole presentation there.  Once deg h is above the bound, every
-  later piece is 0 as well, so every later candidate is answered with no
-  stack.
+  the whole presentation there.  Once every piece up to the bound is 0,
+  every later piece is 0 as well, so every later candidate is answered
+  with no stack.
 - The theorem rows.  A building set G contains the minimal one, and both
   presentations use the same exponent for a flat, so the terms over G are
   those over gmin plus more: I_G ⊆ I_gmin.  Every hyperplane is
@@ -97,11 +95,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from math import comb
 from typing import NamedTuple
 
 from .building import BuildingSet, minimal_building_set
-from .graded import Polynomial, _check_width, _Perps, intersection_contains
+from .graded import Polynomial, _check_width, _Power, intersection_contains
 from .lattice import Flat, IntersectionLattice, rows_in
+from .linalg import int_insert, to_fraction
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _exponent(lam: Fraction, flat: Flat) -> int:
 def presentation(lat: IntersectionLattice, building: BuildingSet,
                  lam) -> MultiplierIdealPresentation:
     """Terms (W, floor(λ·s(W)) − r(W) + 1) over the building set, positive only."""
-    lam = Fraction(lam)
+    lam = to_fraction(lam)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     terms = []
@@ -169,7 +169,7 @@ def support(lat: IntersectionLattice, lam) -> list[Flat]:
 def _rises(lat: IntersectionLattice, lam_max):
     """(c, W, e) for each minimal-building-set flat W, canonical order, and
     each exponent e = 1 .. e_W(lam_max): e_W reaches e at c = (r + e − 1)/s."""
-    lam_max = Fraction(lam_max)
+    lam_max = to_fraction(lam_max)
     if lam_max <= 0:
         raise ValueError(f"lambda bound must be > 0, got {lam_max}")
     for W in minimal_building_set(lat).flats:
@@ -231,40 +231,77 @@ class _Stack:
     (W, e) terms, read through J = h·J″ (module docstring): h is the
     product of the hyperplane terms' powers, and the perps of J″'s terms
     (W, e − ord_W h), positive only, are stacked each row once in the
-    essential coordinates of the top flat up to bound − deg h.  Terms
-    added later are on flats of rank at least 2 and reduced by the same h."""
+    essential coordinates of the top flat, one echelon list per degree.
+    Terms added later are on flats of rank at least 2 and reduced by the
+    same h.
+
+    Degrees below the largest reduced exponent, ``low``, are the whole
+    space and take no rows, and a degree whose rank reaches its width
+    takes no more.  Once low passes bound − deg h (``zero``), nothing more
+    is read; no degree is allocated if that holds before a term is
+    stacked.  The width guard measures the caller's bound when every
+    exponent is at most it, so the same inputs are refused as by a stack
+    of every term; otherwise the largest term makes the stack zero, by
+    deg h on a hyperplane and by e − ord_W h ≥ e − deg h on another W."""
 
     def __init__(self, lat: IntersectionLattice, bound: int, terms) -> None:
         if bound < 0:
             raise ValueError(f"degree bound must be >= 0, got {bound}")
         top = lat.top
-        # the width guard of a stack of every term: the same inputs refused
         if max((e for _, e in terms), default=0) <= bound:
             _check_width(top.rank, bound)
         self.powers = {W.closed_set[0]: e for W, e in terms if W.rank == 1}
         self.shift = sum(self.powers.values())
         self.bound = bound
+        self.nvars = top.rank
         self.extra = lat.arrangement.dim - top.rank
         self.rows = partial(rows_in, top)
         self.stacked = _Stacked()
-        self.perps = _Perps(top.rank, bound - self.shift) if self.shift <= bound else None
+        self.low = 0
+        self.echelons: list[tuple[list, list, int]] = []
         self.add([(W, e) for W, e in terms if W.rank > 1])
 
+    @property
+    def zero(self) -> bool:
+        """Whether every piece is 0: J″ has none up to bound − deg h."""
+        return self.low > self.bound - self.shift
+
     def add(self, terms) -> None:
-        """Stack the terms (W, e − ord_W h) with a positive exponent,
-        ord_W h the sum of e_H over the hyperplanes H in closed(W).  With
-        deg h above the bound every piece is 0 and nothing is stacked."""
-        if self.perps is None:
+        """Stack the terms (W, e − ord_W h) with a positive exponent in
+        order, ord_W h the sum of e_H over the hyperplanes H in closed(W):
+        the rows of their coefficients of v-degree j0 … e − 1, a flat's
+        rows read only for a term that yields one.  A term's powers are
+        built once and read in every degree.  A flat with no free column
+        yields none: every image of a degree-d monomial has v-degree d ≥ e."""
+        if self.zero:
             return
         reduced = ((W, e - sum(self.powers.get(k, 0) for k in W.closed_set))
                    for W, e in terms)
         taken = list(self.stacked.first_new_rows((W, e) for W, e in reduced if e > 0))
-        self.perps.add(taken, self.rows)
+        self.low = max([self.low] + [e for _, e, _ in taken])
+        if self.zero:
+            return
+        top = self.bound - self.shift
+        if not self.echelons:
+            self.echelons = [([], [], comb(self.nvars + d - 1, d)) for d in range(top + 1)]
+        for forms, e, j0 in [(self.rows(W), e, j0) for W, e, j0 in taken if j0 < e]:
+            if len(forms) == self.nvars:
+                continue
+            power = _Power(forms, e, j0, top + 1)
+            for d in range(self.low, top + 1):
+                rows, pivots, width = self.echelons[d]
+                if len(rows) < width:
+                    for g in power.rows(d):
+                        int_insert(rows, pivots, g)
+                        if len(rows) == width:
+                            break
 
     def dims(self) -> list[int]:
-        if self.perps is None:
+        if self.zero:
             return [0] * (self.bound + 1)
-        return [0] * self.shift + _lift(self.perps.dims(), self.extra)
+        return [0] * self.shift + _lift(
+            [0 if d < self.low else width - len(rows)
+             for d, (rows, _, width) in enumerate(self.echelons)], self.extra)
 
 
 def hilbert_function(lat: IntersectionLattice, pres: MultiplierIdealPresentation,
@@ -318,7 +355,7 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     answers = []
     cands = sorted(risen)
     for i, c in enumerate(cands):
-        if stack.perps is None:  # deg h > bound, and h only grows: every piece stays 0
+        if stack.zero:  # J only shrinks from here: every later piece stays 0
             answers += [(later, False) for later in cands[i:]]
             break
         exponents.update(risen[c])

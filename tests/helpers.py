@@ -19,9 +19,10 @@ and for the jump sweep, and ``eager_lattice`` builds every flat at once
 from the enumeration's records, the oracle for the flats a lattice builds
 on first read; ``flat_with_closed`` looks a flat up by its closed set.
 ``inverse_system`` builds each power's perp by apolarity (from the points
-of ``int_kernel``), the oracle for the rows the package stacks, and
-``pairs_to_zero`` pairs a polynomial's components with those rows, the
-oracle for membership.  ``poly_add``, ``poly_mul`` and
+of ``int_kernel``), the oracle for the rows the package stacks;
+``EveryRowStack`` stacks all of those rows with no factor taken out, the
+oracle for the stack's piece dimensions, and ``pairs_to_zero`` pairs a
+polynomial's components with them, the oracle for membership.  ``poly_add``, ``poly_mul`` and
 ``format_polynomial`` are the polynomial arithmetic and printing, and
 ``int_contains`` and ``monomial_index`` the span test and monomial
 positions, that only tests need."""
@@ -757,3 +758,26 @@ def pairs_to_zero(terms, poly: Polynomial) -> bool:
                 if sum(a * b for a, b in zip(vec, g) if a):
                     return False
     return True
+
+
+class EveryRowStack:
+    """The perps of powers I^e of canonical forms in ``nvars`` variables,
+    stacked in degrees 0..``bound`` with every inverse-system row (j0 = 0)
+    and no hyperplane factor taken out: the unfactored reference for
+    ``multiplier._Stack``, sharing no row code with ``graded._Power``."""
+
+    def __init__(self, nvars: int, bound: int) -> None:
+        self.nvars, self.low = nvars, 0
+        self.echelons = [([], []) for _ in range(bound + 1)]
+
+    def add(self, terms) -> None:
+        """Stack the (forms, e) terms; below degree e, I^e has no piece."""
+        for forms, e in terms:
+            self.low = max(self.low, e)
+            for d, (rows, pivots) in enumerate(self.echelons[e:], e):
+                for g in inverse_system(forms, self.nvars, e, d, 0):
+                    int_insert(rows, pivots, g)
+
+    def dims(self) -> list[int]:
+        return [0 if d < self.low else comb(self.nvars + d - 1, d) - len(rows)
+                for d, (rows, _) in enumerate(self.echelons)]

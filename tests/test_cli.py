@@ -467,23 +467,33 @@ def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
 
 
 def record_stacking(monkeypatch):
-    """Two lists: each batch of (flat, exponent, j0) terms added to a
-    stack, with the stack, and each (forms, exponent, j0, degree, row) that
-    a term's power yields."""
+    """Two lists: each batch of (flat, exponent, j0) terms that a stack
+    takes, J″'s terms with a positive exponent and their j0, with the
+    stack, and each (forms, exponent, j0, degree, row) that a term's power
+    yields.  A stack that is already zero takes no batch."""
     stacked, rows = [], []
-    add = graded._Perps.add
+    adding = []
+    add = multiplier._Stack.add
+    first_new_rows = multiplier._Stacked.first_new_rows
     power_rows = graded._Power.rows
 
-    def recording_add(perps, terms, rows_of):
-        stacked.append((perps, list(terms)))
-        add(perps, terms, rows_of)
+    def recording_add(stack, terms):
+        adding.append(stack)
+        add(stack, terms)
+        adding.pop()
+
+    def recording_first_new_rows(seen, terms):
+        batch = list(first_new_rows(seen, terms))
+        stacked.append((adding[-1], batch))
+        return iter(batch)
 
     def recording_rows(power, d):
         for g in power_rows(power, d):
             rows.append((power.forms, power.exponent, power.j0, d, g))
             yield g
 
-    monkeypatch.setattr(graded._Perps, "add", recording_add)
+    monkeypatch.setattr(multiplier._Stack, "add", recording_add)
+    monkeypatch.setattr(multiplier._Stacked, "first_new_rows", recording_first_new_rows)
     monkeypatch.setattr(graded._Power, "rows", recording_rows)
     return stacked, rows
 
@@ -509,8 +519,10 @@ def segment_stacks(lat, lam_max, bound):
     """The stacks a jumps sweep should make, from the exponent formulas:
     a fresh one for the unit ideal and wherever a hyperplane's exponent
     rises, holding the factored presentation there, and after it, per
-    candidate, the terms whose reduced exponent rose.  A stack whose h has
-    degree above ``bound`` is never made.  Each is its bound − deg h and
+    candidate, the terms whose reduced exponent rose.  The sweep stops
+    after the first candidate where every piece is 0, J″'s largest
+    exponent above bound − deg h, and a stack that is zero from the start
+    (deg h above ``bound``) takes no batch.  Each is its bound − deg h and
     its batches of (W, e, j0) terms."""
     gmin = minimal_building_set(lat)
     stacks, powers, old = [], None, {}
@@ -524,6 +536,8 @@ def segment_stacks(lat, lam_max, bound):
         else:
             stacks[-1][1].append([(W, e) for W, e in reduced if e > old.get(W, 0)])
         old = dict(reduced)
+        if max([0] + [e for _, e in reduced]) > bound - deg_h:  # every piece is 0
+            break
     out = []
     for low, batches in stacks:
         flat = first_rows([t for batch in batches for t in batch])
@@ -538,11 +552,11 @@ def segment_stacks(lat, lam_max, bound):
 def recorded_stacks(stacked):
     """The recorded batches grouped by stack: its bound and its batches."""
     out = []
-    for perps, terms in stacked:
-        if not out or out[-1][0] is not perps:
-            out.append((perps, []))
+    for stack, terms in stacked:
+        if not out or out[-1][0] is not stack:
+            out.append((stack, []))
         out[-1][1].append(terms)
-    return [(perps.bound, batches) for perps, batches in out]
+    return [(stack.bound - stack.shift, batches) for stack, batches in out]
 
 
 def test_jumps_sweep_stacks_each_term_once(capsys, tmp_path, monkeypatch):
@@ -581,19 +595,24 @@ def test_jumps_sweep_stacks_each_term_once(capsys, tmp_path, monkeypatch):
         assert {r[:3] for r in rows} <= {(lattice.rows_in(top, W), e, j0)
                                          for _, terms in stacked for W, e, j0 in terms}
     # braid(5): below 1 every hyperplane exponent is 0 and h = 1; at 1 the
-    # ten hyperplanes rise, h = f has degree 10 > 4, and no stack is made.
-    # Below 1 the exponents reach 1 (10 planes), 3 (5 flats of rank 3) and
-    # 6 (the top flat), each one step at a time.
+    # ten hyperplanes rise, h = f has degree 10 > 6, and the stack made
+    # there is zero and takes no batch.  Below 1 the exponents reach 1 (10
+    # planes), 3 (5 flats of rank 3) and 6 (the top flat), each one step at
+    # a time.  At degree 4 the sweep stops at 4/5, where the top flat's
+    # exponent 5 leaves every piece 0: the third step of the rank-3 flats
+    # and the sixth of the top flat are never stacked.
     lat = lattice.compute_lattice(braid(5))
-    stacks = segment_stacks(lat, Fraction(1), 4)
-    assert len(stacks) == 1
-    terms = [t for batch in stacks[0][1] for t in batch]
-    assert len(terms) == 10 + 15 + 6
-    assert all(j0 == e - 1 for _, e, j0 in terms)
-    stacked.clear()
-    rows.clear()
-    assert multiplier.verify_jumps(lat, 1, 4)
-    assert rows and all(j0 == e - 1 for _, e, j0, _, _ in rows)
+    for bound, count in ((6, 10 + 15 + 6), (4, 10 + 10 + 5)):
+        stacks = segment_stacks(lat, Fraction(1), bound)
+        assert len(stacks) == 1
+        terms = [t for batch in stacks[0][1] for t in batch]
+        assert len(terms) == count
+        assert all(j0 == e - 1 for _, e, j0 in terms)
+        stacked.clear()
+        rows.clear()
+        assert multiplier.verify_jumps(lat, 1, bound)
+        assert recorded_stacks(stacked) == stacks
+        assert rows and all(j0 == e - 1 for _, e, j0, _, _ in rows)
 
 
 def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
@@ -635,7 +654,7 @@ def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
                 assert stacked == []
                 continue
             assert len(stacked) == 2
-            assert [(perps.bound, batch) for perps, batch in stacked] == [
+            assert [(stack.bound - stack.shift, batch) for stack, batch in stacked] == [
                 (degree - deg_h, terms[:len(reduced)]),
                 (degree - deg_h, terms[len(reduced):])]
             assert all(j0 >= e for _, e, j0 in terms[len(reduced):])
@@ -780,6 +799,15 @@ def test_type_errors_say_why(capsys, braid3_file, argv, reason):
     assert (code, out) == (1, "")
     assert reason in err and err.count("\n") == 1
     assert " _" not in err and "'_" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--verify"], ["--verify", "--degree", "3"]])
+@pytest.mark.parametrize("lam_max", ["0", "-1", "-1/2"])
+def test_non_positive_jumps_max_has_one_message(capsys, braid3_file, lam_max, flags):
+    """A --max of 0 or less is refused with the same message with or
+    without --verify, also where the default degree reads --max first."""
+    code, out, err = run(capsys, ["jumps", braid3_file, f"--max={lam_max}", *flags])
+    assert (code, out, err) == (1, "", f"error: lambda bound must be > 0, got {lam_max}\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

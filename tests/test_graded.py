@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from arrideals import graded
+from arrideals import graded, multiplier
 from arrideals.arrangement import Arrangement, braid
 from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
@@ -38,16 +38,14 @@ def axes(n):
     return Arrangement.from_normals(n, normals)
 
 
-def stacked_dims(terms, nvars, bound):
+def stacked_dims(lat, terms, bound):
     """Piece dimensions of the intersection of the powers I_W^e, one per
-    (W, e), from the ranks of their stacked inverse systems."""
-    perps = graded._Perps(nvars, bound)
-    perps.add([(W.basis_rows, e, 0) for W, e in terms])
-    return perps.dims()
+    (W, e) of the lattice, from the ranks of the production stack."""
+    return multiplier._Stack(lat, bound, terms).dims()
 
 
-def power_dims(flat, exponent, bound):
-    return stacked_dims([(flat, exponent)], flat.ambient_dim, bound)
+def power_dims(lat, flat, exponent, bound):
+    return stacked_dims(lat, [(flat, exponent)], bound)
 
 
 def generator_intersection(terms, nvars, bound):
@@ -80,24 +78,27 @@ def test_width_guard_admits_every_degree_up_to_the_cap():
 
 
 def test_perps_build_no_degree_below_the_exponent():
-    """A _Perps whose exponent is above its bound allocates no degree and
-    refuses nothing, however wide the bound; the width guard runs when a
-    degree is first built, and a negative bound is refused at once."""
-    perps = graded._Perps(1, 10**6)
-    perps.add([(((1,),), 10**7, 0)])
-    assert perps.widths == perps.echelons == []
-    assert perps.dims() == [0] * (10**6 + 1)
-    wide = graded._Perps(8, 100)  # degree 100 in 8 variables: far over the limit
-    wide.add([(((1,) + (0,) * 7,), 101, 0)])
+    """A _Stack whose exponent is above its bound allocates no degree and
+    refuses nothing, however wide the bound: it is zero, every piece 0.
+    The width guard measures the bound when every exponent is at most it,
+    the unit ideal included, and a negative bound is refused at once."""
+    lat = compute_lattice(axes(2))
+    origin = helpers.flat_with_closed(lat, (0, 1))
+    stack = multiplier._Stack(lat, 10**6, [(origin, 10**7)])
+    assert stack.zero and stack.echelons == []
+    assert stack.dims() == [0] * (10**6 + 1)
+    lat8 = compute_lattice(axes(8))  # degree 100 in 8 variables: far over the limit
+    plane = helpers.flat_with_closed(lat8, (0, 1))
+    wide = multiplier._Stack(lat8, 100, [(plane, 101)])
     wide.add([])
-    assert wide.widths == [] and wide.dims() == [0] * 101
+    assert wide.echelons == [] and wide.dims() == [0] * 101
     with pytest.raises(ValueError, match="monomials"):
-        graded._Perps(8, 100).add([(((1,) + (0,) * 7,), 100, 0)])
+        multiplier._Stack(lat8, 100, [(plane, 100)])
     with pytest.raises(ValueError, match="monomials"):
-        graded._Perps(8, 100).add([])  # the unit ideal builds degree 0 on
+        multiplier._Stack(lat8, 100, [])  # the unit ideal builds degree 0 on
     with pytest.raises(ValueError, match="degree bound must be >= 0"):
-        graded._Perps(1, -1)
-    unit = graded._Perps(2, 3)
+        multiplier._Stack(lat, -1, [])
+    unit = multiplier._Stack(lat, 3, [])
     unit.add([])
     assert unit.dims() == [1, 2, 3, 4]
 
@@ -118,38 +119,38 @@ def test_flat_with_no_free_column_yields_no_row(monkeypatch):
 
     monkeypatch.setattr(graded._Power, "expand", recording_expand)
     for n, e, bound in ((1, 3, 40), (2, 2, 10), (3, 1, 8), (3, 4, 8)):
-        origin = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        perps = graded._Perps(n, bound)
-        perps.add([(origin, e, 0)])
-        assert perps.dims() == [0] * e + [comb(n + d - 1, d) for d in range(e, bound + 1)]
+        lat = compute_lattice(axes(n))
+        origin = helpers.flat_with_closed(lat, range(n))
+        assert stacked_dims(lat, [(origin, e)], bound) == (
+            [0] * e + [comb(n + d - 1, d) for d in range(e, bound + 1)])
     assert expanded == []
     line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
     pres = presentation(line, minimal_building_set(line), 1)
     assert hilbert_function(line, pres, 40) == [comb(d + 2, 2) - comb(d + 1, 1)
                                                 for d in range(41)]
     assert expanded == []
-    perps = graded._Perps(2, 3)
-    perps.add([(((1, 0),), 2, 0)])
-    assert perps.dims() == [0, 0, 1, 2] and set(expanded) == {((1, 0),)}
+    lat = compute_lattice(axes(3))
+    assert stacked_dims(lat, [(helpers.flat_with_closed(lat, (0, 1)), 2)], 3) == [0, 0, 3, 7]
+    assert set(expanded) == {((1, 0, 0), (0, 1, 0))}
 
 
 def test_power_of_origin():
     lat = compute_lattice(axes(2))
     origin = helpers.flat_with_closed(lat, (0, 1))
-    assert power_dims(origin, 2, 2) == [0, 0, 3]
-    assert power_dims(origin, 1, 3) == [0, 2, 3, 4]
+    assert power_dims(lat, origin, 2, 2) == [0, 0, 3]
+    assert power_dims(lat, origin, 1, 3) == [0, 2, 3, 4]
 
 
 def test_power_of_hyperplane():
     lat = compute_lattice(axes(2))
     h = helpers.flat_with_closed(lat, (0,))
-    assert power_dims(h, 1, 2) == [0, 1, 2]
+    assert power_dims(lat, h, 1, 2) == [0, 1, 2]
 
 
 def test_power_of_braid_diagonal():
     lat = compute_lattice(braid(3))
     top = helpers.flat_with_closed(lat, (0, 1, 2))
-    assert power_dims(top, 1, 2) == [0, 2, 5]
+    assert power_dims(lat, top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
         assert intersection_contains([(top.basis_rows, 1, 0)], poly) == inside
@@ -158,7 +159,7 @@ def test_power_of_braid_diagonal():
     sq = generator_power(top, 2, 4)
     for d, piece in enumerate(helpers.pieces(sq)):
         assert piece.ambient_dim == comb(3 + d - 1, d)
-        assert piece.rank == power_dims(top, 2, 4)[d]
+        assert piece.rank == power_dims(lat, top, 2, 4)[d]
 
 
 def test_power_errors():
@@ -181,13 +182,13 @@ def test_intersect_examples():
     """Stacked dimensions of intersections against the generator route."""
     lat = compute_lattice(axes(2))
     x, y = helpers.flat_with_closed(lat, (0,)), helpers.flat_with_closed(lat, (1,))
-    assert stacked_dims([(x, 1), (y, 1)], 2, 2) == [0, 0, 1]
+    assert stacked_dims(lat, [(x, 1), (y, 1)], 2) == [0, 0, 1]
     assert piece_dims(generator_intersection([(x, 1), (y, 1)], 2, 2)) == [0, 0, 1]
-    assert stacked_dims([(x, 1)], 2, 2) == piece_dims(generator_power(x, 1, 2))
+    assert stacked_dims(lat, [(x, 1)], 2) == piece_dims(generator_power(x, 1, 2))
 
     b3 = compute_lattice(braid(3))
     planes = [(helpers.flat_with_closed(b3, (i,)), 1) for i in range(3)]
-    assert stacked_dims(planes, 3, 3) == [0, 0, 0, 1]
+    assert stacked_dims(b3, planes, 3) == [0, 0, 0, 1]
     assert piece_dims(generator_intersection(planes, 3, 3)) == [0, 0, 0, 1]
 
     empty = generator_intersection([], 2, 2)
@@ -196,8 +197,8 @@ def test_intersect_examples():
 
 
 def test_unit_ideal_dims():
-    assert stacked_dims([], 2, 2) == [1, 2, 3]
-    assert stacked_dims([], 3, 3) == [1, 3, 6, 10]
+    assert stacked_dims(compute_lattice(axes(2)), [], 2) == [1, 2, 3]
+    assert stacked_dims(compute_lattice(axes(3)), [], 3) == [1, 3, 6, 10]
 
 
 def test_intersect_algebra():
@@ -208,12 +209,12 @@ def test_intersect_algebra():
     a = (helpers.flat_with_closed(lat, (0,)), 1)
     b = (helpers.flat_with_closed(lat, (1,)), 2)
     c = (helpers.flat_with_closed(lat, (0, 1, 2)), 1)
-    assert stacked_dims([a, b], 3, 3) == stacked_dims([b, a], 3, 3)
+    assert stacked_dims(lat, [a, b], 3) == stacked_dims(lat, [b, a], 3)
     nested = zassenhaus_intersect(
         [generator_intersection([a, b], 3, 3), generator_power(*c, 3)], 3, 3)
     assert graded_equal(generator_intersection([a, b, c], 3, 3), nested, 3)
-    assert stacked_dims([a, b, c], 3, 3) == piece_dims(nested)
-    assert stacked_dims([a, a], 3, 3) == power_dims(*a, 3)
+    assert stacked_dims(lat, [a, b, c], 3) == piece_dims(nested)
+    assert stacked_dims(lat, [a, a], 3) == power_dims(lat, *a, 3)
 
 
 def test_graded_equal_and_contains():
@@ -238,8 +239,8 @@ def test_power_antitone_in_exponent():
     lat = compute_lattice(braid(3))
     top = helpers.flat_with_closed(lat, (0, 1, 2))
     for e1, e2 in [(1, 2), (2, 3), (1, 3)]:
-        big, small = power_dims(top, e1, 4), power_dims(top, e2, 4)
-        assert stacked_dims([(top, e1), (top, e2)], 3, 4) == small
+        big, small = power_dims(lat, top, e1, 4), power_dims(lat, top, e2, 4)
+        assert stacked_dims(lat, [(top, e1), (top, e2)], 4) == small
         assert all(s <= b for s, b in zip(small, big)) and small != big
         assert graded_contains(generator_power(top, e1, 4), generator_power(top, e2, 4), 4)
 
@@ -259,7 +260,7 @@ def test_coordinate_subspace_closed_form():
             flat = helpers.flat_with_closed(lat, range(k))
             for e in (1, 2, 3):
                 gi = generator_power(flat, e, 6)
-                got = power_dims(flat, e, 6)
+                got = power_dims(lat, flat, e, 6)
                 for d in range(7):
                     expected = sum(
                         count(k, j) * count(n - k, d - j)
@@ -309,7 +310,7 @@ def test_power_pieces_match_fraction_route_on_random_flats():
             e = rng.randint(1, 2)
             bound = 4
             gi = generator_power(flat, e, bound)
-            got = power_dims(flat, e, bound)
+            got = power_dims(lat, flat, e, bound)
             gens = [
                 Polynomial.from_terms(
                     n, {tuple(1 if t == i else 0 for t in range(n)): Fraction(c)
@@ -361,7 +362,7 @@ def test_power_dimension_closed_form(corpus_lattices):
                     forms(n, d) - sum(forms(r, k) * forms(n - r, d - k) for k in range(e))
                     for d in range(bound + 1)
                 ]
-                assert power_dims(flat, e, bound) == expected, (n, r, e)
+                assert power_dims(lat, flat, e, bound) == expected, (n, r, e)
     assert non_unit >= 10 and full_rank >= 5
 
 

@@ -87,6 +87,22 @@ def test_support(braid_lattices):
         support(lat, -1)
 
 
+def test_float_lambda_is_refused(braid_lattices):
+    """A float λ is refused, not read as the nearest binary fraction: 2/3
+    as a float lies just below the lct of braid(3), where the ideal is the
+    unit ideal, while Fraction(2, 3) gives the diagonal's term."""
+    lat = braid_lattices[3]
+    gmin = minimal_building_set(lat)
+    assert [(W.closed_set, e) for W, e in presentation(lat, gmin, Fraction(2, 3)).terms] == [
+        ((0, 1, 2), 1)]
+    for call in (lambda: presentation(lat, gmin, 2 / 3),
+                 lambda: support(lat, 0.7),
+                 lambda: jump_candidates(lat, 1.0),
+                 lambda: verify_jumps(lat, 1.0, 3)):
+        with pytest.raises(TypeError, match="floating point"):
+            call()
+
+
 def test_support_is_presentation_support(corpus_lattices):
     for lat in corpus_lattices[:8]:
         gmin = minimal_building_set(lat)
@@ -110,18 +126,24 @@ def test_verify_jump(braid_lattices, monkeypatch):
     assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(2, 3), True)]
     # no candidate up to 1/2: the ideal there is the unit ideal below the
     # lct, and no stack is made
-    made = []
-    perps = multiplier._Perps
-    monkeypatch.setattr(multiplier, "_Perps", lambda *a: made.append(a) or perps(*a))
-    assert verify_jumps(lat, Fraction(1, 2), 4) == [] and made == []
+    stacks = []
+    stack = multiplier._Stack
+    monkeypatch.setattr(multiplier, "_Stack",
+                        lambda *a: stacks.append(stack(*a)) or stacks[-1])
+
+    def made():  # each stack's essential rank and bound − deg h
+        return [(s.nvars, s.bound - s.shift) for s in stacks]
+
+    assert verify_jumps(lat, Fraction(1, 2), 4) == [] and made() == []
     # one stack from the unit ideal to 2/3, in the 2 essential variables up
     # to degree 4; at 1 the hyperplanes rise, h = f has degree 3, and a
     # fresh stack of J″ = S runs to degree 4 − 3
-    assert verify_jumps(lat, 1, 4) and made == [(2, 4), (2, 1)]
-    made.clear()
-    # 4/3 and 5/3 rise on the second stack; at 2, h = f² has degree 6 > 4
-    # and no stack is made
-    assert verify_jumps(lat, 2, 4) and made == [(2, 4), (2, 1)]
+    assert verify_jumps(lat, 1, 4) and made() == [(2, 4), (2, 1)]
+    stacks.clear()
+    # 4/3 and 5/3 rise on the second stack; at 2, h = f² has degree 6 > 4:
+    # the stack made there is zero, and nothing is stacked on it
+    assert verify_jumps(lat, 2, 4) and made() == [(2, 4), (2, 1), (2, -2)]
+    assert stacks[-1].zero and stacks[-1].echelons == []
     gmin = minimal_building_set(lat)
     assert graded_equal(realized(lat, gmin, Fraction(1, 2), 4), realized(lat, gmin, 0, 4), 4)
     assert verify_jumps(single_hyperplane(1), 1, 2) == [(Fraction(1), True)]

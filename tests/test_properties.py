@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arrideals import graded, multiplier
+from arrideals import multiplier
 from arrideals.arrangement import (
     Arrangement,
     Hyperplane,
@@ -18,7 +18,7 @@ from arrideals.arrangement import (
     serialize_arrangement,
 )
 from arrideals.building import full_building_set, minimal_building_set
-from arrideals.graded import Polynomial
+from arrideals.graded import Polynomial, _check_width
 from arrideals.lattice import compute_lattice, minimal_containing, rows_in
 from arrideals.multiplier import (
     hilbert_function,
@@ -220,8 +220,9 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
     in turn, the flats whose exponent rose there with their new exponent,
     in canonical order, except where a hyperplane's rose: there it starts
     a fresh stack from every term with a positive exponent, of which the
-    stack takes the ones not on a hyperplane; once h has degree above the
-    bound, nothing more is stacked."""
+    stack takes the ones not on a hyperplane; once every piece up to the
+    bound is 0, deg h plus J″'s largest exponent above it, nothing more is
+    stacked."""
     lat = compute_lattice(arr)
     gmin = minimal_building_set(lat).flats
     assert support(lat, lam) == [W for W in gmin if lam >= Fraction(W.rank, W.mult)]
@@ -229,8 +230,17 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
                     for m in range(W.rank, floor(lam_max * W.mult) + 1)})
     assert jump_candidates(lat, lam_max) == cands
     exponents = dict.fromkeys(gmin, 0)
+
+    def zero():  # every piece up to degree 1 of the ideal at the exponents is 0
+        e_H = {W.closed_set[0]: e for W, e in exponents.items() if W.rank == 1}
+        return sum(e_H.values()) + max([0] + [
+            e - sum(e_H.get(k, 0) for k in W.closed_set)
+            for W, e in exponents.items() if W.rank > 1]) > 1
+
     expected = [("new", []), ("add", [])]  # the unit ideal below the first candidate
     for c in cands:
+        if zero():
+            break
         rose = []
         for W, old in exponents.items():
             e = multiplier._exponent(c, W)
@@ -240,8 +250,6 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
         if any(W.rank == 1 for W, _ in rose):
             terms = [(W, e) for W, e in exponents.items() if e > 0]
             expected += [("new", terms), ("add", [(W, e) for W, e in terms if W.rank > 1])]
-            if sum(e for W, e in terms if W.rank == 1) > 1:  # deg h above the bound
-                break
         else:
             expected.append(("add", rose))
     calls = []
@@ -314,17 +322,18 @@ def test_membership_matches_the_generator_route(arr, lam, summands):
 def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
     """Factoring out the hyperplane powers and stacking each term's rows
     with j ≥ j0 pivot variables only gives the unfactored stacks of every
-    row of every term (j0 = 0) in ``hilbert_function`` (both building
-    sets), ``theorem_rows`` and ``verify_jumps``, for λ up to 3 and
-    multiplicities 1-3; ``membership`` agrees with pairing every row."""
+    inverse-system row of every term (j0 = 0, ``helpers.EveryRowStack``)
+    in ``hilbert_function`` (both building sets), ``theorem_rows`` and
+    ``verify_jumps``, for λ up to 3 and multiplicities 1-3;
+    ``membership`` agrees with pairing every row."""
     lat = compute_lattice(arr)
     top = lat.flats[-1]
 
     def every_row(*batches):
-        perps = graded._Perps(top.rank, bound)
+        stack = helpers.EveryRowStack(top.rank, bound)
         for terms in batches:
-            perps.add([(rows_in(top, W), e, 0) for W, e in terms])
-            yield multiplier._lift(perps.dims(), arr.dim - top.rank)
+            stack.add([(rows_in(top, W), e) for W, e in terms])
+            yield multiplier._lift(stack.dims(), arr.dim - top.rank)
 
     pres_min = presentation(lat, minimal_building_set(lat), lam)
     pres_full = presentation(lat, full_building_set(lat), lam)
@@ -346,6 +355,64 @@ def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
     for pres in (pres_min, pres_full):
         every = [(W.basis_rows, e, 0) for W, e in pres.terms]
         assert membership(pres, poly) == helpers.pairs_to_zero(every, poly)
+
+
+@st.composite
+def coordinate_arrangements(draw):
+    """The coordinate hyperplanes of Q^n, n = 1-8, multiplicities 1-3: the
+    top flat has rank n, and every gmin term is a hyperplane's."""
+    n = draw(st.integers(1, 8))
+    mults = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return Arrangement.from_normals(n, [tuple(int(i == j) for j in range(n))
+                                        for i in range(n)], mults)
+
+
+def _refuses(call) -> bool:
+    """Whether ``call`` raises the width guard's ValueError."""
+    try:
+        call()
+    except ValueError as exc:
+        assert "monomials" in str(exc), exc
+        return True
+    return False
+
+
+_AXES8 = Arrangement.from_normals(8, [tuple(int(i == j) for j in range(8))
+                                      for i in range(8)], [3] * 8)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(arrangements(dims=(1, 3)), coordinate_arrangements()),
+       st.integers(0, 12), st.integers(0, 24))
+# eight variables, too wide from degree 7 on: at λ = 4 every exponent is
+# 12, so degree 7 is answered and degree 12 refused; at λ = 7/6 the
+# hyperplanes' exponent is 3 and the top flat's 21, so only the minimal set
+# and theorem_rows are refused at degree 7
+@example(_AXES8, 7, 24)
+@example(_AXES8, 12, 24)
+@example(_AXES8, 7, 7)
+def test_width_guard_refuses_exactly_when_every_exponent_is_within_the_bound(arr, bound, k):
+    """``hilbert_function`` and ``theorem_rows`` refuse exactly when every
+    exponent is at most the bound and the guard refuses the top flat's
+    rank at the bound; otherwise the largest term leaves every piece 0.
+    ``verify_jumps`` starts from the unit ideal, so it refuses exactly when
+    there is a candidate and the guard refuses."""
+    lat = compute_lattice(arr)
+    lam = Fraction(k, 6)
+    wide = _refuses(lambda: _check_width(lat.top.rank, bound))
+    pres_min = presentation(lat, minimal_building_set(lat), lam)
+    pres_full = presentation(lat, full_building_set(lat), lam)
+
+    def within(pres):
+        return all(e <= bound for _, e in pres.terms)
+
+    for pres in (pres_min, pres_full):
+        assert _refuses(lambda: hilbert_function(lat, pres, bound)) == (wide and within(pres))
+    assert _refuses(lambda: theorem_rows(lat, pres_min, pres_full, bound)) == (
+        wide and within(pres_min))
+    if bound and k:
+        assert _refuses(lambda: verify_jumps(lat, lam, bound)) == (
+            wide and bool(jump_candidates(lat, lam)))
 
 
 @st.composite
