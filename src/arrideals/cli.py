@@ -112,7 +112,7 @@ def _cmd_building(args, lat: IntersectionLattice) -> int:
                 f"building set check failed at flat with closed set "
                 f"{list(bad.closed_set)}"
             )
-        print(f"building set OK ({len(bs)} flats)")
+        print(f"building set OK ({len(bs)} flat{'s' * (len(bs) != 1)})")
     if args.json:
         print(json.dumps([_flat_json(f) for f in bs.flats], indent=2))
     else:

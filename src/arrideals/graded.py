@@ -22,7 +22,8 @@ coefficient of every term vanishes on each homogeneous component.  The
 functional of the coefficient of v^β·u^γ, read on the degree-d monomials
 in order, is the row of that coefficient in their expansions.  So ranks
 and membership read one truncated expansion: membership expands the
-polynomial, and a row is the transpose of the monomials' expansions.  No
+polynomial (``_Power.vanishes``), and a row is the transpose of the
+monomials' expansions (``_Power.rows``).  No
 piece is ever built, nor is a perp kept: a term's rows in one degree are
 read off one expansion of that degree's monomials as they are stacked.
 The only caches are the per-degree monomial tables.
@@ -37,10 +38,12 @@ order, U's own left-out coefficients included).  So a term is
 the largest such e_U: no rank changes.  With j0 = 0 it reads all of them;
 the multiplier module computes j0 from the flats' closed sets.
 
-The multiplier module stacks these rows and reads piece dimensions off
-their ranks (its ``_Stack``).  ``_Power`` and ``intersection_contains``
-take a power as a term (forms, e, j0): a flat's canonical rows, an
-exponent and the lowest v-degree of a coefficient that is read.
+This module reads one power, ``_Power``, given as a term (forms, e, j0):
+a flat's canonical rows, an exponent and the lowest v-degree of a
+coefficient that is read.  The multiplier module reads a presentation:
+it factors out the hyperplane powers, computes j0, stacks the rows and
+reads piece dimensions off their ranks (its ``_Stack``), and decides
+membership one power at a time.
 
 Coefficients are rational, which is faithful for every identity handled
 here since all inputs are rational.
@@ -113,12 +116,6 @@ class Polynomial:
         ordered = sorted(clean.items(),
                          key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return cls(nvars, tuple(ordered))
-
-    def homogeneous_parts(self) -> dict[int, dict[Monomial, int | Fraction]]:
-        parts: dict[int, dict[Monomial, int | Fraction]] = {}
-        for mono, coef in self.terms:
-            parts.setdefault(sum(mono), {})[mono] = coef
-        return parts
 
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^])|(?P<ws>\s+)|(?P<bad>.)")
@@ -227,9 +224,9 @@ IntRows = tuple[tuple[int, ...], ...]
 # every degree up to the default cap 10 in six variables.  Memory grows with
 # the square: hilbert on braid(7) at λ = 2/3, six essential variables, stacks
 # a nearly full-rank perp of width 3003 at degree 10 in 121 MB max RSS (238 s
-# on a 2-core machine, Python 3.11.7).  Membership stacks nothing, and each
-# of its products has at most the width's terms, but it keeps the guard so
-# that it refuses the same inputs with the same message.
+# on a 2-core machine, Python 3.11.7).  Membership stacks nothing, but it
+# keeps the guard: the image of a degree-d monomial has up to the width's
+# terms.
 MAX_PIECE_WIDTH = 3003
 
 # Most monomials of all degrees up to d together: C(16, 10), the most that
@@ -347,54 +344,13 @@ class _Power:
                 row[i] = a
             yield row
 
-
-def intersection_contains(terms: Sequence[tuple[IntRows, int, int]],
-                          poly: Polynomial) -> bool:
-    """Whether ``poly`` lies in the intersection of the powers I^e, one per
-    (forms, e, j0) term with canonical forms, without realizing it.
-
-    For each term, the polynomial is expanded once in the term's
-    coordinates (u, v), truncated at v-degree e (``_Power``), and it passes
-    when every coefficient of v-degree j0 … e − 1 is 0; those below j0
-    vanish on all of an earlier term's power, which the polynomial must
-    lie in too (module docstring).  The homogeneous components are
-    expanded together, as their images have distinct degrees.  A nonzero component of degree below the largest e
-    lies in no such intersection.  Nor does one below the degree of h, the
-    product of the principal terms' powers (ℓ^e, one form): distinct
-    canonical forms are non-proportional primes, so every element of the
-    intersection is h times a form.  Both are answered before any
-    expansion, and the expansions follow one width check.
-    """
-    if not terms:
-        return True
-    for forms, e, _ in terms:
-        if e < 1 or not forms:
-            raise ValueError(f"no proper power: {len(forms)} forms, exponent {e}")
-        if any(len(f) != poly.nvars for f in forms):
-            raise ValueError("variable counts differ")
-    parts = poly.homogeneous_parts()
-    if parts and min(parts) < max(e for _, e, _ in terms):
-        return False
-    _check_width(poly.nvars, max(parts, default=0))
-    principal: dict[IntRows, int] = {}
-    for forms, e, _ in terms:
-        if len(forms) == 1:
-            principal[forms] = max(e, principal.get(forms, 0))
-    if parts and min(parts) < sum(principal.values()):
-        return False
-    den = lcm(*(c.denominator for _, c in poly.terms))
-    ints = sorted((m, c.numerator * (den // c.denominator)) for m, c in poly.terms)
-    monos = [m for m, _ in ints]
-    base = max(parts, default=0) + 1
-    for forms, e, j0 in terms:
-        if j0 < e:
-            power = _Power(forms, e, j0, base)
-            low, out = power.low, {}
-            for i, image in power.expand(monos):
-                coef = ints[i][1]
-                for key, a in image.items():
-                    if key >= low:
-                        out[key] = out.get(key, 0) + coef * a
-            if any(out.values()):
-                return False
-    return True
+    def vanishes(self, monos: Sequence[Monomial], coefs: Sequence[int]) -> bool:
+        """Whether every coefficient of v-degree j0 … e − 1 of
+        Σ coefs[i]·monos[i] is 0, the monomials in lexicographic order."""
+        low, out = self.low, {}
+        for i, image in self.expand(monos):
+            coef = coefs[i]
+            for key, a in image.items():
+                if key >= low:
+                    out[key] = out.get(key, 0) + coef * a
+        return not any(out.values())

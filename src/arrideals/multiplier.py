@@ -43,8 +43,9 @@ graded module docstring), building no ideal:
   to bound − deg h, and its dimensions get deg h leading zeros; when low
   is above bound − deg h (so when deg h is above the bound) every piece
   is 0.  This is how the pieces above λ = 1 are periodic: J(λ + 1) =
-  f·J(λ).  Membership uses the same fact: a component of degree below
-  deg h is outside J, decided with no expansion.
+  f·J(λ).  Membership uses the same fact: J″ lies in the power of the
+  maximal ideal to its largest exponent, so a component of degree below
+  deg h plus that exponent is outside J, decided with no expansion.
 
 - Essential coordinates.  Every I_W is generated by linear forms in N(W),
   inside the normal space N(top) of the top flat, of rank r.  A form u of
@@ -85,8 +86,8 @@ graded module docstring), building no ideal:
   or a flat below W; the others vanish on that flat's power, so they lie
   in the stack's span (graded module docstring).  ``_Stacked`` reads j0
   off closed-set bitsets across the batches of one stack, and over a
-  presentation's terms for ``membership``.  A flat's rows are read only
-  for a term that yields one.
+  presentation's terms for ``membership``, which stops at the first term
+  that fails.  A flat's rows are read only for a term that yields one.
 """
 
 from __future__ import annotations
@@ -94,12 +95,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, chain
+from math import comb, lcm
 from typing import NamedTuple
 
 from .building import BuildingSet, minimal_building_set
-from .graded import Polynomial, _check_width, _Power, intersection_contains
+from .graded import Polynomial, _check_width, _Power
 from .lattice import Flat, IntersectionLattice, rows_in
 from .linalg import int_insert, to_fraction
 
@@ -226,6 +227,15 @@ class _Stacked:
             self.at[e] = self.at.get(e, 0) | bit
 
 
+def _reduced(powers: dict[int, int], terms):
+    """(W, e − ord_W h) for each (W, e) term with a positive one, ord_W h
+    the sum of ``powers[H]`` over the hyperplanes H in closed(W)."""
+    for W, e in terms:
+        e -= sum(powers.get(k, 0) for k in W.closed_set)
+        if e > 0:
+            yield W, e
+
+
 class _Stack:
     """The piece dimensions, degrees 0..bound, of an ideal J given by
     (W, e) terms, read through J = h·J″ (module docstring): h is the
@@ -267,17 +277,14 @@ class _Stack:
         return self.low > self.bound - self.shift
 
     def add(self, terms) -> None:
-        """Stack the terms (W, e − ord_W h) with a positive exponent in
-        order, ord_W h the sum of e_H over the hyperplanes H in closed(W):
-        the rows of their coefficients of v-degree j0 … e − 1, a flat's
-        rows read only for a term that yields one.  A term's powers are
-        built once and read in every degree.  A flat with no free column
-        yields none: every image of a degree-d monomial has v-degree d ≥ e."""
+        """Stack the terms reduced by h (``_reduced``) in order: the rows of
+        their coefficients of v-degree j0 … e − 1, a flat's rows read only
+        for a term that yields one.  A term's powers are built once and
+        read in every degree.  A flat with no free column yields none:
+        every image of a degree-d monomial has v-degree d ≥ e."""
         if self.zero:
             return
-        reduced = ((W, e - sum(self.powers.get(k, 0) for k in W.closed_set))
-                   for W, e in terms)
-        taken = list(self.stacked.first_new_rows((W, e) for W, e in reduced if e > 0))
+        taken = list(self.stacked.first_new_rows(_reduced(self.powers, terms)))
         self.low = max([self.low] + [e for _, e, _ in taken])
         if self.zero:
             return
@@ -343,14 +350,16 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
-    risen: dict[Fraction, list] = {}
-    exponents: dict[Flat, int] = {}  # canonical order, as _rises lists flats
-    for c, W, e in _rises(lat, lam_max):
-        risen.setdefault(c, []).append((W, e))
-        exponents.setdefault(W, 0)
-    if not risen:
+    rises = _rises(lat, lam_max)
+    first = next(rises, None)
+    if first is None:
         return []
     stack = _Stack(lat, bound, [])  # the unit ideal below the first candidate
+    risen: dict[Fraction, list] = {}
+    exponents: dict[Flat, int] = {}  # canonical order, as _rises lists flats
+    for c, W, e in chain([first], rises):
+        risen.setdefault(c, []).append((W, e))
+        exponents.setdefault(W, 0)
     before = stack.dims()
     answers = []
     cands = sorted(risen)
@@ -370,20 +379,30 @@ def verify_jumps(lat: IntersectionLattice, lam_max,
 
 
 def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
-    """Whether the polynomial lies in the presented ideal: one truncated
-    expansion per term, in coordinates where the flat's forms are
-    variables, whose coefficients of low degree in them must vanish
-    (``graded.intersection_contains``), those of degree below the largest
-    exponent of an earlier term on a smaller flat left unread; a component
-    of degree below deg h is refused with no expansion (module
-    docstring)."""
+    """Whether the polynomial lies in the presented ideal J = h·J″ (module
+    docstring): no nonzero component has degree below deg h plus J″'s
+    largest exponent, and for each term in turn its expansion in
+    coordinates where the flat's forms are variables has no nonzero
+    coefficient of v-degree j0 … e − 1 (``graded._Power.vanishes``)."""
     if poly.nvars != pres.ambient_dim:
         raise ValueError(
             f"variable count mismatch: polynomial has {poly.nvars}, "
             f"arrangement has {pres.ambient_dim}"
         )
-    return intersection_contains([(W.basis_rows, e, j0) for W, e, j0
-                                  in _Stacked().first_new_rows(pres.terms)], poly)
+    if pres.is_unit:
+        return True
+    powers = {W.closed_set[0]: e for W, e in pres.terms if W.rank == 1}
+    lowest = sum(powers.values()) + max((e for _, e in _reduced(powers, pres.terms)),
+                                        default=0)
+    if poly.terms and sum(poly.terms[-1][0]) < lowest:  # terms run highest degree first
+        return False
+    top = sum(poly.terms[0][0]) if poly.terms else 0
+    _check_width(poly.nvars, top)
+    den = lcm(*(c.denominator for _, c in poly.terms))
+    ints = sorted((m, c.numerator * (den // c.denominator)) for m, c in poly.terms)
+    monos, coefs = [m for m, _ in ints], [c for _, c in ints]
+    return all(_Power(W.basis_rows, e, j0, top + 1).vanishes(monos, coefs)
+               for W, e, j0 in _Stacked().first_new_rows(pres.terms) if j0 < e)
 
 
 def resolution_table(lat: IntersectionLattice,

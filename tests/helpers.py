@@ -22,10 +22,13 @@ on first read; ``flat_with_closed`` looks a flat up by its closed set.
 of ``int_kernel``), the oracle for the rows the package stacks;
 ``EveryRowStack`` stacks all of those rows with no factor taken out, the
 oracle for the stack's piece dimensions, and ``pairs_to_zero`` pairs a
-polynomial's components with them, the oracle for membership.  ``poly_add``, ``poly_mul`` and
-``format_polynomial`` are the polynomial arithmetic and printing, and
-``int_contains`` and ``monomial_index`` the span test and monomial
-positions, that only tests need."""
+polynomial's components with them, the oracle for membership.
+``power_contains`` reads one power's coefficients of a polynomial through
+the package's expansion (``graded._Power.vanishes``).  ``poly_add``,
+``poly_mul``, ``homogeneous_parts`` and ``format_polynomial`` are the
+polynomial arithmetic, components and printing, and ``int_contains`` and
+``monomial_index`` the span test and monomial positions, that only tests
+need."""
 
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from math import comb, factorial, gcd, lcm, prod
 from arrideals.arrangement import Arrangement, Hyperplane
 from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
-from arrideals.graded import Polynomial, monomials
+from arrideals.graded import Polynomial, _Power, monomials
 from arrideals.lattice import Flat, IntersectionLattice, _flats_by_level, flat_sort_key
 from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
@@ -347,6 +350,14 @@ def all_building_sets(lat: IntersectionLattice):
 
 # --- polynomial arithmetic and printing ------------------------------------
 
+def homogeneous_parts(poly: Polynomial) -> dict[int, dict[tuple[int, ...], int | Fraction]]:
+    """The homogeneous components of ``poly``, by degree."""
+    parts: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    for mono, coef in poly.terms:
+        parts.setdefault(sum(mono), {})[mono] = coef
+    return parts
+
+
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     acc = dict(a.terms)
     for mono, coef in b.terms:
@@ -636,7 +647,7 @@ def contains_polynomial(gi: GradedIdeal, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` lies in its piece."""
     if poly.nvars != gi.nvars:
         raise ValueError("variable counts differ")
-    parts = poly.homogeneous_parts()
+    parts = homogeneous_parts(poly)
     degree = max(parts, default=-1)
     if degree > gi.degree_bound:
         raise ValueError(
@@ -750,14 +761,25 @@ def pairs_to_zero(terms, poly: Polynomial) -> bool:
     """Whether every homogeneous component of ``poly`` pairs to zero with
     every inverse-system row with j ≥ j0 pivot variables of every
     (forms, e, j0) term in its degree: the row-pairing route for
-    ``graded.intersection_contains``, sharing no code with its expansion."""
-    for d, part in poly.homogeneous_parts().items():
+    ``multiplier.membership``, sharing no code with its expansion."""
+    for d, part in homogeneous_parts(poly).items():
         vec = primitive_vector([part.get(m, 0) for m in monomials(poly.nvars, d)])
         for forms, e, j0 in terms:
             for g in inverse_system(forms, poly.nvars, e, d, j0):
                 if sum(a * b for a, b in zip(vec, g) if a):
                     return False
     return True
+
+
+def power_contains(forms, exponent: int, j0: int, poly: Polynomial) -> bool:
+    """Whether every coefficient of v-degree j0 … e − 1 of ``poly`` in the
+    coordinates (u, v) of the canonical ``forms`` is 0: the power
+    I^e when j0 = 0, read as ``multiplier.membership`` reads each of its
+    terms (``graded._Power.vanishes``)."""
+    terms = sorted(poly.terms)
+    base = 1 + max((sum(m) for m, _ in terms), default=0)
+    return _Power(forms, exponent, j0, base).vanishes([m for m, _ in terms],
+                                                     [c for _, c in terms])
 
 
 class EveryRowStack:

@@ -226,13 +226,18 @@ def test_building_listing_and_verify(capsys, braid3_file):
 
 def test_building_verify_on_the_minimal_set(capsys, tmp_path, monkeypatch):
     """On the minimal set ``building --verify`` decomposes every flat that is
-    not a member: braid(6) passes, and braid(3)'s hyperplanes alone fail at
-    the top flat as an invariant violation."""
+    not a member: braid(6) passes, so does one double point, a set of one
+    flat, and braid(3)'s hyperplanes alone fail at the top flat as an
+    invariant violation."""
     path = str(tmp_path / "b6.json")
     assert cli.main(["braid", "6", "-o", path]) == 0
     code, out, err = run(capsys, ["building", path, "--verify"])
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "building set OK (57 flats)"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"dim": 1, "hyperplanes": [{"normal": ["1"], "mult": 2}]}))
+    code, out, err = run(capsys, ["building", str(point), "--verify"])
+    assert (code, out, err) == (0, "building set OK (1 flat)\n1\t2\t0\n", "")
 
     def hyperplanes(lat):
         return BuildingSet(tuple(W for W in lat.irreducibles if W.rank == 1))
@@ -295,8 +300,9 @@ def test_member(capsys, braid3_file):
 
 def test_member_answers_before_the_width_guard(capsys, tmp_path, braid3_file):
     """The unit ideal contains every polynomial, however wide its degree;
-    a component of degree below the largest exponent rules a polynomial
-    out, also when another component is wider than the guard admits."""
+    a component of degree below deg h plus J″'s largest exponent rules a
+    polynomial out, also when it or another component is wider than the
+    guard admits."""
     start = time.perf_counter()
     code, out, err = run(capsys, ["member", braid3_file, "--lambda", "0",
                                   "--poly", "x0^50000"])
@@ -311,6 +317,14 @@ def test_member_answers_before_the_width_guard(capsys, tmp_path, braid3_file):
     assert (code, out, err) == (0, "false\n", "")
     code, out, err = run(capsys, ["member", b5, "--lambda", "2/3", "--poly", "x0^40"])
     assert code == 1 and "monomials" in err
+    # at 1 on braid(6), h = f has degree 15, and degree 14 in six variables
+    # has 11628 monomials
+    b6 = str(tmp_path / "b6.json")
+    assert cli.main(["braid", "6", "-o", b6]) == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["member", b6, "--lambda", "1", "--poly", "x0^14"])
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, "false\n", "")
 
 
 def test_resolution(capsys, braid3_file):

@@ -13,7 +13,6 @@ from arrideals.graded import (
     Polynomial,
     PolynomialParseError,
     _check_width,
-    intersection_contains,
     monomials,
     parse_polynomial,
 )
@@ -153,29 +152,13 @@ def test_power_of_braid_diagonal():
     assert power_dims(lat, top, 1, 2) == [0, 2, 5]
     for text, inside in (("x0 - x1", True), ("x1 - x2", True), ("x0", False)):
         poly = parse_polynomial(text, 3)
-        assert intersection_contains([(top.basis_rows, 1, 0)], poly) == inside
+        assert helpers.power_contains(top.basis_rows, 1, 0, poly) == inside
         assert contains_polynomial(generator_power(top, 1, 2), poly) == inside
     # the integer pieces are canonical: they convert to genuine RREF subspaces
     sq = generator_power(top, 2, 4)
     for d, piece in enumerate(helpers.pieces(sq)):
         assert piece.ambient_dim == comb(3 + d - 1, d)
         assert piece.rank == power_dims(lat, top, 2, 4)[d]
-
-
-def test_power_errors():
-    """intersection_contains refuses what is no proper power (an exponent
-    below 1, or no forms), and forms in another number of variables; no
-    terms is the unit ideal."""
-    lat = compute_lattice(axes(2))
-    x = helpers.flat_with_closed(lat, (0,)).basis_rows
-    with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 0, 0)], parse_polynomial("x0", 2))
-    with pytest.raises(ValueError, match="no proper power"):
-        intersection_contains([(x, 1, 0), (lat.flats[0].basis_rows, 1, 0)],
-                              parse_polynomial("x0", 2))
-    with pytest.raises(ValueError, match="variable counts differ"):
-        intersection_contains([(x, 1, 0)], parse_polynomial("x0", 3))
-    assert intersection_contains([], parse_polynomial("x0^50000", 2))
 
 
 def test_intersect_examples():
@@ -384,7 +367,7 @@ def test_power_contains_matches_pieces():
                 low = {monomials(4, d - 1)[0]: Fraction(rng.randint(1, 5), 3)}
                 for terms, expect in ((inside, True), ({**inside, **low}, False)):
                     poly = Polynomial.from_terms(4, terms)
-                    assert intersection_contains([(flat.basis_rows, e, 0)], poly) == expect
+                    assert helpers.power_contains(flat.basis_rows, e, 0, poly) == expect
                     assert contains_polynomial(gi, poly) == expect
 
 
@@ -412,9 +395,10 @@ def skipped_images(monkeypatch):
 
 
 def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices, skipped_images):
-    """``intersection_contains`` on one (forms, e, j0) term answers as
-    pairing each component with the inverse-system rows with j ≥ j0 pivot
-    variables (``helpers.pairs_to_zero``), for e = 1..4 and every j0 ≤ e − 1,
+    """``graded._Power.vanishes`` on one (forms, e, j0) term
+    (``helpers.power_contains``) answers as pairing each component with
+    the inverse-system rows with j ≥ j0 pivot variables
+    (``helpers.pairs_to_zero``), for e = 1..4 and every j0 ≤ e − 1,
     on flats of braid(3-6) and of the corpus, non-unit pivots among them.
     A product of j of the forms and d − j free-column variables has
     v-degree exactly j, so it is inside exactly when j < j0 or j ≥ e: the
@@ -456,11 +440,11 @@ def test_expansion_matches_row_pairing(braid_lattices, corpus_lattices, skipped_
                         continue
                     term = [(forms, e, j0)]
                     single = product(j, d)
-                    assert intersection_contains(term, single) == (j < j0 or j >= e)
+                    assert helpers.power_contains(forms, e, j0, single) == (j < j0 or j >= e)
                     assert helpers.pairs_to_zero(term, single) == (j < j0 or j >= e)
                     mixed = helpers.poly_add(single, product(min(rng.randint(0, e + 1), d + 1)
                                                              if free else d + 1, d + 1))
-                    got = intersection_contains(term, mixed)
+                    got = helpers.power_contains(forms, e, j0, mixed)
                     assert got == helpers.pairs_to_zero(term, mixed), (flat, e, j0, mixed)
                     answers.add((j < j0 or j >= e, got))
     assert answers == {(True, True), (True, False), (False, False)}

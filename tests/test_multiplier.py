@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from arrideals import graded, multiplier
+from arrideals import graded, lattice, multiplier
 from arrideals.arrangement import Arrangement, Hyperplane, braid
 from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial, parse_polynomial
@@ -465,7 +465,11 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
     """On braid(5) at λ = 1 every element is a multiple of f, of degree 10,
     while the largest exponent is 7: a polynomial with a nonzero component
     of degree 7 to 9 is refused before any term's expansion is made, and
-    f itself is still decided by the expansions."""
+    f itself is still decided by the expansions.  On braid(4) with
+    multiplicities 2, 3, 3, 4, 4, 1 at λ = 7/12, deg h and the largest
+    exponent are 7 and J″ = I_W for the flat W of planes 1, 2 and 5, so h
+    itself is refused with no expansion (the generator route has no piece
+    in degree 7), and h times the form of plane 5 is expanded and in J."""
     lat = braid_lattices[5]
     pres = presentation(lat, minimal_building_set(lat), 1)
     assert max(e for _, e in pres.terms) == 7
@@ -488,6 +492,80 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
             assert not membership(pres, poly)
     assert made == []
     assert membership(pres, f) and made
+    made.clear()
+    arr = braid(4)
+    lat = compute_lattice(Arrangement.from_normals(4, [h.normal for h in arr.hyperplanes],
+                                                   [2, 3, 3, 4, 4, 1]))
+    pres = presentation(lat, minimal_building_set(lat), Fraction(7, 12))
+    assert max(e for _, e in pres.terms) == 7
+    forms = [Polynomial.from_terms(4, {tuple(int(i == j) for j in range(4)): c
+                                       for i, c in enumerate(h.normal)})
+             for h in lat.arrangement.hyperplanes]
+    h = Polynomial.from_terms(4, {(0,) * 4: 1})
+    for i in (0, 1, 2, 3, 3, 4, 4):
+        h = helpers.poly_mul(h, forms[i])
+    assert piece_dims(generator_presentation_ideal(pres, 7))[7] == 0
+    assert not membership(pres, h) and made == []
+    assert membership(pres, helpers.poly_mul(h, forms[5])) and made
+
+
+def test_membership_reads_rows_only_for_the_terms_it_expands(monkeypatch):
+    """On a fresh braid(5) lattice at λ = 1, where J = (f) and deg f = 10,
+    non-members of degree 7 to 9 are refused without building any flat's
+    canonical rows.  A non-member of degree 10, f with its last form
+    replaced by a second copy of its first, stops at the first term that
+    fails, the last hyperplane's: no later term is expanded, and each
+    expanded term builds its flat's rows once."""
+    lat = compute_lattice(braid(5))
+    pres = presentation(lat, minimal_building_set(lat), 1)
+    n = lat.arrangement.dim
+    forms = [Polynomial.from_terms(n, {tuple(int(i == j) for j in range(n)): c
+                                       for i, c in enumerate(h.normal)})
+             for h in lat.arrangement.hyperplanes]
+
+    def product(factors):
+        poly = Polynomial.from_terms(n, {(0,) * n: 1})
+        for form in factors:
+            poly = helpers.poly_mul(poly, form)
+        return poly
+
+    built, checked = [], []
+    canonical, vanishes = lattice.int_canonical, graded._Power.vanishes
+    monkeypatch.setattr(lattice, "int_canonical",
+                        lambda *a: built.append(a) or canonical(*a))
+    monkeypatch.setattr(graded._Power, "vanishes",
+                        lambda power, *a: checked.append((power.forms, vanishes(power, *a)))
+                        or checked[-1][1])
+    for k in (7, 8, 9):
+        assert not membership(pres, product(forms[:k]))
+    assert built == [] and checked == []
+    assert not membership(pres, product(forms[:1] + forms[:-1]))
+    last = helpers.flat_with_closed(lat, (len(forms) - 1,))
+    assert [ok for _, ok in checked] == [True] * (len(checked) - 1) + [False]
+    assert checked[-1][0] == last.basis_rows and len(built) == len(checked)
+    expandable = [W for W, e, j0 in multiplier._Stacked().first_new_rows(pres.terms)
+                  if j0 < e]
+    assert len(expandable) > len(checked)
+
+
+def test_verify_jumps_refuses_before_reading_the_rise_table(monkeypatch):
+    """One plane of multiplicity 10,000 has 10,000 candidates up to 1, and
+    degrees 0 to 9,999 of one variable have 10,000 monomials, more than the
+    guard admits: it refuses after the first rise is read, not the whole
+    rise table.  With no candidate the answer is still [] with no guard."""
+    read = []
+    rises = multiplier._rises
+
+    def counting(*a):
+        for rise in rises(*a):
+            read.append(rise)
+            yield rise
+
+    monkeypatch.setattr(multiplier, "_rises", counting)
+    with pytest.raises(ValueError, match="have 10000 monomials"):
+        verify_jumps(single_hyperplane(10_000), 1, 9_999)
+    assert len(read) <= 1
+    assert verify_jumps(single_hyperplane(2), Fraction(1, 3), 9_999) == []
 
 
 def test_membership_matches_generator_route(braid_lattices):
@@ -520,7 +598,7 @@ def test_membership_matches_generator_route(braid_lattices):
                 for poly in polys:
                     got = membership(pres, poly)
                     assert got == contains_polynomial(oracle, poly)
-                    answers.add((got, len(poly.homogeneous_parts()) > 1))
+                    answers.add((got, len(helpers.homogeneous_parts(poly)) > 1))
     assert answers == {(True, False), (False, False), (True, True), (False, True)}
 
 

@@ -294,14 +294,16 @@ def form_products(arr, summands) -> Polynomial:
        st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 4), max_size=5)),
                 min_size=1, max_size=3))
 def test_membership_matches_the_generator_route(arr, lam, summands):
-    """``membership`` over all terms at once agrees with piece containment
-    in the generator-built ideal, on sums of products of the arrangement's
-    forms (each summand a coefficient and up to five form indices)."""
+    """``membership`` over all terms at once, with both building sets,
+    agrees with piece containment in the generator-built ideal, on sums of
+    products of the arrangement's forms (each summand a coefficient and up
+    to five form indices)."""
     lat = compute_lattice(arr)
-    pres = presentation(lat, minimal_building_set(lat), lam)
     poly = form_products(arr, summands)
-    oracle = generator_presentation_ideal(pres, 5)
-    assert membership(pres, poly) == helpers.contains_polynomial(oracle, poly)
+    for building in (minimal_building_set(lat), full_building_set(lat)):
+        pres = presentation(lat, building, lam)
+        oracle = generator_presentation_ideal(pres, 5)
+        assert membership(pres, poly) == helpers.contains_polynomial(oracle, poly)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
