@@ -12,14 +12,12 @@ everything else is imported from its submodule (``arrideals.lattice``,
 """
 
 from .arrangement import braid
-from .building import minimal_building_set
 from .lattice import compute_lattice
 from .multiplier import hilbert_function, lct, presentation
 
 __all__ = [
     "braid",
     "compute_lattice",
-    "minimal_building_set",
     "presentation",
     "lct",
     "hilbert_function",

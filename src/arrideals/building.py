@@ -16,35 +16,25 @@ their closed sets partition closed(C) and Σ rank U_i = rank C.
   directly to N(B).  Every condition of the definition holds.
 
 A subset G of the proper flats is a building set when for every proper
-flat C the minimal elements of G containing C decompose C; a C in G is
-decomposed by itself alone.  The irreducible flats (those with no
-non-trivial decomposition) always form one, and it is contained in every
-other.  A flat is irreducible iff the linear matroid on its closed set is
-connected, and the components are exactly the finest decomposition.  The
-components of a flat F are the maximal irreducible flats whose closed sets
-lie in closed(F), ``minimal_containing(lat.irreducibles, F)``: each
-component is an irreducible flat there, and an irreducible flat U with
-closed(U) ⊆ closed(F) splits along the components, so lies in one.  Each
-lattice finds its irreducible flats once, along its cover edges (see the
-lattice module).
+flat C the maximal elements of G below C (closed sets inside closed(C))
+decompose C; a C in G is decomposed by itself alone.  The irreducible
+flats (those with no non-trivial decomposition) always form one,
+``lat.irreducibles``, contained in every other; ``lat.proper`` is the
+full one.  A flat is irreducible iff the linear matroid on its closed set
+is connected, and the components are exactly the finest decomposition.
+The components of a flat F are the maximal irreducible flats whose closed
+sets lie in closed(F): each component is an irreducible flat there, and an
+irreducible flat U with closed(U) ⊆ closed(F) splits along the
+components, so lies in one.  Each lattice finds its irreducible flats
+once, along its cover edges (see the lattice module); the building-set
+check re-derives every decomposition from closed sets and ranks alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .lattice import Flat, IntersectionLattice, minimal_containing
-
-
-@dataclass(frozen=True)
-class BuildingSet:
-    """A verified-by-construction family of proper flats."""
-
-    flats: tuple[Flat, ...]
-
-    def __len__(self) -> int:
-        return len(self.flats)
+from .lattice import ClosedSetIndex, Flat, IntersectionLattice
 
 
 def _decomposes(target: Flat, parts: Sequence[Flat]) -> bool:
@@ -55,28 +45,20 @@ def _decomposes(target: Flat, parts: Sequence[Flat]) -> bool:
             and sum(U.rank for U in parts) == target.rank)
 
 
-def minimal_building_set(lat: IntersectionLattice) -> BuildingSet:
-    """All irreducible proper flats, in canonical order (computed once per lattice)."""
-    return BuildingSet(lat.irreducibles)
-
-
-def full_building_set(lat: IntersectionLattice) -> BuildingSet:
-    """The whole proper lattice as a building set."""
-    return BuildingSet(lat.proper)
-
-
 def building_set_obstruction(lat: IntersectionLattice,
                              flats: Sequence[Flat]) -> Flat | None:
-    """First proper flat whose minimal covers in ``flats`` fail to decompose it.
-
-    ``flats`` must be distinct proper flats of ``lat``, as the minimal and the
-    full building set are; this is not checked.
-    """
+    """First proper flat whose maximal members of ``flats`` below it fail
+    to decompose it.  ``flats`` must be distinct proper flats of ``lat``, in
+    any order; this is not checked.  They are indexed highest rank first,
+    as ``ClosedSetIndex.maximal_below`` needs."""
+    index = ClosedSetIndex()
+    for U in sorted(flats, key=lambda U: -U.rank):
+        index.add(U)
     members = {U.closed_set for U in flats}
     for C in lat.proper:
         if C.closed_set in members:
             continue
-        parts = minimal_containing(flats, C)
+        parts = index.maximal_below(C)
         if not parts or not _decomposes(C, parts):
             return C
     return None

@@ -2,10 +2,10 @@
 
 Every command reads an arrangement file (JSON, see the arrangement module)
 and prints deterministically ordered text; some offer --json.  Rationals on
-the command line are "p" or "p/q"; decimal input is rejected because the
-floor computations are exact.  Exit codes: 0 success, 1 usage or parse
-error or an input too large (past a size limit, or out of memory), 2
-internal invariant violation.
+the command line are "p" or "p/q", "-p/q" too after a space; decimal input
+is rejected because the floor computations are exact.  Exit codes: 0
+success, 1 usage or parse error or an input too large (past a size limit,
+or out of memory), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import arrangement as arrmod
@@ -21,7 +22,7 @@ from . import building as bmod
 from . import graded as gmod
 from . import multiplier as mmod
 from .errors import InvariantError
-from .lattice import IntersectionLattice, compute_lattice
+from .lattice import Flat, IntersectionLattice, compute_lattice
 
 
 class _UsageError(Exception):
@@ -29,6 +30,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's private pattern for a negative number, read as a value
+        # and not an option: "-1/2" is one too
+        numbers = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(rf"{numbers}|^-\d+/\d+$")
+
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -59,10 +67,8 @@ def _load(path: str) -> arrmod.Arrangement:
         return arrmod.parse_arrangement(fh.read())
 
 
-def _building_set(lat: IntersectionLattice, choice: str) -> bmod.BuildingSet:
-    if choice == "min":
-        return bmod.minimal_building_set(lat)
-    return bmod.full_building_set(lat)
+def _building_set(lat: IntersectionLattice, choice: str) -> tuple[Flat, ...]:
+    return lat.irreducibles if choice == "min" else lat.proper
 
 
 def _default_degree(*presentations) -> int:
@@ -106,7 +112,7 @@ def _cmd_lattice(args, lat: IntersectionLattice) -> int:
 def _cmd_building(args, lat: IntersectionLattice) -> int:
     bs = _building_set(lat, args.set)
     if args.verify:
-        bad = bmod.building_set_obstruction(lat, bs.flats)
+        bad = bmod.building_set_obstruction(lat, bs)
         if bad is not None:
             raise InvariantError(
                 f"building set check failed at flat with closed set "
@@ -114,9 +120,9 @@ def _cmd_building(args, lat: IntersectionLattice) -> int:
             )
         print(f"building set OK ({len(bs)} flat{'s' * (len(bs) != 1)})")
     if args.json:
-        print(json.dumps([_flat_json(f) for f in bs.flats], indent=2))
+        print(json.dumps([_flat_json(f) for f in bs], indent=2))
     else:
-        for f in bs.flats:
+        for f in bs:
             print(_flat_line(f))
     return 0
 
@@ -163,7 +169,7 @@ def _cmd_jumps(args, lat: IntersectionLattice) -> int:
         return 0
     bound = args.degree
     if bound is None:  # verify_jumps refuses a --max of 0 or less, with one message
-        bound = _default_degree(mmod.presentation(lat, bmod.minimal_building_set(lat),
+        bound = _default_degree(mmod.presentation(lat, lat.irreducibles,
                                                   max(args.max, 0)))
     for c, jump in mmod.verify_jumps(lat, args.max, bound):
         print(f"{c}\tverified" if jump else f"{c}\tnot detected up to degree {bound}")
@@ -178,9 +184,9 @@ def _cmd_member(args, lat: IntersectionLattice) -> int:
 
 
 def _cmd_resolution(args, lat: IntersectionLattice) -> int:
-    for row in mmod.resolution_table(lat, _building_set(lat, args.set)):
-        closed = ",".join(map(str, row.flat.closed_set))
-        print(f"{closed}\t{row.discrepancy}\t{row.vanishing_order}")
+    for W in _building_set(lat, args.set):  # discrepancy r − 1, vanishing order s
+        closed = ",".join(map(str, W.closed_set))
+        print(f"{closed}\t{W.rank - 1}\t{W.mult}")
     return 0
 
 
@@ -192,8 +198,8 @@ def _cmd_hilbert(args, lat: IntersectionLattice) -> int:
 
 
 def _cmd_verify_theorem(args, lat: IntersectionLattice) -> int:
-    pres_min = mmod.presentation(lat, bmod.minimal_building_set(lat), args.lam)
-    pres_full = mmod.presentation(lat, bmod.full_building_set(lat), args.lam)
+    pres_min = mmod.presentation(lat, lat.irreducibles, args.lam)
+    pres_full = mmod.presentation(lat, lat.proper, args.lam)
     bound = (args.degree if args.degree is not None
              else _default_degree(pres_min, pres_full))
     a, b = mmod.theorem_rows(lat, pres_min, pres_full, bound)

@@ -75,7 +75,8 @@ covers.  The flats of rank r − 1 are never expanded either, so of them only
 irreducibility is read: the lookups stop at the first component that stays,
 and only the one lower cover the top flat is decided from gets its whole
 tuple of components.  The components of any flat F are the maximal
-irreducible flats whose closed sets lie in closed(F).
+irreducible flats whose closed sets lie in closed(F); a ``ClosedSetIndex``
+of the irreducibles reads them (``maximal_below``) from closed sets alone.
 
 The lattice keeps the enumeration's records, the closed masks of each rank.
 It builds a ``Flat`` at once only for the irreducible flats and the top
@@ -92,7 +93,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Sequence
 
 from .arrangement import Arrangement
 from .linalg import (
@@ -327,13 +327,47 @@ def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     return IntersectionLattice(arr, tuple(built), top, rest)
 
 
-def minimal_containing(flats: Sequence[Flat], target: Flat) -> list[Flat]:
-    """The containment-minimal elements of ``flats`` that contain ``target``."""
-    if target.rank == 0:
-        raise ValueError("target must be a proper flat")
-    tset = set(target.closed_set)
-    cands = [(U, frozenset(U.closed_set)) for U in flats if tset.issuperset(U.closed_set)]
-    out = [U for U, uset in cands if not any(wset > uset for _, wset in cands)]
-    out.sort(key=flat_sort_key)
-    return out
+class ClosedSetIndex:
+    """Flats as bitsets over the order they were added: ``having[h]`` holds
+    the members whose closed set has hyperplane h.  A member U lies below W,
+    closed(U) ⊆ closed(W), iff it has no hyperplane outside closed(W), so
+    the members below W take one bit operation per hyperplane, with no
+    pairwise scan.  ``maximal_below`` needs the members added highest rank
+    first: a strictly larger closed set has a strictly larger rank, so the
+    lowest bit left is a member that no member left lies strictly above."""
 
+    def __init__(self) -> None:
+        self.flats: list[Flat] = []
+        self.having: dict[int, int] = {}
+
+    def add(self, flat: Flat) -> int:
+        """Add ``flat`` as the next member; returns its bit."""
+        bit = 1 << len(self.flats)
+        self.flats.append(flat)
+        for h in flat.closed_set:
+            self.having[h] = self.having.get(h, 0) | bit
+        return bit
+
+    def _without(self, bits: int, hyperplanes) -> int:
+        """The members of ``bits`` that have none of ``hyperplanes``."""
+        having = 0
+        for h in hyperplanes:
+            having |= self.having.get(h, 0)
+        return bits & ~having
+
+    def below(self, W: Flat) -> int:
+        """The bitset of the members below W."""
+        return self._without((1 << len(self.flats)) - 1,
+                             self.having.keys() - W.closed_set)
+
+    def maximal_below(self, W: Flat) -> list[Flat]:
+        """The maximal members below W, highest rank first: take the lowest
+        bit left, then drop the members below it (those below W with no
+        hyperplane of closed(W) outside it)."""
+        closed = set(W.closed_set)
+        bits, out = self.below(W), []
+        while bits:
+            U = self.flats[(bits & -bits).bit_length() - 1]
+            out.append(U)
+            bits &= ~self._without(bits, closed.difference(U.closed_set))
+        return out

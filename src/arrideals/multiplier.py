@@ -85,7 +85,8 @@ graded module docstring), building no ideal:
   v-degree at least j0, j0 the largest exponent stacked before it on W
   or a flat below W; the others vanish on that flat's power, so they lie
   in the stack's span (graded module docstring).  ``_Stacked`` reads j0
-  off closed-set bitsets across the batches of one stack, and over a
+  off per-exponent bitsets over a ``lattice.ClosedSetIndex`` of the
+  stacked terms' flats, across the batches of one stack, and over a
   presentation's terms for ``membership``, which stops at the first term
   that fails.  A flat's rows are read only for a term that yields one.
 """
@@ -97,11 +98,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain
 from math import comb, lcm
-from typing import NamedTuple
+from typing import Sequence
 
-from .building import BuildingSet, minimal_building_set
 from .graded import Polynomial, _check_width, _Power
-from .lattice import Flat, IntersectionLattice, rows_in
+from .lattice import ClosedSetIndex, Flat, IntersectionLattice, rows_in
 from .linalg import int_insert, to_fraction
 
 
@@ -118,25 +118,20 @@ class MultiplierIdealPresentation:
         return not self.terms
 
 
-class ResolutionRow(NamedTuple):
-    flat: Flat
-    discrepancy: int
-    vanishing_order: int
-
-
 def _exponent(lam: Fraction, flat: Flat) -> int:
     scaled = lam * flat.mult
     return scaled.numerator // scaled.denominator - flat.rank + 1
 
 
-def presentation(lat: IntersectionLattice, building: BuildingSet,
+def presentation(lat: IntersectionLattice, building: Sequence[Flat],
                  lam) -> MultiplierIdealPresentation:
-    """Terms (W, floor(λ·s(W)) − r(W) + 1) over the building set, positive only."""
+    """Terms (W, floor(λ·s(W)) − r(W) + 1) over the building set's flats
+    (``lat.irreducibles`` or ``lat.proper``), in its order, positive only."""
     lam = to_fraction(lam)
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     terms = []
-    for W in building.flats:
+    for W in building:
         e = _exponent(lam, W)
         if e >= 1:
             terms.append((W, e))
@@ -157,14 +152,13 @@ def lct(lat: IntersectionLattice) -> Fraction:
     This is the smallest λ at which some exponent floor(λ·s) − r + 1
     reaches 1, i.e. the first λ with a non-unit multiplier ideal.
     """
-    gmin = minimal_building_set(lat)
-    return min(Fraction(W.rank, W.mult) for W in gmin.flats)
+    return min(Fraction(W.rank, W.mult) for W in lat.irreducibles)
 
 
 def support(lat: IntersectionLattice, lam) -> list[Flat]:
     """Minimal-building-set flats with λ ≥ r(W)/s(W), canonical order: the
     flats of the presentation's terms, as e ≥ 1 exactly when λ ≥ r/s."""
-    return [W for W, _ in presentation(lat, minimal_building_set(lat), lam).terms]
+    return [W for W, _ in presentation(lat, lat.irreducibles, lam).terms]
 
 
 def _rises(lat: IntersectionLattice, lam_max):
@@ -173,7 +167,7 @@ def _rises(lat: IntersectionLattice, lam_max):
     lam_max = to_fraction(lam_max)
     if lam_max <= 0:
         raise ValueError(f"lambda bound must be > 0, got {lam_max}")
-    for W in minimal_building_set(lat).flats:
+    for W in lat.irreducibles:
         for e in range(1, _exponent(lam_max, W) + 1):
             yield Fraction(W.rank + e - 1, W.mult), W, e
 
@@ -196,16 +190,12 @@ def _lift(dims: list[int], extra: int) -> list[int]:
     return dims
 
 
-class _Stacked:
-    """The (W, e) terms stacked so far, as bitsets over their order:
-    ``having[h]`` holds the terms whose closed set has hyperplane h, and
-    ``at[e]`` those with exponent e.  A stacked U lies below W exactly when
-    it has no hyperplane outside closed(W), so the terms below W take one
-    bit operation per hyperplane, with no pairwise scan of the terms."""
+class _Stacked(ClosedSetIndex):
+    """The (W, e) terms stacked so far: their flats indexed in order, and
+    ``at[e]``, the bitset of the terms with exponent e."""
 
     def __init__(self) -> None:
-        self.count = 0
-        self.having: dict[int, int] = {}
+        super().__init__()
         self.at: dict[int, int] = {}
 
     def first_new_rows(self, terms):
@@ -214,17 +204,9 @@ class _Stacked:
         closed(W), W itself included, so W's coefficients of v-degree
         below j0 lie in U's perp (graded module docstring)."""
         for W, e in terms:
-            closed = set(W.closed_set)
-            below = (1 << self.count) - 1
-            for h, bits in self.having.items():
-                if h not in closed:
-                    below &= ~bits
+            below = self.below(W)
             yield W, e, max((f for f, bits in self.at.items() if bits & below), default=0)
-            bit = 1 << self.count
-            self.count += 1
-            for h in closed:
-                self.having[h] = self.having.get(h, 0) | bit
-            self.at[e] = self.at.get(e, 0) | bit
+            self.at[e] = self.at.get(e, 0) | self.add(W)
 
 
 def _reduced(powers: dict[int, int], terms):
@@ -403,9 +385,3 @@ def membership(pres: MultiplierIdealPresentation, poly: Polynomial) -> bool:
     monos, coefs = [m for m, _ in ints], [c for _, c in ints]
     return all(_Power(W.basis_rows, e, j0, top + 1).vanishes(monos, coefs)
                for W, e, j0 in _Stacked().first_new_rows(pres.terms) if j0 < e)
-
-
-def resolution_table(lat: IntersectionLattice,
-                     building: BuildingSet) -> tuple[ResolutionRow, ...]:
-    """Discrepancy r(W)−1 and vanishing order s(W) for each building-set flat."""
-    return tuple(ResolutionRow(W, W.rank - 1, W.mult) for W in building.flats)

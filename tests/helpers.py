@@ -18,6 +18,10 @@ realized truncations piece by piece.  ``fraction_rows_in`` and
 and for the jump sweep, and ``eager_lattice`` builds every flat at once
 from the enumeration's records, the oracle for the flats a lattice builds
 on first read; ``flat_with_closed`` looks a flat up by its closed set.
+``minimal_containing`` is a pairwise frozenset scan, the oracle for the
+closed-set index's maximal-below read (``maximal_below`` reads it over a
+family of flats), and ``lattice_with_irreducibles`` a lattice whose
+irreducible set is wrong.
 ``inverse_system`` builds each power's perp by apolarity (from the points
 of ``int_kernel``), the oracle for the rows the package stacks;
 ``EveryRowStack`` stacks all of those rows with no factor taken out, the
@@ -35,15 +39,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 
 from arrideals.arrangement import Arrangement, Hyperplane
-from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import Polynomial, _Power, monomials
-from arrideals.lattice import Flat, IntersectionLattice, _flats_by_level, flat_sort_key
+from arrideals.lattice import (
+    ClosedSetIndex,
+    Flat,
+    IntersectionLattice,
+    _flats_by_level,
+    flat_sort_key,
+)
 from arrideals.multiplier import jump_candidates, presentation
 from arrideals.linalg import (
     _first_nonzero,
@@ -335,6 +345,38 @@ def fraction_building_set_obstruction(lat: IntersectionLattice, flats):
     return None
 
 
+def minimal_containing(flats, target: Flat) -> list[Flat]:
+    """The members of ``flats`` with closed sets inside the target's that
+    no other such member's closed set strictly contains, canonical order:
+    a frozenset scan of every pair, the oracle for
+    ``lattice.ClosedSetIndex.maximal_below``."""
+    tset = set(target.closed_set)
+    cands = [(U, frozenset(U.closed_set)) for U in flats if tset.issuperset(U.closed_set)]
+    out = [U for U, uset in cands if not any(wset > uset for _, wset in cands)]
+    out.sort(key=flat_sort_key)
+    return out
+
+
+def maximal_below(flats, target: Flat) -> list[Flat]:
+    """``lattice.ClosedSetIndex.maximal_below`` over ``flats`` indexed
+    highest rank first, canonical order."""
+    index = ClosedSetIndex()
+    for U in sorted(flats, key=lambda U: -U.rank):
+        index.add(U)
+    return sorted(index.maximal_below(target), key=flat_sort_key)
+
+
+def lattice_with_irreducibles(lat: IntersectionLattice, keep) -> IntersectionLattice:
+    """``lat`` with wrong lattice data: only the flats ``keep`` are listed
+    as irreducible.  The other irreducibles, the top flat aside, move to the
+    records of the flats built on first read, so ``flats`` is unchanged."""
+    records = [list(masks) for masks in lat._records]
+    for W in lat.irreducibles:
+        if W not in keep and W is not lat.top:
+            records[W.rank].append(sum(1 << j for j in W.closed_set))
+    return replace(lat, irreducibles=tuple(keep), _records=records)
+
+
 def all_building_sets(lat: IntersectionLattice):
     """Every building set, by testing all 2^|L'| subsets against
     ``fraction_building_set_obstruction``.  Small lattices only."""
@@ -598,7 +640,7 @@ def realized_jumps(lat: IntersectionLattice, lam_max, bound: int):
     """``multiplier.verify_jumps`` by realizing every candidate's ideal in
     all variables and comparing it with the ideal at the previous candidate
     (the unit ideal below the first)."""
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     before = generator_presentation_ideal(presentation(lat, gmin, 0), bound)
     out = []
     for c in jump_candidates(lat, lam_max):

@@ -18,13 +18,8 @@ from fractions import Fraction
 import pytest
 
 from arrideals.arrangement import Arrangement, braid
-from arrideals.building import (
-    _decomposes,
-    building_set_obstruction,
-    full_building_set,
-    minimal_building_set,
-)
-from arrideals.lattice import compute_lattice, flat_sort_key, minimal_containing
+from arrideals.building import _decomposes, building_set_obstruction
+from arrideals.lattice import compute_lattice, flat_sort_key
 from arrideals.multiplier import (
     jump_candidates,
     lct,
@@ -53,7 +48,7 @@ def braid_data():
     for n in range(3, 11):
         t0 = time.time()
         lat = compute_lattice(braid(n))
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         out[n] = (lat, gmin, time.time() - t0)
     return out
 
@@ -62,7 +57,7 @@ def test_criterion_1_braid_counts(braid_data):
     with criterion("criterion 1: braid counts (115975 flats / 1013 irreducibles at n=10)"):
         lat10, gmin10, elapsed = braid_data[10]
         assert len(lat10.flats) == 115975
-        assert len(gmin10.flats) == 1013
+        assert len(gmin10) == 1013
         assert elapsed < 600, f"braid(10) took {elapsed:.0f}s"
         bells = helpers.bell_numbers(10)
         for n in range(3, 9):
@@ -73,7 +68,7 @@ def test_criterion_1_braid_counts(braid_data):
             5, 15, 52, 203, 877, 4140,
         ]
         for n in range(3, 11):
-            assert len(braid_data[n][1].flats) == 2 ** n - n - 1
+            assert len(braid_data[n][1]) == 2 ** n - n - 1
 
 
 def test_criterion_2_closed_form_substitute():
@@ -107,7 +102,7 @@ def test_criterion_3_decomposition_cases(braid_data):
         w012 = helpers.flat_with_closed(lat5, (0, 1, 4))
         w34 = helpers.flat_with_closed(lat5, (9,))
         assert _decomposes(c, [w012, w34])
-        assert minimal_containing(lat5.irreducibles, c) == sorted(
+        assert helpers.maximal_below(lat5.irreducibles, c) == sorted(
             [w012, w34], key=flat_sort_key
         )
 
@@ -126,8 +121,8 @@ def test_criterion_4_theorem_oracle_equivalence():
         t0 = time.time()
         for arr in _theorem_arrangements():
             lat = compute_lattice(arr)
-            gmin = minimal_building_set(lat)
-            full = full_building_set(lat)
+            gmin = lat.irreducibles
+            full = lat.proper
             for lam in jump_candidates(lat, 1):
                 a = generator_presentation_ideal(presentation(lat, gmin, lam), 6)
                 b = generator_presentation_ideal(presentation(lat, full, lam), 6)
@@ -156,7 +151,7 @@ def test_criterion_6_smooth_divisor():
         for m in (1, 2, 3):
             arr = Arrangement.from_normals(2, [(1, -1)], [m])
             lat = compute_lattice(arr)
-            gmin = minimal_building_set(lat)
+            gmin = lat.irreducibles
             for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
                         Fraction(1), Fraction(3, 2)):
                 gi = generator_presentation_ideal(presentation(lat, gmin, lam), 6)
@@ -168,7 +163,7 @@ def test_criterion_6_smooth_divisor():
 def test_criterion_7a_monotonicity(corpus, corpus_lattices):
     with criterion("criterion 7a: graded ideals shrink as lambda grows (20 arrangements)"):
         for lat in corpus_lattices:
-            gmin = minimal_building_set(lat)
+            gmin = lat.irreducibles
             grid = [Fraction(0)] + jump_candidates(lat, Fraction(3, 2))
             prev = None
             for lam in grid:
@@ -183,7 +178,7 @@ def test_criterion_7b_brute_force_agreement(corpus_lattices):
         for lat in corpus_lattices:
             for c in lat.proper:
                 passing = helpers.brute_force_decompositions(lat, c)
-                got = minimal_containing(lat.irreducibles, c)
+                got = helpers.maximal_below(lat.irreducibles, c)
                 norm = tuple(sorted(got, key=flat_sort_key))
                 assert (c,) in passing
                 assert norm in [tuple(sorted(p, key=flat_sort_key)) for p in passing]
@@ -196,8 +191,8 @@ def test_criterion_7b_brute_force_agreement(corpus_lattices):
 def test_criterion_7c_building_sets_valid(corpus_lattices):
     with criterion("criterion 7c: minimal and full families are building sets"):
         for lat in corpus_lattices:
-            assert building_set_obstruction(lat, minimal_building_set(lat).flats) is None
-            assert building_set_obstruction(lat, full_building_set(lat).flats) is None
+            assert building_set_obstruction(lat, lat.irreducibles) is None
+            assert building_set_obstruction(lat, lat.proper) is None
 
 
 def test_criterion_7d_gmin_minimality(corpus_lattices):
@@ -209,7 +204,7 @@ def test_criterion_7d_gmin_minimality(corpus_lattices):
         ))
         checked = 0
         for lat in small:
-            gmin = set(minimal_building_set(lat).flats)
+            gmin = set(lat.irreducibles)
             for bs in helpers.all_building_sets(lat):
                 assert gmin <= set(bs)
                 checked += 1

@@ -1,18 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from arrideals.arrangement import Arrangement, braid
-from arrideals.building import (
-    BuildingSet,
-    _decomposes,
-    building_set_obstruction,
-    full_building_set,
-    minimal_building_set,
-)
-from arrideals.lattice import compute_lattice, flat_sort_key, minimal_containing
+from arrideals.building import _decomposes, building_set_obstruction
+from arrideals.lattice import compute_lattice, flat_sort_key
 
 import helpers
+from helpers import maximal_below
 from fraction_linalg import span
 
 
@@ -36,7 +32,20 @@ def test_braid5_block_decomposition():
     w012 = helpers.flat_with_closed(lat, (0, 1, 4))
     w34 = helpers.flat_with_closed(lat, (9,))
     assert _decomposes(c, [w012, w34])
-    assert minimal_containing(lat.irreducibles, c) == [w34, w012]
+    assert maximal_below(lat.irreducibles, c) == [w34, w012]
+
+
+def test_overlapping_parts_never_decompose():
+    """The partition half of the test does not lean on the ranks: parts
+    whose closed sets overlap and cover the target are refused also where
+    the lattice data claims that their ranks add.  With true ranks an
+    overlap always makes the sum too large."""
+    lat = compute_lattice(braid(4))
+    x012, x123 = (helpers.flat_with_closed(lat, c) for c in ((0, 1, 3), (3, 4, 5)))
+    h03 = helpers.flat_with_closed(lat, (2,))
+    assert not _decomposes(lat.top, [x012, x123, h03])
+    # ranks 1 + 1 + 1 add to the top's 3; the shared hyperplane 3 refuses it
+    assert not _decomposes(lat.top, [replace(x012, rank=1), replace(x123, rank=1), h03])
 
 
 def test_parts_must_contain_the_target():
@@ -78,7 +87,7 @@ def test_irreducible_single_blocks(braid_lattices):
         )
         diag = helpers.flat_with_closed(lat, full_block)
         assert diag in lat.irreducibles
-        assert minimal_containing(lat.irreducibles, diag) == [diag]
+        assert maximal_below(lat.irreducibles, diag) == [diag]
 
 
 def test_coordinate_axes_origin_decomposes():
@@ -86,7 +95,7 @@ def test_coordinate_axes_origin_decomposes():
     lat = compute_lattice(axes)
     origin = helpers.flat_with_closed(lat, (0, 1))
     assert origin not in lat.irreducibles
-    parts = minimal_containing(lat.irreducibles, origin)
+    parts = maximal_below(lat.irreducibles, origin)
     assert [f.closed_set for f in parts] == [(0,), (1,)]
 
 
@@ -119,7 +128,7 @@ def test_top_flat_irreducibility(arr, parts):
     top = lat.flats[-1]
     assert top.closed_set == tuple(range(len(arr.hyperplanes)))
     assert (top in lat.irreducibles) == (len(parts) == 1)
-    got = minimal_containing(lat.irreducibles, top)
+    got = maximal_below(lat.irreducibles, top)
     assert [U.closed_set for U in got] == parts
     finest = max(helpers.brute_force_decompositions(lat, top), key=len)
     assert sorted(finest, key=flat_sort_key) == got
@@ -127,8 +136,8 @@ def test_top_flat_irreducibility(arr, parts):
 
 def test_hyperplanes_always_irreducible(corpus_lattices):
     for lat in corpus_lattices:
-        gmin = minimal_building_set(lat)
-        closed = {f.closed_set for f in gmin.flats}
+        gmin = lat.irreducibles
+        closed = {f.closed_set for f in gmin}
         for i in range(len(lat.arrangement.hyperplanes)):
             assert (i,) in closed
 
@@ -136,14 +145,14 @@ def test_hyperplanes_always_irreducible(corpus_lattices):
 def test_gmin_is_modular_partitions():
     for n in range(3, 8):
         lat = compute_lattice(braid(n))
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         pair_index = helpers.braid_pair_index(n)
         expected = {
             helpers.partition_closed_set(p, pair_index)
             for p in helpers.set_partitions(n)
             if helpers.is_modular_partition(p)
         }
-        assert {f.closed_set for f in gmin.flats} == expected
+        assert {f.closed_set for f in gmin} == expected
         assert len(gmin) == 2 ** n - n - 1
 
 
@@ -151,42 +160,33 @@ def test_building_set_basics(braid_lattices):
     lat = braid_lattices[3]
     hps = [helpers.flat_with_closed(lat, (i,)) for i in range(3)]
     assert building_set_obstruction(lat, hps) == helpers.flat_with_closed(lat, (0, 1, 2))
-    assert building_set_obstruction(lat, minimal_building_set(lat).flats) is None
+    assert building_set_obstruction(lat, lat.irreducibles) is None
     assert building_set_obstruction(lat, lat.proper) is None
 
 
-def test_building_set_obstruction_matches_fraction_definition(corpus_lattices):
+def test_building_set_obstruction_matches_fraction_definition(braid_lattices,
+                                                              corpus_lattices):
     """The closed-set test finds the same failing flat as the Fraction
     definition, on seeded families drawn as the irreducibles plus random
-    extras and as random subsets; both outcomes occur."""
+    extras and as random subsets, passed in canonical and in shuffled
+    order, on braid(3–6) and the corpus; both outcomes occur."""
     rng = random.Random(13)
     outcomes = set()
-    for lat in corpus_lattices:
+    lattices = [braid_lattices[n] for n in (3, 4, 5, 6)] + list(corpus_lattices)
+    for lat in lattices:
         proper = lat.proper
         extras = [f for f in proper if f not in lat.irreducibles]
-        for _ in range(10):
+        for _ in range(10 if len(proper) < 60 else 2):
             grown = list(lat.irreducibles) + rng.sample(extras, rng.randint(0, len(extras)))
             drawn = rng.sample(proper, rng.randint(1, len(proper)))
             for flats in (grown, drawn):
                 flats.sort(key=flat_sort_key)
                 bad = building_set_obstruction(lat, flats)
                 assert bad == helpers.fraction_building_set_obstruction(lat, flats)
+                rng.shuffle(flats)
+                assert building_set_obstruction(lat, flats) == bad
                 outcomes.add(bad is None)
     assert outcomes == {True, False}
-
-
-def test_custom_building_set(braid_lattices):
-    """A family of one's own is wrapped as given and checked by the same
-    obstruction as ``building --verify``: here the whole proper lattice."""
-    lat = braid_lattices[3]
-    bs = BuildingSet(lat.proper)
-    assert building_set_obstruction(lat, bs.flats) is None
-    assert bs == full_building_set(lat)
-
-
-def test_kinds():
-    lat = compute_lattice(braid(3))
-    assert len(full_building_set(lat)) == len(lat.proper)
 
 
 def test_brute_force_agreement_small():
@@ -202,7 +202,7 @@ def test_brute_force_agreement_small():
         lat = compute_lattice(arr)
         for c in lat.proper:
             passing = helpers.brute_force_decompositions(lat, c)
-            got = tuple(minimal_containing(lat.irreducibles, c))
+            got = tuple(maximal_below(lat.irreducibles, c))
             assert (c,) in passing  # the trivial decomposition always passes
             assert tuple(sorted(got, key=flat_sort_key)) in [
                 tuple(sorted(p, key=flat_sort_key)) for p in passing
@@ -223,10 +223,10 @@ def test_enumerated_building_sets_contain_gmin():
     for arr in small:
         lat = compute_lattice(arr)
         assert len(lat.proper) <= 10
-        gmin = set(minimal_building_set(lat).flats)
+        gmin = set(lat.irreducibles)
         sets = helpers.all_building_sets(lat)
         assert sets  # at least G_min and L' qualify
         for bs in sets:
             assert gmin <= set(bs)
-        assert tuple(minimal_building_set(lat).flats) in sets
+        assert tuple(lat.irreducibles) in sets
         assert tuple(lat.proper) in sets

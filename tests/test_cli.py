@@ -17,10 +17,14 @@ from arrideals.arrangement import (
     parse_arrangement,
     serialize_arrangement,
 )
-from arrideals.building import BuildingSet, full_building_set, minimal_building_set
 from arrideals.errors import InvariantError
 
-from helpers import flat_with_closed, generator_presentation_ideal, piece_dims
+from helpers import (
+    flat_with_closed,
+    generator_presentation_ideal,
+    lattice_with_irreducibles,
+    piece_dims,
+)
 
 
 @pytest.fixture()
@@ -227,8 +231,9 @@ def test_building_listing_and_verify(capsys, braid3_file):
 def test_building_verify_on_the_minimal_set(capsys, tmp_path, monkeypatch):
     """On the minimal set ``building --verify`` decomposes every flat that is
     not a member: braid(6) passes, so does one double point, a set of one
-    flat, and braid(3)'s hyperplanes alone fail at the top flat as an
-    invariant violation."""
+    flat, and on a braid(3) lattice that lists only its hyperplanes as
+    irreducible the check fails at the top flat as an invariant
+    violation."""
     path = str(tmp_path / "b6.json")
     assert cli.main(["braid", "6", "-o", path]) == 0
     code, out, err = run(capsys, ["building", path, "--verify"])
@@ -239,12 +244,13 @@ def test_building_verify_on_the_minimal_set(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, ["building", str(point), "--verify"])
     assert (code, out, err) == (0, "building set OK (1 flat)\n1\t2\t0\n", "")
 
-    def hyperplanes(lat):
-        return BuildingSet(tuple(W for W in lat.irreducibles if W.rank == 1))
+    def hyperplanes(arr):
+        lat = lattice.compute_lattice(arr)
+        return lattice_with_irreducibles(lat, [W for W in lat.irreducibles if W.rank == 1])
 
     path = str(tmp_path / "b3.json")
     assert cli.main(["braid", "3", "-o", path]) == 0
-    monkeypatch.setattr(cli.bmod, "minimal_building_set", hyperplanes)
+    monkeypatch.setattr(cli, "compute_lattice", hyperplanes)
     code, out, err = run(capsys, ["building", path, "--verify"])
     assert (code, out) == (2, "")
     assert err == ("internal invariant violation: building set check failed "
@@ -452,32 +458,29 @@ def test_high_degree_in_few_variables_is_refused(capsys, tmp_path, braid3_file,
 
 
 def test_gmin_computed_once_per_lattice(capsys, tmp_path, monkeypatch):
-    """gmin comes with the lattice's one enumeration: every call for the
-    minimal building set returns the lattice's own irreducibles."""
+    """gmin comes with the lattice's one enumeration, and a jumps sweep
+    reads it through one rise table."""
     path = str(tmp_path / "b5.json")
     assert cli.main(["braid", "5", "-o", path]) == 0
-    enumerations, gmin_calls = [], []
+    enumerations, rise_calls = [], []
     flats_by_level = lattice._flats_by_level
-    minimal_building_set = multiplier.minimal_building_set
+    rises = multiplier._rises
 
     def counting_flats_by_level(normals, dim):
         enumerations.append(dim)
         return flats_by_level(normals, dim)
 
-    def recording_minimal_building_set(lat):
-        bs = minimal_building_set(lat)
-        gmin_calls.append((lat, bs))
-        return bs
+    def recording_rises(lat, lam_max):
+        rise_calls.append(lat)
+        return rises(lat, lam_max)
 
     monkeypatch.setattr(lattice, "_flats_by_level", counting_flats_by_level)
-    monkeypatch.setattr(multiplier, "minimal_building_set",
-                        recording_minimal_building_set)
+    monkeypatch.setattr(multiplier, "_rises", recording_rises)
     code, out, _ = run(capsys, ["jumps", path, "--max", "1", "--verify"])
     assert code == 0 and len(out.splitlines()) == 9
     assert len(enumerations) == 1
     # one rise table gives the candidates and the terms that rise at each
-    assert len(gmin_calls) == 1
-    assert all(bs.flats is lat.irreducibles for lat, bs in gmin_calls)
+    assert len(rise_calls) == 1
 
 
 def record_stacking(monkeypatch):
@@ -538,7 +541,7 @@ def segment_stacks(lat, lam_max, bound):
     exponent above bound − deg h, and a stack that is zero from the start
     (deg h above ``bound``) takes no batch.  Each is its bound − deg h and
     its batches of (W, e, j0) terms."""
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     stacks, powers, old = [], None, {}
     for c in [0] + multiplier.jump_candidates(lat, lam_max):
         terms = multiplier.presentation(lat, gmin, c).terms
@@ -654,9 +657,9 @@ def test_verify_theorem_stacks_only_the_full_sets_other_terms(capsys, tmp_path,
             code, out, _ = run(capsys, ["verify-theorem", path, "--lambda", str(lam),
                                         "--degree", str(degree)])
             assert code == 0 and out.splitlines()[-1] == f"EQUAL up to degree {degree}"
-            pres_min = multiplier.presentation(lat, minimal_building_set(lat), lam)
+            pres_min = multiplier.presentation(lat, lat.irreducibles, lam)
             extra = [(W, e) for W, e in multiplier.presentation(
-                lat, full_building_set(lat), lam).terms if W not in lat.irreducibles]
+                lat, lat.proper, lam).terms if W not in lat.irreducibles]
             assert len(extra) == reducible
             assert all(W.rank > 1 for W, _ in extra)
             deg_h, reduced = factored(pres_min.terms)
@@ -688,17 +691,20 @@ def test_verify_theorem_reports_where_the_ideals_differ(capsys, tmp_path, monkey
     path = str(tmp_path / "b4.json")
     assert cli.main(["braid", "4", "-o", path]) == 0
 
-    def without_flat(lat):
-        return BuildingSet(tuple(W for W in lat.irreducibles if W.closed_set != closed))
+    def without_flat(arr):
+        lat = lattice.compute_lattice(arr)
+        return lattice_with_irreducibles(
+            lat, [W for W in lat.irreducibles if W.closed_set != closed])
 
-    lat = lattice.compute_lattice(braid(4))
-    assert flat_with_closed(lat, closed) in lat.irreducibles
+    lat = without_flat(braid(4))
+    assert flat_with_closed(lat, closed) in lattice.compute_lattice(braid(4)).irreducibles
+    assert flat_with_closed(lat, closed) not in lat.irreducibles
     a = generator_presentation_ideal(
-        multiplier.presentation(lat, without_flat(lat), Fraction(5, 6)), 6)
+        multiplier.presentation(lat, lat.irreducibles, Fraction(5, 6)), 6)
     b = generator_presentation_ideal(
-        multiplier.presentation(lat, full_building_set(lat), Fraction(5, 6)), 6)
+        multiplier.presentation(lat, lat.proper, Fraction(5, 6)), 6)
     assert first == next(d for d in range(7) if a.piece_rows[d] != b.piece_rows[d])
-    monkeypatch.setattr(cli.bmod, "minimal_building_set", without_flat)
+    monkeypatch.setattr(cli, "compute_lattice", without_flat)
     code, out, err = run(capsys, ["verify-theorem", path, "--lambda", "5/6", "--degree", "6"])
     assert code == 2
     assert out.splitlines() == [
@@ -822,6 +828,21 @@ def test_non_positive_jumps_max_has_one_message(capsys, braid3_file, lam_max, fl
     without --verify, also where the default degree reads --max first."""
     code, out, err = run(capsys, ["jumps", braid3_file, f"--max={lam_max}", *flags])
     assert (code, out, err) == (1, "", f"error: lambda bound must be > 0, got {lam_max}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mi", "--lambda"], "lambda must be >= 0"),
+    (["support", "--lambda"], "lambda must be >= 0"),
+    (["member", "--poly", "x0", "--lambda"], "lambda must be >= 0"),
+    (["hilbert", "--lambda"], "lambda must be >= 0"),
+    (["verify-theorem", "--lambda"], "lambda must be >= 0"),
+    (["jumps", "--max"], "lambda bound must be > 0"),
+])
+def test_negative_rational_written_with_a_space(capsys, braid3_file, argv, message):
+    """A negative rational after a space is the option's value, not an
+    option: every rational flag reaches the program's own message."""
+    code, out, err = run(capsys, [argv[0], braid3_file, *argv[1:], "-1/2"])
+    assert (code, out, err) == (1, "", f"error: {message}, got -1/2\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

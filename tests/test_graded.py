@@ -5,7 +5,6 @@ import pytest
 
 from arrideals import graded, multiplier
 from arrideals.arrangement import Arrangement, braid
-from arrideals.building import minimal_building_set
 from arrideals.errors import InvariantError
 from arrideals.graded import (
     MAX_PIECE_WIDTH,
@@ -124,7 +123,7 @@ def test_flat_with_no_free_column_yields_no_row(monkeypatch):
             [0] * e + [comb(n + d - 1, d) for d in range(e, bound + 1)])
     assert expanded == []
     line = compute_lattice(Arrangement.from_normals(3, [(1, 0, 0)]))
-    pres = presentation(line, minimal_building_set(line), 1)
+    pres = presentation(line, line.irreducibles, 1)
     assert hilbert_function(line, pres, 40) == [comb(d + 2, 2) - comb(d + 1, 1)
                                                 for d in range(41)]
     assert expanded == []

@@ -6,7 +6,7 @@ import pytest
 
 from arrideals import lattice
 from arrideals.arrangement import Arrangement, Hyperplane, braid
-from arrideals.lattice import compute_lattice, minimal_containing
+from arrideals.lattice import compute_lattice
 from arrideals.linalg import int_span, primitive_vector
 
 import helpers
@@ -254,21 +254,25 @@ def test_normal_space_consistency(corpus_lattices, braid_lattices):
 
 
 def test_minimal_containing_examples(braid_lattices):
+    """The index's maximal-below read: a flat below itself, several maximal
+    members, members added in rank order with the lowest bit taken first,
+    and the ambient space, below which no proper flat lies."""
     lat = braid_lattices[3]
     top = helpers.flat_with_closed(lat, (0, 1, 2))
-    assert minimal_containing([top], top) == [top]
+    index = lattice.ClosedSetIndex()
+    assert index.add(top) == 1
+    assert index.maximal_below(top) == [top]
     hps = [helpers.flat_with_closed(lat, (i,)) for i in range(3)]
-    assert minimal_containing(hps, top) == hps
-    with pytest.raises(ValueError):
-        minimal_containing(hps, lat.flats[0])
+    assert [index.add(h) for h in hps] == [2, 4, 8]
+    assert index.maximal_below(top) == [top]
+    assert index.below(hps[1]) == 4 and index.maximal_below(hps[1]) == [hps[1]]
+    assert index.below(lat.flats[0]) == 0 and index.maximal_below(lat.flats[0]) == []
+    assert helpers.maximal_below(hps, top) == hps == helpers.minimal_containing(hps, top)
 
     lat4 = braid_lattices[4]
     # x0=x1, x2=x3: pairs (0,1)->0 and (2,3)->5
     c = helpers.flat_with_closed(lat4, (0, 5))
-    from arrideals.building import minimal_building_set
-
-    gmin = minimal_building_set(lat4)
-    got = minimal_containing(gmin.flats, c)
+    got = helpers.maximal_below(lat4.irreducibles, c)
     assert [f.closed_set for f in got] == [(0,), (5,)]
 
 

@@ -5,9 +5,8 @@ from math import comb
 
 import pytest
 
-from arrideals import graded, lattice, multiplier
-from arrideals.arrangement import Arrangement, Hyperplane, braid
-from arrideals.building import full_building_set, minimal_building_set
+from arrideals import cli, graded, lattice, multiplier
+from arrideals.arrangement import Arrangement, Hyperplane, braid, serialize_arrangement
 from arrideals.graded import Polynomial, parse_polynomial
 from arrideals.lattice import compute_lattice, rows_in
 from arrideals.multiplier import (
@@ -17,7 +16,6 @@ from arrideals.multiplier import (
     lct,
     membership,
     presentation,
-    resolution_table,
     support,
     uncapped_degree_bound,
     verify_jumps,
@@ -45,7 +43,7 @@ def realized(lat, building, lam, bound):
 
 def test_presentation_examples(braid_lattices):
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     p = presentation(lat, gmin, Fraction(2, 3))
     assert [(w.closed_set, e) for w, e in p.terms] == [((0, 1, 2), 1)]
     assert not p.is_unit
@@ -53,7 +51,7 @@ def test_presentation_examples(braid_lattices):
     assert presentation(lat, gmin, 0).is_unit
 
     lm2 = single_hyperplane(2)
-    p = presentation(lm2, minimal_building_set(lm2), Fraction(1, 2))
+    p = presentation(lm2, lm2.irreducibles, Fraction(1, 2))
     assert [(w.closed_set, e) for w, e in p.terms] == [((0,), 1)]
 
     with pytest.raises(ValueError):
@@ -62,7 +60,7 @@ def test_presentation_examples(braid_lattices):
 
 def test_presentation_exponent_values(braid_lattices):
     lat = braid_lattices[4]
-    full = full_building_set(lat)
+    full = lat.proper
     p = presentation(lat, full, 1)
     by_closed = {w.closed_set: e for w, e in p.terms}
     assert by_closed[(0,)] == 1          # hyperplane: floor(1) - 1 + 1
@@ -92,7 +90,7 @@ def test_float_lambda_is_refused(braid_lattices):
     as a float lies just below the lct of braid(3), where the ideal is the
     unit ideal, while Fraction(2, 3) gives the diagonal's term."""
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     assert [(W.closed_set, e) for W, e in presentation(lat, gmin, Fraction(2, 3)).terms] == [
         ((0, 1, 2), 1)]
     for call in (lambda: presentation(lat, gmin, 2 / 3),
@@ -105,7 +103,7 @@ def test_float_lambda_is_refused(braid_lattices):
 
 def test_support_is_presentation_support(corpus_lattices):
     for lat in corpus_lattices[:8]:
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         for lam in jump_candidates(lat, Fraction(3, 2)):
             pres = presentation(lat, gmin, lam)
             assert [w for w, _ in pres.terms] == support(lat, lam)
@@ -144,7 +142,7 @@ def test_verify_jump(braid_lattices, monkeypatch):
     # the stack made there is zero, and nothing is stacked on it
     assert verify_jumps(lat, 2, 4) and made() == [(2, 4), (2, 1), (2, -2)]
     assert stacks[-1].zero and stacks[-1].echelons == []
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     assert graded_equal(realized(lat, gmin, Fraction(1, 2), 4), realized(lat, gmin, 0, 4), 4)
     assert verify_jumps(single_hyperplane(1), 1, 2) == [(Fraction(1), True)]
     # J(λ) = f·J(λ − 1) for λ ≥ 1 (Skoda), and 1/3 is no jump, so 4/3 is none
@@ -179,7 +177,7 @@ def test_verify_jumps_stacks_nothing_once_h_passes_the_bound(monkeypatch):
 
 def test_membership(braid_lattices):
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     p = presentation(lat, gmin, Fraction(2, 3))
     assert membership(p, parse_polynomial("x0 - x1", 3))
     assert membership(p, parse_polynomial("x1 - x2", 3))
@@ -191,7 +189,7 @@ def test_membership(braid_lattices):
 
 def test_membership_higher_power(braid_lattices):
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     p = presentation(lat, gmin, 1)  # hyperplanes:1 each, diagonal:2
     # (x0-x1)(x0-x2)(x1-x2) expanded: in every hyperplane ideal, vanishes to
     # order three on the diagonal
@@ -204,24 +202,26 @@ def test_membership_higher_power(braid_lattices):
     assert not membership(p, parse_polynomial("x0 - x1", 3))
 
 
-def test_resolution_table(braid_lattices):
-    lat = braid_lattices[3]
-    rt = resolution_table(lat, minimal_building_set(lat))
-    assert [(r.discrepancy, r.vanishing_order) for r in rt] == [
-        (0, 1), (0, 1), (0, 1), (1, 3),
+def test_resolution_table(tmp_path, capsys):
+    """``resolution`` prints (closed set, discrepancy r − 1, vanishing
+    order s) per minimal-building-set flat."""
+    def table(arr):
+        path = tmp_path / "arr.json"
+        path.write_text(serialize_arrangement(arr))
+        assert cli.main(["resolution", str(path)]) == 0
+        return [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+
+    assert [row[1:] for row in table(braid(3))] == [
+        ["0", "1"], ["0", "1"], ["0", "1"], ["1", "3"],
     ]
-    lm = single_hyperplane(3)
-    rt = resolution_table(lm, minimal_building_set(lm))
-    assert [(r.discrepancy, r.vanishing_order) for r in rt] == [(0, 3)]
-    lat4 = braid_lattices[4]
-    rt = resolution_table(lat4, minimal_building_set(lat4))
-    diag = [r for r in rt if r.flat.rank == 3]
-    assert [(r.discrepancy, r.vanishing_order) for r in diag] == [(2, 6)]
+    assert table(Arrangement.from_normals(1, [(1,)], [3])) == [["0", "0", "3"]]
+    diag = [row for row in table(braid(4)) if row[0] == "0,1,2,3,4,5"]
+    assert diag == [["0,1,2,3,4,5", "2", "6"]]
 
 
 def test_unit_exactly_below_lct(corpus_lattices):
     for lat in corpus_lattices[:10]:
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         threshold = lct(lat)
         eps = Fraction(1, 1000)
         assert presentation(lat, gmin, threshold - eps).is_unit
@@ -233,11 +233,11 @@ def test_default_degree_bound(braid_lattices, capsys):
     from arrideals.cli import _default_degree
 
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     assert uncapped_degree_bound(presentation(lat, gmin, 0)) == 2
     p = presentation(lat, gmin, 1)  # exponents 1,1,1,2
     assert uncapped_degree_bound(p) == 7
-    assert uncapped_degree_bound(p, presentation(lat, full_building_set(lat), 1)) == 7
+    assert uncapped_degree_bound(p, presentation(lat, lat.proper, 1)) == 7
     assert _default_degree(p) == 7 and capsys.readouterr().err == ""
     big = presentation(lat, gmin, 4)  # exponents 4,4,4,11
     assert uncapped_degree_bound(big) == 25
@@ -248,8 +248,8 @@ def test_default_degree_bound(braid_lattices, capsys):
 def test_building_set_independence_corpus(corpus_lattices):
     """G_min and the full lattice present the same graded ideal."""
     for lat in corpus_lattices[:10]:
-        gmin = minimal_building_set(lat)
-        full = full_building_set(lat)
+        gmin = lat.irreducibles
+        full = lat.proper
         for lam in (Fraction(1, 2), Fraction(1)):
             a = realized(lat, gmin, lam, 3)
             b = realized(lat, full, lam, 3)
@@ -258,8 +258,6 @@ def test_building_set_independence_corpus(corpus_lattices):
 
 def test_all_building_sets_present_equal_ideals():
     """The presentation is independent of the chosen building set."""
-    from arrideals.building import BuildingSet
-
     small = [
         Arrangement.from_normals(2, [(1, 0), (0, 1), (1, -1)]),
         braid(3),
@@ -274,8 +272,7 @@ def test_all_building_sets_present_equal_ideals():
         for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(1)):
             reference = None
             for flats in sets:
-                bs = BuildingSet(tuple(flats))
-                gi = realized(lat, bs, lam, 4)
+                gi = realized(lat, flats, lam, 4)
                 if reference is None:
                     reference = gi
                 else:
@@ -287,7 +284,7 @@ def test_jump_structure_on_corpus(corpus_lattices):
     """Presentations only change at candidates, and verify_jumps sees exactly
     the candidates where consecutive ideals differ."""
     for lat in corpus_lattices[:8]:
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         grid = [Fraction(0)] + jump_candidates(lat, 1)
         for a, b in zip(grid, grid[1:]):
             mid = (a + b) / 2
@@ -315,7 +312,7 @@ def test_braid4_jumps_all_verify(braid_lattices):
     # piece dimensions have the closed form C(d+3, 3) - 1
     from math import comb
 
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     pres = presentation(lat, gmin, Fraction(1, 2))
     assert hilbert_function(lat, pres, 6) == [0] + [comb(d + 3, 3) - 1 for d in range(1, 7)]
     # at lambda = 1 the only degree-6 element is the defining product
@@ -326,7 +323,7 @@ def test_braid4_jumps_all_verify(braid_lattices):
 
 def test_monotone_in_lambda(braid_lattices):
     lat = braid_lattices[3]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     grid = [Fraction(0)] + jump_candidates(lat, 2)
     ideals = [realized(lat, gmin, lam, 4) for lam in grid]
     for prev, nxt in zip(ideals, ideals[1:]):
@@ -335,7 +332,7 @@ def test_monotone_in_lambda(braid_lattices):
 
 def test_smooth_divisor_small():
     lat = single_hyperplane(2)
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     for lam in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         pres = presentation(lat, gmin, lam)
         k = int(lam * 2)
@@ -360,7 +357,7 @@ def test_normal_crossings_coordinate_axes():
         normals = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         arr = Arrangement.from_normals(n, normals, list(mults))
         lat = compute_lattice(arr)
-        gmin = minimal_building_set(lat)
+        gmin = lat.irreducibles
         for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1),
                     Fraction(5, 4)):
             pres = presentation(lat, gmin, lam)
@@ -393,10 +390,10 @@ def test_non_reduced_braid_pipeline():
     ]
     # 2/3 is no candidate: the ideal there is the ideal at 1/2
     assert verify_jumps(lat, Fraction(2, 3), 4) == [(Fraction(1, 2), True)]
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     assert graded_equal(realized(lat, gmin, Fraction(2, 3), 4),
                         realized(lat, gmin, Fraction(1, 2), 4), 4)
-    full = full_building_set(lat)
+    full = lat.proper
     for lam in jump_candidates(lat, 1):
         a = realized(lat, gmin, lam, 5)
         b = realized(lat, full, lam, 5)
@@ -438,7 +435,7 @@ def test_hilbert_function_matches_generator_route(braid_lattices):
     cases = [(braid_lattices[n], 5) for n in (3, 4, 5)] + [(braid_lattices[6], 4)]
     cases += [(compute_lattice(arr), 5) for arr in dim4_arrangements()]
     for lat, bound in cases:
-        for name, bs in (("min", minimal_building_set(lat)), ("full", full_building_set(lat))):
+        for name, bs in (("min", lat.irreducibles), ("full", lat.proper)):
             for lam in LAMBDAS:
                 pres = presentation(lat, bs, lam)
                 oracle = piece_dims(generator_presentation_ideal(pres, bound))
@@ -453,7 +450,7 @@ def test_hilbert_function_is_periodic(braid_lattices, corpus_lattices):
     by those at λ."""
     for lat in [braid_lattices[n] for n in (3, 4, 5)] + list(corpus_lattices):
         deg_f = sum(h.mult for h in lat.arrangement.hyperplanes)
-        for bs in (minimal_building_set(lat), full_building_set(lat)):
+        for bs in (lat.irreducibles, lat.proper):
             for lam in [Fraction(0), Fraction(1, 3)] + jump_candidates(lat, 1):
                 here = hilbert_function(lat, presentation(lat, bs, lam), 3)
                 above = hilbert_function(lat, presentation(lat, bs, lam + 1), deg_f + 3)
@@ -471,7 +468,7 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
     itself is refused with no expansion (the generator route has no piece
     in degree 7), and h times the form of plane 5 is expanded and in J."""
     lat = braid_lattices[5]
-    pres = presentation(lat, minimal_building_set(lat), 1)
+    pres = presentation(lat, lat.irreducibles, 1)
     assert max(e for _, e in pres.terms) == 7
     n = lat.arrangement.dim
     forms = [Polynomial.from_terms(n, {tuple(int(i == j) for j in range(n)): c
@@ -496,7 +493,7 @@ def test_membership_below_the_hyperplane_factor_builds_no_row(braid_lattices,
     arr = braid(4)
     lat = compute_lattice(Arrangement.from_normals(4, [h.normal for h in arr.hyperplanes],
                                                    [2, 3, 3, 4, 4, 1]))
-    pres = presentation(lat, minimal_building_set(lat), Fraction(7, 12))
+    pres = presentation(lat, lat.irreducibles, Fraction(7, 12))
     assert max(e for _, e in pres.terms) == 7
     forms = [Polynomial.from_terms(4, {tuple(int(i == j) for j in range(4)): c
                                        for i, c in enumerate(h.normal)})
@@ -517,7 +514,7 @@ def test_membership_reads_rows_only_for_the_terms_it_expands(monkeypatch):
     fails, the last hyperplane's: no later term is expanded, and each
     expanded term builds its flat's rows once."""
     lat = compute_lattice(braid(5))
-    pres = presentation(lat, minimal_building_set(lat), 1)
+    pres = presentation(lat, lat.irreducibles, 1)
     n = lat.arrangement.dim
     forms = [Polynomial.from_terms(n, {tuple(int(i == j) for j in range(n)): c
                                        for i, c in enumerate(h.normal)})
@@ -590,7 +587,7 @@ def test_membership_matches_generator_route(braid_lattices):
             return poly
 
         for lam in LAMBDAS:
-            pres = presentation(lat, minimal_building_set(lat), lam)
+            pres = presentation(lat, lat.irreducibles, lam)
             oracle = generator_presentation_ideal(pres, 6)
             for _ in range(4):
                 k = rng.randint(2, 6)
@@ -661,8 +658,8 @@ def test_skipped_rows_lie_in_the_stacked_span():
                    for _, group in groupby(rises, key=lambda r: r[0])]
         total += skipped_rows(lat, bound, [], *batches)
         for lam in sorted({c for c, _, _ in rises}):
-            pres_min = presentation(lat, minimal_building_set(lat), lam)
-            pres_full = presentation(lat, full_building_set(lat), lam)
+            pres_min = presentation(lat, lat.irreducibles, lam)
+            pres_full = presentation(lat, lat.proper, lam)
             seen = {W for W, _ in pres_min.terms}
             total += skipped_rows(lat, bound, pres_min.terms,
                                   [(W, e) for W, e in pres_full.terms if W not in seen])

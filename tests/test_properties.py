@@ -17,9 +17,8 @@ from arrideals.arrangement import (
     parse_arrangement,
     serialize_arrangement,
 )
-from arrideals.building import full_building_set, minimal_building_set
 from arrideals.graded import Polynomial, _check_width
-from arrideals.lattice import compute_lattice, minimal_containing, rows_in
+from arrideals.lattice import compute_lattice, rows_in
 from arrideals.multiplier import (
     hilbert_function,
     jump_candidates,
@@ -140,7 +139,6 @@ def test_flats_built_on_first_read_equal_the_eager_build(arr):
     assert lat.top == lat.flats[-1] and lat.top is lat.flats[-1]
     for W in irreducibles:
         assert helpers.flat_with_closed(lat, W.closed_set) is W
-    assert minimal_building_set(lat).flats is irreducibles
 
 
 def circuits(arr: Arrangement) -> list[frozenset[int]]:
@@ -175,8 +173,24 @@ def test_irreducibles_match_circuit_oracle(arr):
     assert [f.closed_set for f in lat.irreducibles] == [
         f.closed_set for f in lat.proper if len(comps[f.closed_set]) == 1]
     for f in lat.proper:
-        parts = minimal_containing(lat.irreducibles, f)
+        parts = helpers.maximal_below(lat.irreducibles, f)
         assert sorted(U.closed_set for U in parts) == comps[f.closed_set]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(arrangements(), dependent_arrangements()), st.randoms(use_true_random=False))
+def test_maximal_below_matches_the_pairwise_scan(arr, rng):
+    """For every proper flat, the closed-set index's maximal-below read
+    (members indexed highest rank first, in the family's order within a
+    rank) equals the pairwise frozenset scan, over the minimal building
+    set and over random subsets of the proper flats in random order."""
+    lat = compute_lattice(arr)
+    proper = lat.proper
+    families = [lat.irreducibles, proper]
+    families += [rng.sample(proper, rng.randint(1, len(proper))) for _ in range(3)]
+    for flats in families:
+        for W in proper:
+            assert helpers.maximal_below(flats, W) == helpers.minimal_containing(flats, W)
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
@@ -187,8 +201,8 @@ def test_minimal_and_full_building_sets_give_one_ideal(arr, p, q, bound):
     the minimal and the full one, is the same ideal."""
     lat = compute_lattice(arr)
     lam = Fraction(p, q)
-    a = generator_presentation_ideal(presentation(lat, minimal_building_set(lat), lam), bound)
-    b = generator_presentation_ideal(presentation(lat, full_building_set(lat), lam), bound)
+    a = generator_presentation_ideal(presentation(lat, lat.irreducibles, lam), bound)
+    b = generator_presentation_ideal(presentation(lat, lat.proper, lam), bound)
     assert a.piece_rows == b.piece_rows
 
 
@@ -199,7 +213,7 @@ def test_verify_jumps_compares_each_candidate_with_the_interval_below(arr, bound
     whether the ideal at c differs from the ideal halfway back to the
     previous candidate (or to 0)."""
     lat = compute_lattice(arr)
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     lam_max = Fraction(3, 2)
     answers = verify_jumps(lat, lam_max, bound)
     cands = jump_candidates(lat, lam_max)
@@ -224,7 +238,7 @@ def test_rise_table_answers_as_the_exponent_formulas(arr, lam, lam_max):
     bound is 0, deg h plus J″'s largest exponent above it, nothing more is
     stacked."""
     lat = compute_lattice(arr)
-    gmin = minimal_building_set(lat).flats
+    gmin = lat.irreducibles
     assert support(lat, lam) == [W for W in gmin if lam >= Fraction(W.rank, W.mult)]
     cands = sorted({Fraction(m, W.mult) for W in gmin
                     for m in range(W.rank, floor(lam_max * W.mult) + 1)})
@@ -300,7 +314,7 @@ def test_membership_matches_the_generator_route(arr, lam, summands):
     to five form indices)."""
     lat = compute_lattice(arr)
     poly = form_products(arr, summands)
-    for building in (minimal_building_set(lat), full_building_set(lat)):
+    for building in (lat.irreducibles, lat.proper):
         pres = presentation(lat, building, lam)
         oracle = generator_presentation_ideal(pres, 5)
         assert membership(pres, poly) == helpers.contains_polynomial(oracle, poly)
@@ -337,8 +351,8 @@ def test_stacking_only_new_rows_changes_no_answer(arr, lam, bound, summands):
             stack.add([(rows_in(top, W), e) for W, e in terms])
             yield multiplier._lift(stack.dims(), arr.dim - top.rank)
 
-    pres_min = presentation(lat, minimal_building_set(lat), lam)
-    pres_full = presentation(lat, full_building_set(lat), lam)
+    pres_min = presentation(lat, lat.irreducibles, lam)
+    pres_full = presentation(lat, lat.proper, lam)
     seen = {W for W, _ in pres_min.terms}
     extra = [(W, e) for W, e in pres_full.terms if W not in seen]
     for pres in (pres_min, pres_full):
@@ -402,8 +416,8 @@ def test_width_guard_refuses_exactly_when_every_exponent_is_within_the_bound(arr
     lat = compute_lattice(arr)
     lam = Fraction(k, 6)
     wide = _refuses(lambda: _check_width(lat.top.rank, bound))
-    pres_min = presentation(lat, minimal_building_set(lat), lam)
-    pres_full = presentation(lat, full_building_set(lat), lam)
+    pres_min = presentation(lat, lat.irreducibles, lam)
+    pres_full = presentation(lat, lat.proper, lam)
 
     def within(pres):
         return all(e <= bound for _, e in pres.terms)
@@ -447,8 +461,8 @@ def test_rank_path_matches_realized_ideals(arr, p, q, bound):
     lat = compute_lattice(arr)
     assert lat.flats[-1].rank < arr.dim
     lam = Fraction(p, q)
-    pres_min = presentation(lat, minimal_building_set(lat), lam)
-    pres_full = presentation(lat, full_building_set(lat), lam)
+    pres_min = presentation(lat, lat.irreducibles, lam)
+    pres_full = presentation(lat, lat.proper, lam)
     a = piece_dims(generator_presentation_ideal(pres_min, bound))
     b = piece_dims(generator_presentation_ideal(pres_full, bound))
     assert hilbert_function(lat, pres_min, bound) == a
@@ -464,7 +478,7 @@ def test_rank_path_matches_realized_ideals(arr, p, q, bound):
 def test_multiplier_ideals_shrink_as_lambda_grows(arr, a, b, bound):
     """J(λ') ⊆ J(λ) for λ' > λ."""
     lat = compute_lattice(arr)
-    gmin = minimal_building_set(lat)
+    gmin = lat.irreducibles
     lo, hi = sorted((a, b))
     big = generator_presentation_ideal(presentation(lat, gmin, lo), bound)
     small = generator_presentation_ideal(presentation(lat, gmin, hi), bound)
